@@ -13,9 +13,11 @@ iff the run produced every requested output.
 
 from __future__ import annotations
 
+import errno
+import os
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, NoReturn
 
 import click
 import numpy as np
@@ -52,29 +54,52 @@ from .simulate import (
 FORMAT_VERSION = "1"
 
 
-def _fail(message: str) -> None:
+def _fail(message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
 
 
-def _read(path: str) -> str:
+def _read(path: str, name: str, entries: dict[str, str]) -> str:
+    """Read ``path`` once: record ``input_sha256_<name>`` of its bytes, then decode them."""
     try:
-        return formats.decode_text(Path(path).read_bytes())
+        data = Path(path).read_bytes()
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
+    entries[f"input_sha256_{name}"] = formats.sha256_hex(data)
+    return formats.decode_text(data)
 
 
-def _write_outputs(outputs: dict[Path, str]) -> None:
-    written: list[Path] = []
+def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
+    """Write each output to a hidden temp file beside its target, then rename
+    them all into place in the given order; callers put the manifest last.
+
+    No target is touched unless every temp file was written and no target is
+    a directory. The temp files are always removed.
+    """
+    staged: list[tuple[Path, Path]] = []
     try:
-        for path, text in outputs.items():
+        for path, data in outputs:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
-    except BaseException:
-        for path in written:  # no partial output sets
-            path.unlink(missing_ok=True)
-        raise
+            tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((path, tmp))
+            with open(fd, "wb") as handle:
+                handle.write(data)
+            del data  # hold one encoded output at a time
+        for path, _ in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path, tmp in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc}")
+    finally:
+        for _, tmp in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def _encoded(outputs: dict[Path, str]) -> Iterable[tuple[Path, bytes]]:
+    return ((path, text.encode("utf-8")) for path, text in outputs.items())
 
 
 def _manifest(command: str, entries: dict[str, str]) -> str:
@@ -86,14 +111,45 @@ def _manifest(command: str, entries: dict[str, str]) -> str:
     return formats.serialize_keyvalues({**base, **entries})
 
 
-def _load_config(path: str | None, allowed: dict[str, type], command: str) -> dict[str, str]:
-    if path is None:
-        return {}
-    values = formats.parse_keyvalues(_read(path))
-    for key in values:
-        if key not in allowed:
-            raise InvalidValueError(f"unknown {command} config key {key!r}")
-    return values
+def _write_with_manifest(out_file: str, text: str, command: str, entries: dict[str, str],
+                         extra: dict[Path, str]) -> None:
+    """Write ``out_file``, then ``extra``, then the manifest ``<out_file>.manifest``."""
+    out = Path(out_file)
+    manifest = out.with_name(out.name + ".manifest")
+    _write_outputs(_encoded({out: text, **extra, manifest: _manifest(command, entries)}))
+
+
+def _write_out_dir(out_dir: str, data: dict[str, str], command: str, entries: dict[str, str],
+                   extra: dict[Path, str]) -> None:
+    """Write ``data`` into ``out_dir``, then ``extra``, then ``manifest.txt``
+    with an ``output_sha256_<name>`` entry for each ``data`` file."""
+    out = Path(out_dir)
+
+    def outputs():
+        for name, text in data.items():
+            raw = text.encode("utf-8")
+            entries[f"output_sha256_{name.removesuffix('.txt')}"] = formats.sha256_hex(raw)
+            yield out / name, raw
+            del raw
+        yield from _encoded({**extra, out / "manifest.txt": _manifest(command, entries)})
+
+    _write_outputs(outputs())
+
+
+def _settings(config: str | None, keys: dict[str, type], command: str, flags: dict,
+              entries: dict[str, str]) -> dict:
+    """Config-file values converted to their types, overridden by every flag given."""
+    resolved = {}
+    if config is not None:
+        values = formats.parse_keyvalues(_read(config, "config", entries))
+        for key in values:
+            if key not in keys:
+                raise InvalidValueError(f"unknown {command} config key {key!r}")
+        resolved = {key: _convert(key, raw, keys[key]) for key, raw in values.items()}
+    for key, value in flags.items():
+        if value is not None:
+            resolved[key] = keys[key](value) if isinstance(value, str) else value
+    return resolved
 
 
 def _convert(key: str, raw: str, kind):
@@ -105,6 +161,13 @@ def _convert(key: str, raw: str, kind):
         return kind(raw)
     except (ValueError, PseudovoxError):
         raise InvalidValueError(f"bad value {raw!r} for key {key!r}") from None
+
+
+def _det_output(obj, score_set: TrialScoreSet) -> dict[Path, str]:
+    """The ``--det-out`` file and its text, if the flag was given."""
+    if obj.det_out is None:
+        return {}
+    return {Path(obj.det_out): formats.serialize_det(det_points(score_set))}
 
 
 class _Cli:
@@ -136,7 +199,8 @@ def main(ctx, seed, config, threads, det_out):
 def stats(contours_file, out_stats_file):
     """Per-utterance voiced log-F0 statistics."""
     try:
-        contours = formats.parse_contours(_read(contours_file))
+        entries: dict[str, str] = {}
+        contours = formats.parse_contours(_read(contours_file, "contours", entries))
         records = []
         for contour in contours:
             try:
@@ -146,19 +210,8 @@ def stats(contours_file, out_stats_file):
                     f"warning: {contour.utterance_id} has no voiced frames, skipped",
                     err=True,
                 )
-        out = Path(out_stats_file)
-        _write_outputs(
-            {
-                out: formats.serialize_stats(records),
-                out.with_name(out.name + ".manifest"): _manifest(
-                    "stats",
-                    {
-                        "input_sha256_contours": formats.sha256_hex(_read(contours_file)),
-                        "n_utterances": str(len(records)),
-                    },
-                ),
-            }
-        )
+        entries["n_utterances"] = str(len(records))
+        _write_with_manifest(out_stats_file, formats.serialize_stats(records), "stats", entries, {})
     except PseudovoxError as exc:
         _fail(str(exc))
 
@@ -189,37 +242,22 @@ _ANON_CONFIG_KEYS = {
 @click.option("--scorer", type=click.Choice(["plda", "cosine"]), default=None)
 @click.option("--length-norm/--no-length-norm", "length_norm", default=None)
 @click.pass_obj
-def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir,
-              gender_policy, f0_mode, k_far, k_sel, scorer, length_norm):
+def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir, **flags):
     """Derive one pseudo-speaker per source speaker; transform F0 on request."""
     try:
-        cfg_values = _load_config(obj.config, _ANON_CONFIG_KEYS, "anonymize")
-        resolved = {
-            key: _convert(key, raw, _ANON_CONFIG_KEYS[key]) for key, raw in cfg_values.items()
-        }
-        for key, flag in (
-            ("k_far", k_far),
-            ("k_sel", k_sel),
-            ("gender_policy", GenderPolicy(gender_policy) if gender_policy else None),
-            ("scorer", Scorer(scorer) if scorer else None),
-            ("length_norm", length_norm),
-            ("global_seed", obj.seed),
-            ("f0_mode", F0Mode(f0_mode) if f0_mode else None),
-        ):
-            if flag is not None:
-                resolved[key] = flag
+        entries: dict[str, str] = {}
+        resolved = _settings(
+            obj.config, _ANON_CONFIG_KEYS, "anonymize", {**flags, "global_seed": obj.seed}, entries
+        )
         mode = resolved.pop("f0_mode", F0Mode.ORIGINAL)
         sel = SelectionConfig(**resolved)
 
-        pool_text = _read(pool_file)
-        embeddings_text = _read(embeddings_file)
-        contours_text = _read(contours_file)
         plda_model = None
         if plda_file is not None:
-            plda_model = formats.parse_plda(_read(plda_file))
-        pool = SpeakerPool(formats.parse_pool(pool_text), plda_model)
-        embeddings = formats.parse_embeddings(embeddings_text)
-        contours = formats.parse_contours(contours_text)
+            plda_model = formats.parse_plda(_read(plda_file, "plda", entries))
+        pool = SpeakerPool(formats.parse_pool(_read(pool_file, "pool", entries)), plda_model)
+        embeddings = formats.parse_embeddings(_read(embeddings_file, "embeddings", entries))
+        contours = formats.parse_contours(_read(contours_file, "contours", entries))
 
         contour_by_utt = {c.utterance_id: c for c in contours}
         utt_ids = {e.utterance_id for e in embeddings}
@@ -273,14 +311,13 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
             stats_rows.append((speaker_id, pseudo.f0_stats))
             contour_rows.extend(out_contours)
 
-        out = Path(out_dir)
         data_outputs = {
             "mapping.txt": formats.serialize_mapping(mapping_rows),
             "pseudo_xvectors.txt": formats.serialize_embeddings(xvector_rows),
             "pseudo_f0_stats.txt": formats.serialize_stats(stats_rows),
             "contours_anon.txt": formats.serialize_contours(contour_rows),
         }
-        manifest_entries = {
+        entries.update({
             "global_seed": str(sel.global_seed),
             "k_far": str(sel.k_far),
             "k_sel": str(sel.k_sel),
@@ -289,20 +326,8 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
             "length_norm": "true" if sel.length_norm else "false",
             "f0_mode": mode.value,
             "n_source_speakers": str(len(speakers)),
-            "input_sha256_pool": formats.sha256_hex(pool_text),
-            "input_sha256_embeddings": formats.sha256_hex(embeddings_text),
-            "input_sha256_contours": formats.sha256_hex(contours_text),
-        }
-        if plda_file is not None:
-            manifest_entries["input_sha256_plda"] = formats.sha256_hex(_read(plda_file))
-        for name, text in data_outputs.items():
-            manifest_entries[f"output_sha256_{name.removesuffix('.txt')}"] = formats.sha256_hex(text)
-        _write_outputs(
-            {
-                **{out / name: text for name, text in data_outputs.items()},
-                out / "manifest.txt": _manifest("anonymize", manifest_entries),
-            }
-        )
+        })
+        _write_out_dir(out_dir, data_outputs, "anonymize", entries, {})
     except PseudovoxError as exc:
         _fail(str(exc))
 
@@ -320,10 +345,11 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
 def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, length_norm):
     """PLDA-score every trial in the key against enrollment speakers."""
     try:
-        model = formats.parse_plda(_read(plda_file))
-        enroll = formats.parse_embeddings(_read(enroll_file))
-        trials_emb = formats.parse_embeddings(_read(trial_embeddings))
-        key_rows = formats.parse_trials(_read(trial_key))
+        entries = {"length_norm": "true" if length_norm else "false"}
+        model = formats.parse_plda(_read(plda_file, "plda", entries))
+        enroll = formats.parse_embeddings(_read(enroll_file, "enroll", entries))
+        trials_emb = formats.parse_embeddings(_read(trial_embeddings, "trial_embeddings", entries))
+        key_rows = formats.parse_trials(_read(trial_key, "trial_key", entries))
 
         enroll_latents: dict[str, list[np.ndarray]] = {}
         for emb in enroll:
@@ -347,25 +373,8 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
             llr = plda_score(model, enroll_mean[enroll_id], trial_latents[test_id])
             rows.append((enroll_id, test_id, llr))
 
-        out = Path(out_scores)
-        _write_outputs(
-            {
-                out: formats.serialize_scores(rows),
-                out.with_name(out.name + ".manifest"): _manifest(
-                    "score",
-                    {
-                        "length_norm": "true" if length_norm else "false",
-                        "n_trials": str(len(rows)),
-                        "input_sha256_plda": formats.sha256_hex(_read(plda_file)),
-                        "input_sha256_enroll": formats.sha256_hex(_read(enroll_file)),
-                        "input_sha256_trial_embeddings": formats.sha256_hex(
-                            _read(trial_embeddings)
-                        ),
-                        "input_sha256_trial_key": formats.sha256_hex(_read(trial_key)),
-                    },
-                ),
-            }
-        )
+        entries["n_trials"] = str(len(rows))
+        _write_with_manifest(out_scores, formats.serialize_scores(rows), "score", entries, {})
     except PseudovoxError as exc:
         _fail(str(exc))
 
@@ -381,8 +390,9 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
 def eval_cmd(obj, score_file, trial_key, out_file):
     """EER / Cllr / min-Cllr report from a score file and its trial key."""
     try:
-        scores = formats.parse_scores(_read(score_file))
-        key_rows = formats.parse_trials(_read(trial_key))
+        entries: dict[str, str] = {}
+        scores = formats.parse_scores(_read(score_file, "scores", entries))
+        key_rows = formats.parse_trials(_read(trial_key, "trial_key", entries))
         score_by_trial = {(e, t): s for e, t, s in scores}
         key_set = {(e, t) for e, t, _ in key_rows}
         for pair in score_by_trial:
@@ -398,21 +408,11 @@ def eval_cmd(obj, score_file, trial_key, out_file):
         score_set = TrialScoreSet(np.array(target), np.array(nontarget))
         report_text = formats.serialize_report(evaluate(score_set))
         click.echo(report_text, nl=False)
-        outputs: dict[Path, str] = {}
+        det = _det_output(obj, score_set)
         if out_file is not None:
-            out = Path(out_file)
-            outputs[out] = report_text
-            outputs[out.with_name(out.name + ".manifest")] = _manifest(
-                "eval",
-                {
-                    "input_sha256_scores": formats.sha256_hex(_read(score_file)),
-                    "input_sha256_trial_key": formats.sha256_hex(_read(trial_key)),
-                },
-            )
-        if obj.det_out is not None:
-            outputs[Path(obj.det_out)] = formats.serialize_det(det_points(score_set))
-        if outputs:
-            _write_outputs(outputs)
+            _write_with_manifest(out_file, report_text, "eval", entries, det)
+        elif det:
+            _write_outputs(_encoded(det))
     except PseudovoxError as exc:
         _fail(str(exc))
 
@@ -505,19 +505,10 @@ def _build_simulation(resolved: dict) -> tuple[CohortSpec, ScenarioConfig, Selec
 def simulate(obj, out_dir, **flags):
     """Generate a synthetic cohort and run one attack scenario over it."""
     try:
-        config_text = None
-        if obj.config is not None:
-            config_text = _read(obj.config)
-        cfg_values = _load_config(obj.config, _SIM_CONFIG_KEYS, "simulate")
-        resolved = {
-            key: _convert(key, raw, _SIM_CONFIG_KEYS[key]) for key, raw in cfg_values.items()
-        }
-        for key, value in flags.items():
-            if value is None:
-                continue
-            resolved[key] = _SIM_CONFIG_KEYS[key](value) if isinstance(value, str) else value
-        if obj.seed is not None:
-            resolved["seed"] = obj.seed
+        entries: dict[str, str] = {}
+        resolved = _settings(
+            obj.config, _SIM_CONFIG_KEYS, "simulate", {**flags, "seed": obj.seed}, entries
+        )
         spec, scenario, sel = _build_simulation(resolved)
 
         cohort = generate_cohort(spec)
@@ -532,7 +523,7 @@ def simulate(obj, out_dir, **flags):
         ]
         user_contours = [u.contour for speaker in cohort.users for u in speaker.utterances]
 
-        manifest_entries = {
+        entries.update({
             "cohort_seed": str(spec.seed),
             "enroll_seed": str(scenario.enroll_seed),
             "trial_seed": str(scenario.trial_seed),
@@ -558,11 +549,8 @@ def simulate(obj, out_dir, **flags):
             "f0_between_std": formats.format_float(spec.f0_between_std),
             "f0_within_std": formats.format_float(spec.f0_within_std),
             "frames_per_utt": str(spec.frames_per_utt),
-        }
-        if config_text is not None:
-            manifest_entries["input_sha256_config"] = formats.sha256_hex(config_text)
-
-        out = Path(out_dir)
+            "n_trials": str(len(score_rows)),
+        })
         data_outputs = {
             "pool.txt": formats.serialize_pool(cohort.pool.speakers),
             "user_embeddings.txt": formats.serialize_embeddings(user_embeddings),
@@ -572,14 +560,7 @@ def simulate(obj, out_dir, **flags):
             "trials.txt": formats.serialize_trials(trial_rows),
             "report.txt": formats.serialize_report(result.report),
         }
-        manifest_entries["n_trials"] = str(len(score_rows))
-        for name, text in data_outputs.items():
-            manifest_entries[f"output_sha256_{name.removesuffix('.txt')}"] = formats.sha256_hex(text)
-        outputs = {out / name: text for name, text in data_outputs.items()}
-        outputs[out / "manifest.txt"] = _manifest("simulate", manifest_entries)
-        if obj.det_out is not None:
-            outputs[Path(obj.det_out)] = formats.serialize_det(det_points(result.scores))
-        _write_outputs(outputs)
+        _write_out_dir(out_dir, data_outputs, "simulate", entries, _det_output(obj, result.scores))
     except PseudovoxError as exc:
         _fail(str(exc))
 

@@ -22,7 +22,7 @@ bounded draws, so member sets are identical across platforms and runs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,10 @@ def read_dir(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
+def sha256_file(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 # --- stats -------------------------------------------------------------------
 
 
@@ -47,6 +54,17 @@ def test_stats_skips_unvoiced_with_warning(tmp_path, runner):
     assert [r[0] for r in records] == ["u1"]
     expected = compute_log_f0_stats(F0Contour("u1", [100.0, 0.0, 400.0]))
     assert records[0][1] == expected
+
+
+def test_outputs_get_the_default_file_mode(tmp_path, runner):
+    contours = write(tmp_path / "c.txt", "u1 100.0 0.0 400.0\n")
+    out = tmp_path / "stats.txt"
+    umask = os.umask(0o022)
+    os.umask(umask)
+    result = runner.invoke(main, ["stats", contours, str(out)])
+    assert result.exit_code == 0, result.output
+    for path in (out, tmp_path / "stats.txt.manifest"):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_stats_parse_error_exits_nonzero(tmp_path, runner):
@@ -208,6 +226,8 @@ def test_anonymize_config_file_with_flag_override(tmp_path, runner):
     assert r1.exit_code == 0, r1.output
     mapping = formats.parse_mapping((out1 / "mapping.txt").read_text())
     assert all(len(m[2]) == 2 for m in mapping)
+    manifest = formats.parse_keyvalues((out1 / "manifest.txt").read_text())
+    assert manifest["input_sha256_config"] == sha256_file(tmp_path / "cfg.txt")
     # flag overrides the config file value
     r2 = runner.invoke(
         main, ["--config", cfg] + anonymize_args(paths, out2)[:-4] + ["--k-sel", "3"]
@@ -215,6 +235,35 @@ def test_anonymize_config_file_with_flag_override(tmp_path, runner):
     assert r2.exit_code == 0
     mapping2 = formats.parse_mapping((out2 / "mapping.txt").read_text())
     assert all(len(m[2]) == 3 for m in mapping2)
+
+
+def test_anonymize_failed_write_keeps_earlier_outputs(tmp_path, runner):
+    paths = build_anonymize_inputs(tmp_path)
+    out = tmp_path / "anon1"
+    first = runner.invoke(main, anonymize_args(paths, out))
+    assert first.exit_code == 0, first.output
+    earlier = read_dir(out)
+    (out / "contours_anon.txt").unlink()
+    (out / "contours_anon.txt").mkdir()
+    result = runner.invoke(main, ["--seed", "8"] + anonymize_args(paths, out, ["--f0", "modified"]))
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write"), result.stderr
+    assert "contours_anon.txt" in lines[0]
+    for name in ("mapping.txt", "pseudo_xvectors.txt", "pseudo_f0_stats.txt", "manifest.txt"):
+        assert (out / name).read_bytes() == earlier[name]
+    assert sorted(p.name for p in out.iterdir()) == sorted(earlier)  # no temp file left
+
+
+def test_anonymize_out_dir_is_a_file(tmp_path, runner):
+    paths = build_anonymize_inputs(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    result = runner.invoke(main, anonymize_args(paths, out))
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert out.read_text() == "not a directory\n"
 
 
 # --- score ---------------------------------------------------------------------
@@ -424,3 +473,65 @@ def test_simulate_unknown_config_key_rejected(tmp_path, runner):
     result = runner.invoke(main, ["--config", cfg, "simulate", "--out-dir", str(tmp_path / "o")])
     assert result.exit_code != 0
     assert "bogus" in result.stderr
+
+
+# --- manifests (every command) ----------------------------------------------------
+
+
+def manifest_case(command, tmp_path):
+    """(args, manifest path, {input name: path}, out dir or None) of one run."""
+    if command == "stats":
+        contours = write(tmp_path / "c.txt", "u1 100.0 0.0 400.0\nu2 120.0 130.0\n")
+        out = tmp_path / "stats.txt"
+        return ["stats", contours, str(out)], tmp_path / "stats.txt.manifest", {"contours": contours}, None
+    if command == "anonymize":
+        paths = build_anonymize_inputs(tmp_path)
+        cfg = write(tmp_path / "cfg.txt", "k_far 8\nk_sel 2\nf0_mode modified\n")
+        out = tmp_path / "anon"
+        args = ["--config", cfg] + anonymize_args(paths, out)[:-4]
+        return args, out / "manifest.txt", {**paths, "config": cfg}, out
+    if command == "score":
+        inputs = build_score_inputs(tmp_path)
+        files = {
+            "plda": inputs["plda"],
+            "enroll": inputs["enroll"],
+            "trial_embeddings": inputs["trials_emb"],
+            "trial_key": inputs["key"],
+        }
+        out = tmp_path / "scores.txt"
+        return ["score", *files.values(), str(out)], tmp_path / "scores.txt.manifest", files, None
+    if command == "eval":
+        scores = write(tmp_path / "s.txt", "e1 u1 2.0\ne1 u2 -1.0\ne2 u1 0.5\n")
+        key = write(tmp_path / "k.txt", "e1 u1 target\ne1 u2 nontarget\ne2 u1 nontarget\n")
+        out = tmp_path / "report.txt"
+        args = ["eval", scores, key, "--out", str(out)]
+        return args, tmp_path / "report.txt.manifest", {"scores": scores, "trial_key": key}, None
+    cfg = write(tmp_path / "sim.txt", "n_speakers_per_gender 6\nutts_per_speaker 3\nembed_dim 8\n"
+                "frames_per_utt 40\nk_far 5\nk_sel 3\n")
+    out = tmp_path / "sim"
+    return ["--config", cfg, "simulate", "--out-dir", str(out)], out / "manifest.txt", {"config": cfg}, out
+
+
+@pytest.mark.parametrize("command", ["stats", "anonymize", "score", "eval", "simulate"])
+def test_manifest_hashes_the_files_it_names(command, tmp_path, runner, monkeypatch):
+    args, manifest_path, inputs, out_dir = manifest_case(command, tmp_path)
+    decoded = []
+    decode_text = formats.decode_text
+    monkeypatch.setattr(formats, "decode_text", lambda data: decoded.append(data) or decode_text(data))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert sorted(decoded) == sorted(Path(p).read_bytes() for p in inputs.values())
+    manifest = formats.parse_keyvalues(manifest_path.read_text())
+    assert {k for k in manifest if k.startswith("input_sha256_")} == {
+        f"input_sha256_{name}" for name in inputs
+    }
+    for name, path in inputs.items():
+        assert manifest[f"input_sha256_{name}"] == sha256_file(Path(path))
+    output_keys = {k for k in manifest if k.startswith("output_sha256_")}
+    if out_dir is None:
+        assert not output_keys
+        return
+    data_files = sorted(p for p in out_dir.iterdir() if p.name != "manifest.txt")
+    assert output_keys == {f"output_sha256_{p.stem}" for p in data_files}
+    for path in data_files:
+        assert manifest[f"output_sha256_{path.stem}"] == sha256_file(path)
