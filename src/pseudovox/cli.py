@@ -17,7 +17,7 @@ import errno
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Callable, Iterable, NoReturn, TypeVar
 
 import click
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
 from . import formats
 from .f0 import compute_log_f0_stats, transform_contour
 from .metrics import TrialScoreSet, det_points, evaluate
-from .plda import Gender, SpeakerEmbedding, plda_score, project
+from .plda import Gender, SpeakerEmbedding, plda_score_pairs, project
 from .selection import (
     GenderPolicy,
     Scorer,
@@ -53,20 +53,29 @@ from .simulate import (
 
 FORMAT_VERSION = "1"
 
+T = TypeVar("T")
+
 
 def _fail(message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
 
 
-def _read(path: str, name: str, entries: dict[str, str]) -> str:
-    """Read ``path`` once: record ``input_sha256_<name>`` of its bytes, then decode them."""
+def _read(path: str, name: str, entries: dict[str, str], parse: Callable[[str], T]) -> T:
+    """Read ``path`` once: record ``input_sha256_<name>`` of its bytes, then
+    decode and parse them; a decode or parse error names ``path``."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
     entries[f"input_sha256_{name}"] = formats.sha256_hex(data)
-    return formats.decode_text(data)
+    try:
+        text = formats.decode_text(data)
+        del data  # do not hold the raw bytes while parsing
+        return parse(text)
+    except PseudovoxError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
@@ -74,12 +83,15 @@ def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
     them all into place in the given order; callers put the manifest last.
 
     No target is touched unless every temp file was written and no target is
-    a directory. The temp files are always removed.
+    a directory. The temp files are always removed, and so are the
+    directories made here if the set is not written.
     """
     staged: list[tuple[Path, Path]] = []
+    created: list[Path] = []
+    written = False
     try:
         for path, data in outputs:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            _make_dirs(path.parent, created)
             tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((path, tmp))
@@ -91,11 +103,30 @@ def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for path, tmp in staged:
             os.replace(tmp, path)
+        written = True
     except OSError as exc:
         _fail(f"cannot write {path}: {exc}")
     finally:
         for _, tmp in staged:
             tmp.unlink(missing_ok=True)
+        if not written:
+            for directory in reversed(created):  # deepest first, while empty
+                try:
+                    directory.rmdir()
+                except OSError:
+                    break
+
+
+def _make_dirs(directory: Path, created: list[Path]) -> None:
+    """Make ``directory`` and its missing parents, outermost first, appending
+    each one made to ``created``."""
+    missing = []
+    while not directory.is_dir():
+        missing.append(directory)
+        directory = directory.parent
+    for directory in reversed(missing):
+        directory.mkdir()
+        created.append(directory)
 
 
 def _encoded(outputs: dict[Path, str]) -> Iterable[tuple[Path, bytes]]:
@@ -139,13 +170,14 @@ def _write_out_dir(out_dir: str, data: dict[str, str], command: str, entries: di
 def _settings(config: str | None, keys: dict[str, type], command: str, flags: dict,
               entries: dict[str, str]) -> dict:
     """Config-file values converted to their types, overridden by every flag given."""
-    resolved = {}
-    if config is not None:
-        values = formats.parse_keyvalues(_read(config, "config", entries))
+    def parse(text: str) -> dict:
+        values = formats.parse_keyvalues(text)
         for key in values:
             if key not in keys:
                 raise InvalidValueError(f"unknown {command} config key {key!r}")
-        resolved = {key: _convert(key, raw, keys[key]) for key, raw in values.items()}
+        return {key: _convert(key, raw, keys[key]) for key, raw in values.items()}
+
+    resolved = {} if config is None else _read(config, "config", entries, parse)
     for key, value in flags.items():
         if value is not None:
             resolved[key] = keys[key](value) if isinstance(value, str) else value
@@ -200,7 +232,7 @@ def stats(contours_file, out_stats_file):
     """Per-utterance voiced log-F0 statistics."""
     try:
         entries: dict[str, str] = {}
-        contours = formats.parse_contours(_read(contours_file, "contours", entries))
+        contours = _read(contours_file, "contours", entries, formats.parse_contours)
         records = []
         for contour in contours:
             try:
@@ -254,10 +286,11 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
 
         plda_model = None
         if plda_file is not None:
-            plda_model = formats.parse_plda(_read(plda_file, "plda", entries))
-        pool = SpeakerPool(formats.parse_pool(_read(pool_file, "pool", entries)), plda_model)
-        embeddings = formats.parse_embeddings(_read(embeddings_file, "embeddings", entries))
-        contours = formats.parse_contours(_read(contours_file, "contours", entries))
+            plda_model = _read(plda_file, "plda", entries, formats.parse_plda)
+        pool = _read(pool_file, "pool", entries,
+                     lambda text: SpeakerPool(formats.parse_pool(text), plda_model))
+        embeddings = _read(embeddings_file, "embeddings", entries, formats.parse_embeddings)
+        contours = _read(contours_file, "contours", entries, formats.parse_contours)
 
         contour_by_utt = {c.utterance_id: c for c in contours}
         utt_ids = {e.utterance_id for e in embeddings}
@@ -298,6 +331,7 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
             return pseudo, source.gender, out_contours
 
         results = parallel_map(derive, speakers, obj.threads)
+        del pool  # free its cached latents before the outputs are serialized
 
         mapping_rows = []
         xvector_rows = []
@@ -346,37 +380,47 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
     """PLDA-score every trial in the key against enrollment speakers."""
     try:
         entries = {"length_norm": "true" if length_norm else "false"}
-        model = formats.parse_plda(_read(plda_file, "plda", entries))
-        enroll = formats.parse_embeddings(_read(enroll_file, "enroll", entries))
-        trials_emb = formats.parse_embeddings(_read(trial_embeddings, "trial_embeddings", entries))
-        key_rows = formats.parse_trials(_read(trial_key, "trial_key", entries))
+        model = _read(plda_file, "plda", entries, formats.parse_plda)
+        enroll = _read(enroll_file, "enroll", entries, formats.parse_embeddings)
+        trials_emb = _read(trial_embeddings, "trial_embeddings", entries, formats.parse_embeddings)
+        key_rows = _read(trial_key, "trial_key", entries, formats.parse_trials)
+
+        # row of each id in the stacked latents below: first-appearance order
+        enroll_row = {sid: row for row, sid in enumerate(dict.fromkeys(e.speaker_id for e in enroll))}
+        test_row = {uid: row for row, uid in enumerate(dict.fromkeys(e.utterance_id for e in trials_emb))}
+        for enroll_id, test_id, _ in key_rows:
+            if enroll_id not in enroll_row:
+                _fail(f"enrollment speaker {enroll_id!r} missing from {enroll_file}")
+            if test_id not in test_row:
+                _fail(f"trial utterance {test_id!r} missing from {trial_embeddings}")
 
         enroll_latents: dict[str, list[np.ndarray]] = {}
         for emb in enroll:
             enroll_latents.setdefault(emb.speaker_id, []).append(
                 project(model, emb, length_norm=length_norm)
             )
-        enroll_mean = {
-            sid: np.mean(latents, axis=0) for sid, latents in enroll_latents.items()
-        }
         trial_latents = {
             emb.utterance_id: project(model, emb, length_norm=length_norm)
             for emb in trials_emb
         }
-
-        rows = []
-        for enroll_id, test_id, _ in key_rows:
-            if enroll_id not in enroll_mean:
-                _fail(f"enrollment speaker {enroll_id!r} missing from {enroll_file}")
-            if test_id not in trial_latents:
-                _fail(f"trial utterance {test_id!r} missing from {trial_embeddings}")
-            llr = plda_score(model, enroll_mean[enroll_id], trial_latents[test_id])
-            rows.append((enroll_id, test_id, llr))
+        llrs = plda_score_pairs(
+            model,
+            _rows([np.mean(latents, axis=0) for latents in enroll_latents.values()], model.dim),
+            _rows(list(trial_latents.values()), model.dim),
+            np.array([enroll_row[e] for e, _, _ in key_rows], dtype=np.intp),
+            np.array([test_row[t] for _, t, _ in key_rows], dtype=np.intp),
+        )
+        rows = [(e, t, llr) for (e, t, _), llr in zip(key_rows, llrs.tolist())]
 
         entries["n_trials"] = str(len(rows))
         _write_with_manifest(out_scores, formats.serialize_scores(rows), "score", entries, {})
     except PseudovoxError as exc:
         _fail(str(exc))
+
+
+def _rows(vectors: list[np.ndarray], dim: int) -> np.ndarray:
+    """Stack vectors into an (n, dim) matrix; n may be 0."""
+    return np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
 
 
 # --- eval ---------------------------------------------------------------------
@@ -391,8 +435,8 @@ def eval_cmd(obj, score_file, trial_key, out_file):
     """EER / Cllr / min-Cllr report from a score file and its trial key."""
     try:
         entries: dict[str, str] = {}
-        scores = formats.parse_scores(_read(score_file, "scores", entries))
-        key_rows = formats.parse_trials(_read(trial_key, "trial_key", entries))
+        scores = _read(score_file, "scores", entries, formats.parse_scores)
+        key_rows = _read(trial_key, "trial_key", entries, formats.parse_trials)
         score_by_trial = {(e, t): s for e, t, s in scores}
         key_set = {(e, t) for e, t, _ in key_rows}
         for pair in score_by_trial:

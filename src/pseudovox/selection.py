@@ -22,7 +22,8 @@ bounded draws, so member sets are identical across platforms and runs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ from .plda import (
     Gender,
     PldaModel,
     SpeakerEmbedding,
-    cosine_score,
+    cosine_scores,
     plda_score_matrix,
     project,
     project_many,
@@ -133,7 +134,7 @@ class Scorer(enum.Enum):
     COSINE = "cosine"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class PoolSpeaker:
     """External pool speaker: mean x-vector plus speaker-level F0 statistics."""
 
@@ -143,7 +144,9 @@ class PoolSpeaker:
     f0_stats: LogF0Stats
 
     def __post_init__(self):
-        self.mean_embedding = np.asarray(self.mean_embedding, dtype=np.float64)
+        object.__setattr__(
+            self, "mean_embedding", np.asarray(self.mean_embedding, dtype=np.float64)
+        )
         if not self.speaker_id:
             raise InvalidValueError("pool speaker_id must be non-empty")
         if self.mean_embedding.ndim != 1 or self.mean_embedding.size == 0:
@@ -168,12 +171,25 @@ class PoolSpeaker:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpeakerPool:
-    speakers: list[PoolSpeaker]
+    """Pool speakers (kept as a tuple) and the optional PLDA model used to
+    rank them.
+
+    Selection caches derived views of the pool (gender subsets, projected
+    latents) on first use. The pool and its speakers are frozen so the views
+    cannot go stale; the embedding arrays must not be written in place.
+    """
+
+    speakers: tuple[PoolSpeaker, ...]
     plda: PldaModel | None = None
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
+        object.__setattr__(self, "speakers", tuple(self.speakers))
         ids = [s.speaker_id for s in self.speakers]
         if len(set(ids)) != len(ids):
             raise InvalidValueError("pool speaker ids must be unique")
@@ -185,6 +201,13 @@ class SpeakerPool:
 
     def __len__(self) -> int:
         return len(self.speakers)
+
+    def _cached(self, key, build):
+        """``build()``, computed once per key for the life of the pool."""
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
 
 
 @dataclass(frozen=True)
@@ -219,28 +242,63 @@ class PseudoSpeaker:
 def filter_by_gender(
     pool: SpeakerPool, source_gender: Gender, policy: GenderPolicy
 ) -> SpeakerPool:
-    """Keep pool speakers matching the policy relative to the source gender."""
+    """Keep pool speakers matching the policy relative to the source gender.
+
+    The subset is built once per wanted gender; later calls return the same
+    object, so the ranking view cached on it is shared by every source.
+    """
     wanted = source_gender if policy is GenderPolicy.SAME else source_gender.opposite
-    kept = [s for s in pool.speakers if s.gender is wanted]
-    if not kept:
-        raise EmptyAfterFilterError(
-            f"no pool speakers of gender {wanted.value} under policy {policy.value}"
-        )
-    return SpeakerPool(kept, pool.plda)
+
+    def build() -> SpeakerPool:
+        kept = [s for s in pool.speakers if s.gender is wanted]
+        if not kept:
+            raise EmptyAfterFilterError(
+                f"no pool speakers of gender {wanted.value} under policy {policy.value}"
+            )
+        return SpeakerPool(kept, pool.plda)
+
+    return pool._cached(("gender", wanted), build)
+
+
+@dataclass(frozen=True)
+class _RankView:
+    """What ranking needs of a pool, computed once per (scorer, length_norm)."""
+
+    id_rank: np.ndarray          # position of each row's id in sorted id order
+    by_id: dict[str, PoolSpeaker]
+    vectors: np.ndarray          # PLDA: projected latents; cosine: raw members
+    norms: np.ndarray | None     # cosine only: Euclidean norm of each row
+
+
+def _rank_view(pool_subset: SpeakerPool, cfg: SelectionConfig) -> _RankView:
+    def build() -> _RankView:
+        speakers = pool_subset.speakers
+        ids = [s.speaker_id for s in speakers]
+        id_rank = np.empty(len(ids), dtype=np.intp)
+        id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        members = np.stack([s.mean_embedding for s in speakers])
+        if cfg.scorer is Scorer.PLDA:
+            vectors = project_many(pool_subset.plda, members, length_norm=cfg.length_norm)
+            norms = None
+        else:
+            vectors, norms = members, np.sqrt(np.vecdot(members, members))
+        return _RankView(id_rank, dict(zip(ids, speakers)), vectors, norms)
+
+    return pool_subset._cached(("rank", cfg.scorer, cfg.length_norm), build)
 
 
 def _scores_against_source(
     pool_subset: SpeakerPool, source_xvector: np.ndarray, cfg: SelectionConfig
 ) -> np.ndarray:
-    members = np.stack([s.mean_embedding for s in pool_subset.speakers])
     if cfg.scorer is Scorer.PLDA:
         model = pool_subset.plda
         if model is None:
             raise InvalidSpecError("scorer 'plda' requires a PLDA model on the pool")
         src = project(model, source_xvector, length_norm=cfg.length_norm)
-        latents = project_many(model, members, length_norm=cfg.length_norm)
+        latents = _rank_view(pool_subset, cfg).vectors
         return plda_score_matrix(model, src[None, :], latents)[0]
-    return np.array([cosine_score(source_xvector, m) for m in members])
+    view = _rank_view(pool_subset, cfg)
+    return cosine_scores(source_xvector, view.vectors, view.norms)
 
 
 def rank_furthest(
@@ -256,8 +314,8 @@ def rank_furthest(
             f"k_far={cfg.k_far} exceeds filtered pool size {len(pool_subset)}"
         )
     scores = _scores_against_source(pool_subset, np.asarray(source_xvector, float), cfg)
-    order = sorted(zip(scores.tolist(), (s.speaker_id for s in pool_subset.speakers)))
-    return [sid for _, sid in order[: cfg.k_far]]
+    order = np.lexsort((_rank_view(pool_subset, cfg).id_rank, scores))[: cfg.k_far]
+    return [pool_subset.speakers[i].speaker_id for i in order]
 
 
 def derive_pseudo_speaker(
@@ -274,7 +332,7 @@ def derive_pseudo_speaker(
     ranked = rank_furthest(subset, source.vector, cfg)
     seed = seed_for_speaker(cfg.global_seed, source.speaker_id)
     member_ids = sorted(sample_without_replacement(ranked, cfg.k_sel, seed))
-    by_id = {s.speaker_id: s for s in subset.speakers}
+    by_id = _rank_view(subset, cfg).by_id
     members = [by_id[m] for m in member_ids]
     xvector = np.mean([m.mean_embedding for m in members], axis=0)
     stats = aggregate_target_stats([m.f0_stats for m in members])

@@ -4,6 +4,10 @@ These deliberately avoid the library's code paths: the EER oracle enumerates
 raw threshold operating points and intersects every point-pair segment with
 the diagonal; the PLDA oracle integrates the latent speaker variable on a
 dense grid; the F0 oracle is a frame-by-frame pure-Python loop.
+
+The scalar scoring and ranking oracles are the per-pair code that the
+library's batched paths replaced, kept verbatim so tests can require the
+batched results to be bit-identical to it.
 """
 
 import math
@@ -101,3 +105,60 @@ def cllr_direct(tar, non):
     c_tar = sum(math.log2(1.0 + math.exp(-s)) for s in tar) / len(tar)
     c_non = sum(math.log2(1.0 + math.exp(s)) for s in non) / len(non)
     return 0.5 * (c_tar + c_non)
+
+
+def reference_llr_matrix(model, enroll_latents, test_latents):
+    """PLDA LLR matrix exactly as the scalar ``plda_score`` (one pair as a
+    1x1 matrix) and the per-source ranking (one 1xn row) computed it."""
+    e = np.asarray(enroll_latents, dtype=np.float64)
+    t = np.asarray(test_latents, dtype=np.float64)
+    psi = model.psi
+    a = psi / (psi + 1.0)
+    v_same = 1.0 + a
+    v_diff = 1.0 + psi
+    const = 0.5 * float(np.sum(np.log(v_diff / v_same)))
+    test_part = (t * t) @ (0.5 / v_diff - 0.5 / v_same)
+    enroll_part = (e * e) @ (-0.5 * a * a / v_same)
+    cross = (e * (a / v_same)) @ t.T
+    return cross + enroll_part[:, None] + test_part[None, :] + const
+
+
+def scalar_plda_score(model, enroll, test):
+    """One trial's PLDA LLR, the way ``plda_score`` computed it per pair."""
+    e = np.asarray(enroll, dtype=np.float64)
+    t = np.asarray(test, dtype=np.float64)
+    return float(reference_llr_matrix(model, e[None, :], t[None, :])[0, 0])
+
+
+def scalar_cosine_scores(source, members):
+    """Cosine of the source against each member row, one pair at a time."""
+    va = np.asarray(source, dtype=np.float64)
+    out = []
+    for vb in members:
+        na = float(np.linalg.norm(va))
+        nb = float(np.linalg.norm(vb))
+        out.append(float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0)))
+    return np.array(out)
+
+
+def sorted_ranking(scores, ids, k):
+    """The k lowest-scoring ids, ties broken by id, via sorted(zip(...))."""
+    order = sorted(zip(np.asarray(scores).tolist(), ids))
+    return [sid for _, sid in order[:k]]
+
+
+def rank_furthest_scalar(pool_subset, source_xvector, cfg):
+    """``rank_furthest`` as the per-source, uncached code computed it."""
+    from pseudovox.plda import project, project_many
+    from pseudovox.selection import Scorer
+
+    source = np.asarray(source_xvector, dtype=np.float64)
+    members = np.stack([s.mean_embedding for s in pool_subset.speakers])
+    if cfg.scorer is Scorer.PLDA:
+        model = pool_subset.plda
+        src = project(model, source, length_norm=cfg.length_norm)
+        latents = project_many(model, members, length_norm=cfg.length_norm)
+        scores = reference_llr_matrix(model, src[None, :], latents)[0]
+    else:
+        scores = scalar_cosine_scores(source, members)
+    return sorted_ranking(scores, [s.speaker_id for s in pool_subset.speakers], cfg.k_far)

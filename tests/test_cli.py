@@ -475,6 +475,79 @@ def test_simulate_unknown_config_key_rejected(tmp_path, runner):
     assert "bogus" in result.stderr
 
 
+def test_failed_write_removes_the_directories_it_made(tmp_path, runner):
+    det_dir = tmp_path / "detdir"
+    det_dir.mkdir()
+    out = tmp_path / "fresh" / "deeper"
+    result = runner.invoke(
+        main, ["--det-out", str(det_dir), "simulate", "--out-dir", str(out)] + SIM_ARGS
+    )
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write"), result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["detdir"]
+
+
+def test_failed_write_keeps_directories_that_hold_other_files(tmp_path, runner):
+    det_dir = tmp_path / "detdir"
+    det_dir.mkdir()
+    out = tmp_path / "fresh" / "deeper"
+    out.parent.mkdir()
+    (out.parent / "keep.txt").write_text("x\n")
+    result = runner.invoke(
+        main, ["--det-out", str(det_dir), "simulate", "--out-dir", str(out)] + SIM_ARGS
+    )
+    assert result.exit_code == 1
+    assert sorted(p.name for p in out.parent.iterdir()) == ["keep.txt"]
+
+
+# --- input errors name their file (every command) ------------------------------------
+
+
+def bad_input_case(command, tmp_path):
+    """(args, path of the one bad input, expected message after the path)."""
+    bad = tmp_path / "bad.txt"
+    if command == "stats":
+        bad.write_text("u1 abc\n")
+        return ["stats", str(bad), str(tmp_path / "s.txt")], bad, "line 1: "
+    if command == "anonymize":
+        paths = build_anonymize_inputs(tmp_path)
+        bad.write_text("u1 abc\n")
+        paths["embeddings"] = str(bad)
+        return anonymize_args(paths, tmp_path / "anon"), bad, (
+            "line 1: embedding line needs id, utt, gender, values"
+        )
+    if command == "score":
+        inputs = build_score_inputs(tmp_path)
+        bad.write_text("e1 t1-u1\n")
+        args = ["score", inputs["plda"], inputs["enroll"], inputs["trials_emb"], str(bad),
+                str(tmp_path / "scores.txt")]
+        return args, bad, "line 1: trial line needs enroll, test, label"
+    if command == "eval":
+        bad.write_bytes(b"e1 u1 1.0\n\xff\n")
+        key = write(tmp_path / "k.txt", "e1 u1 target\n")
+        return ["eval", str(bad), key], bad, "input is not valid UTF-8: "
+    contents, message = {
+        "simulate": ("k_far\n", "line 1: expected 'key value'"),
+        "simulate-key": ("bogus 3\n", "unknown simulate config key 'bogus'"),
+        "simulate-value": ("k_far many\n", "bad value 'many' for key 'k_far'"),
+    }[command]
+    bad.write_text(contents)
+    return ["--config", str(bad), "simulate", "--out-dir", str(tmp_path / "sim")], bad, message
+
+
+@pytest.mark.parametrize(
+    "command", ["stats", "anonymize", "score", "eval", "simulate", "simulate-key", "simulate-value"]
+)
+def test_input_error_names_its_file(command, tmp_path, runner):
+    args, bad, message = bad_input_case(command, tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith(f"error: {bad}: {message}"), lines[0]
+
+
 # --- manifests (every command) ----------------------------------------------------
 
 
