@@ -7,6 +7,19 @@ round-trip decimal, and records are emitted sorted by primary id with a
 trailing newline. Unknown trailing fields are a parse error. Every parse
 error names the first offending (1-based) line.
 
+Lines end at LF only: every other character that ``str.splitlines`` breaks at
+(CR, form feed, U+2028, ...) is whitespace inside a line, so a CRLF file
+parses and line numbers count LFs. Reals and counts take ASCII digits only.
+
+The fast path checks, the per-token path reports. A vector line (contours,
+embeddings, pool, PLDA) is checked with one regex match over its value tokens,
+one ``float`` per token and one finiteness check; a score or trial file is
+checked as a whole with one regex pass over its lines, one set of its
+(enroll, test) pairs and one finiteness check. Whatever these checks do not
+accept goes through the per-token code, which accepts the same records and
+raises the first error with its line number. Serializers check each distinct
+id once and write reals as ``repr`` of Python floats.
+
 Grammars
 --------
 contours    ``<utterance_id> <v1> ... <vN>``          (Hz, 0.0 = unvoiced)
@@ -25,7 +38,10 @@ keyvalues   generic ``key value`` lines (configs, run manifests)
 from __future__ import annotations
 
 import hashlib
+import math
 import re
+from itertools import chain
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -68,8 +84,18 @@ __all__ = [
     "decode_text",
 ]
 
-_FLOAT_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
-_UINT_RE = re.compile(r"\d+\Z")
+_REAL = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_FLOAT_RE = re.compile(_REAL + r"\Z", re.ASCII)
+_UINT_RE = re.compile(r"\d+\Z", re.ASCII)
+# Fast paths. _REALS_RE: value tokens joined by single spaces (``str.split``
+# tokens hold no whitespace, so this is the per-token grammar). The line
+# patterns take ids of printable ASCII not starting with '#'; any other id
+# leaves the file to the per-token path.
+_REALS_RE = re.compile(rf"{_REAL}(?: {_REAL})*\Z", re.ASCII)
+_ID = r"[!\"$-~][!-~]*"
+_SCORE_LINE_RE = re.compile(rf"{_ID} {_ID} {_REAL}\n", re.ASCII)
+_TRIAL_LINE_RE = re.compile(rf"{_ID} {_ID} (?:target|nontarget)\n", re.ASCII)
+_pair = itemgetter(0, 1)
 
 
 def decode_text(data: bytes) -> str:
@@ -91,7 +117,7 @@ def format_float(value: float) -> str:
 
 
 def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -102,7 +128,7 @@ def _parse_float(token: str, line: int) -> float:
     if not _FLOAT_RE.match(token):
         raise LineSyntaxError(f"expected a decimal real, got {token!r}", line)
     value = float(token)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InvalidValueError(f"non-finite value {token!r}", line)
     return value
 
@@ -129,6 +155,39 @@ def _check_out_id(identifier: str) -> str:
     return identifier
 
 
+def _parse_reals(tokens: list[str], line: int) -> np.ndarray:
+    """The reals of one line: one regex match, one ``float`` per token and one
+    finiteness check, or else the per-token ``_parse_float`` loop."""
+    if _REALS_RE.match(" ".join(tokens)):
+        values = np.array(list(map(float, tokens)))
+        if np.isfinite(values).all():
+            return values
+    # rejected (or empty): the per-token loop names the first bad token
+    return np.array([_parse_float(t, line) for t in tokens], dtype=np.float64)
+
+
+def _real_fields(values) -> map:
+    """Shortest round-trip decimals of ``values``, as ``format_float`` writes
+    them: ``repr`` of Python floats, never of ``np.float64``."""
+    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+
+def _check_out_ids(ids) -> None:
+    """``_check_out_id`` once per distinct id, in first-appearance order."""
+    for identifier in dict.fromkeys(ids):
+        _check_out_id(identifier)
+
+
+def _tiled_by(line_re: re.Pattern, text: str) -> bool:
+    """Whether ``text`` is a run of ``line_re`` matches, each ending in LF.
+
+    ``sub`` removes every match in one C-level pass, and nothing is left only
+    when the matches tile the text. One ``(?:line)*`` match would instead keep
+    backtracking state for every line (hundreds of MB on 1M lines).
+    """
+    return not line_re.sub("", text)
+
+
 def _with_line(exc: PseudovoxError, line: int) -> PseudovoxError:
     return type(exc)(str(exc), line) if isinstance(exc, (LineSyntaxError, InvalidValueError, DimensionMismatchError)) else InvalidValueError(str(exc), line)
 
@@ -144,7 +203,7 @@ def parse_contours(text: str) -> list[F0Contour]:
         if utt_id in seen:
             raise InvalidValueError(f"duplicate utterance id {utt_id!r}", lineno)
         seen.add(utt_id)
-        values = [_parse_float(t, lineno) for t in tokens[1:]]
+        values = _parse_reals(tokens[1:], lineno)
         try:
             records.append(F0Contour(utt_id, values))
         except PseudovoxError as exc:
@@ -156,7 +215,7 @@ def serialize_contours(records: list[F0Contour]) -> str:
     _require_unique(r.utterance_id for r in records)
     lines = []
     for rec in sorted(records, key=lambda r: r.utterance_id):
-        fields = [_check_out_id(rec.utterance_id)] + [format_float(v) for v in rec.values]
+        fields = [_check_out_id(rec.utterance_id), *_real_fields(rec.values)]
         lines.append(" ".join(fields))
     return _joined(lines)
 
@@ -232,7 +291,7 @@ def parse_embeddings(text: str) -> list[SpeakerEmbedding]:
             raise InvalidValueError(
                 f"conflicting gender for speaker {speaker_id!r}", lineno
             )
-        values = [_parse_float(t, lineno) for t in tokens[3:]]
+        values = _parse_reals(tokens[3:], lineno)
         if dim is None:
             dim = len(values)
         elif len(values) != dim:
@@ -255,13 +314,11 @@ def serialize_embeddings(records: list[SpeakerEmbedding]) -> str:
             )
         keys.append((rec.speaker_id, rec.utterance_id))
     _require_unique(keys)
+    rows = sorted(records, key=lambda r: (r.speaker_id, r.utterance_id))
+    _check_out_ids(chain.from_iterable((r.speaker_id, r.utterance_id) for r in rows))
     lines = []
-    for rec in sorted(records, key=lambda r: (r.speaker_id, r.utterance_id)):
-        fields = [
-            _check_out_id(rec.speaker_id),
-            _check_out_id(rec.utterance_id),
-            rec.gender.value,
-        ] + [format_float(v) for v in rec.vector]
+    for rec in rows:
+        fields = [rec.speaker_id, rec.utterance_id, rec.gender.value, *_real_fields(rec.vector)]
         lines.append(" ".join(fields))
     return _joined(lines)
 
@@ -288,16 +345,14 @@ def parse_pool(text: str) -> list[PoolSpeaker]:
             gender = Gender.parse(tokens[1])
         except PseudovoxError as exc:
             raise _with_line(exc, lineno) from None
-        emb_tokens = tokens[2:-4]
-        values = [_parse_float(t, lineno) for t in emb_tokens]
+        values = _parse_reals(tokens[2:-4], lineno)
         if dim is None:
             dim = len(values)
         elif len(values) != dim:
             raise DimensionMismatchError(
                 f"expected {dim} embedding values, got {len(values)}", lineno
             )
-        mean = _parse_float(tokens[-3], lineno)
-        std = _parse_float(tokens[-2], lineno)
+        mean, std = _parse_reals(tokens[-3:-1], lineno).tolist()
         count = _parse_uint(tokens[-1], lineno)
         if count < 1:
             raise InvalidValueError("voiced_count must be >= 1", lineno)
@@ -314,16 +369,15 @@ def serialize_pool(records: list[PoolSpeaker]) -> str:
     _require_unique(r.speaker_id for r in records)
     lines = []
     for rec in sorted(records, key=lambda r: r.speaker_id):
-        fields = (
-            [_check_out_id(rec.speaker_id), rec.gender.value]
-            + [format_float(v) for v in rec.mean_embedding]
-            + [
-                "|",
-                format_float(rec.f0_stats.mean),
-                format_float(rec.f0_stats.std),
-                str(rec.f0_stats.voiced_frame_count),
-            ]
-        )
+        fields = [
+            _check_out_id(rec.speaker_id),
+            rec.gender.value,
+            *_real_fields(rec.mean_embedding),
+            "|",
+            format_float(rec.f0_stats.mean),
+            format_float(rec.f0_stats.std),
+            str(rec.f0_stats.voiced_frame_count),
+        ]
         lines.append(" ".join(fields))
     return _joined(lines)
 
@@ -353,7 +407,7 @@ def parse_plda(text: str) -> PldaModel:
             raise LineSyntaxError(
                 f"expected '{label}' followed by {dim} reals", lineno
             )
-        return np.array([_parse_float(t, lineno) for t in tokens[1:]])
+        return _parse_reals(tokens[1:], lineno)
 
     mean = vector_line(1, "mean")
     transform = np.stack([vector_line(2 + i, "transform") for i in range(dim)])
@@ -368,10 +422,10 @@ def parse_plda(text: str) -> PldaModel:
 
 def serialize_plda(model: PldaModel) -> str:
     lines = [f"dim {model.dim}"]
-    lines.append(" ".join(["mean"] + [format_float(v) for v in model.mean]))
+    lines.append(" ".join(["mean", *_real_fields(model.mean)]))
     for row in model.transform:
-        lines.append(" ".join(["transform"] + [format_float(v) for v in row]))
-    lines.append(" ".join(["psi"] + [format_float(v) for v in model.psi]))
+        lines.append(" ".join(["transform", *_real_fields(row)]))
+    lines.append(" ".join(["psi", *_real_fields(model.psi)]))
     return _joined(lines)
 
 
@@ -379,6 +433,17 @@ def serialize_plda(model: PldaModel) -> str:
 
 
 def parse_scores(text: str) -> list[tuple[str, str, float]]:
+    if _tiled_by(_SCORE_LINE_RE, text):
+        fields = text.split()
+        enroll, test = fields[0::3], fields[1::3]
+        scores = list(map(float, fields[2::3]))
+        del fields
+        if np.isfinite(scores).all() and len(set(zip(enroll, test))) == len(enroll):
+            return list(zip(enroll, test, scores))
+    return _parse_score_lines(text)
+
+
+def _parse_score_lines(text: str) -> list[tuple[str, str, float]]:
     records = []
     seen: set[tuple[str, str]] = set()
     for lineno, tokens in _data_lines(text):
@@ -393,15 +458,23 @@ def parse_scores(text: str) -> list[tuple[str, str, float]]:
 
 
 def serialize_scores(records: list[tuple[str, str, float]]) -> str:
-    _require_unique((r[0], r[1]) for r in records)
-    lines = [
-        " ".join([_check_out_id(e), _check_out_id(t), format_float(s)])
-        for e, t, s in sorted(records, key=lambda r: (r[0], r[1]))
-    ]
-    return _joined(lines)
+    rows = _sorted_by_pair(records)
+    _check_out_ids(chain.from_iterable(map(_pair, rows)))
+    return _joined([f"{e} {t} {float(s)!r}" for e, t, s in rows])
 
 
 def parse_trials(text: str) -> list[tuple[str, str, bool]]:
+    if _tiled_by(_TRIAL_LINE_RE, text):
+        fields = text.split()
+        enroll, test = fields[0::3], fields[1::3]
+        labels = list(map("target".__eq__, fields[2::3]))
+        del fields
+        if len(set(zip(enroll, test))) == len(enroll):
+            return list(zip(enroll, test, labels))
+    return _parse_trial_lines(text)
+
+
+def _parse_trial_lines(text: str) -> list[tuple[str, str, bool]]:
     records = []
     seen: set[tuple[str, str]] = set()
     for lineno, tokens in _data_lines(text):
@@ -420,14 +493,9 @@ def parse_trials(text: str) -> list[tuple[str, str, bool]]:
 
 
 def serialize_trials(records: list[tuple[str, str, bool]]) -> str:
-    _require_unique((r[0], r[1]) for r in records)
-    lines = [
-        " ".join(
-            [_check_out_id(e), _check_out_id(t), "target" if is_tar else "nontarget"]
-        )
-        for e, t, is_tar in sorted(records, key=lambda r: (r[0], r[1]))
-    ]
-    return _joined(lines)
+    rows = _sorted_by_pair(records)
+    _check_out_ids(chain.from_iterable(map(_pair, rows)))
+    return _joined([f"{e} {t} {'target' if is_tar else 'nontarget'}" for e, t, is_tar in rows])
 
 
 # --- pseudo-speaker mapping -------------------------------------------------
@@ -453,12 +521,9 @@ def parse_mapping(text: str) -> list[tuple[str, int, tuple[str, ...]]]:
 
 def serialize_mapping(records: list[tuple[str, int, tuple[str, ...]]]) -> str:
     _require_unique(r[0] for r in records)
-    lines = []
-    for source, seed, members in sorted(records, key=lambda r: r[0]):
-        lines.append(
-            " ".join([_check_out_id(source), str(seed)] + [_check_out_id(m) for m in members])
-        )
-    return _joined(lines)
+    rows = sorted(records, key=lambda r: r[0])
+    _check_out_ids(chain.from_iterable((source, *members) for source, _, members in rows))
+    return _joined([" ".join([source, str(seed), *members]) for source, seed, members in rows])
 
 
 # --- DET export -------------------------------------------------------------
@@ -478,7 +543,7 @@ def parse_det(text: str) -> list[tuple[float, float]]:
 
 
 def serialize_det(points: list[tuple[float, float]]) -> str:
-    return _joined([f"{format_float(x)} {format_float(y)}" for x, y in points])
+    return _joined([f"{float(x)!r} {float(y)!r}" for x, y in points])
 
 
 # --- evaluation report ------------------------------------------------------
@@ -551,6 +616,23 @@ def serialize_keyvalues(values: dict[str, str]) -> str:
 
 def _joined(lines: list[str]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def _sorted_by_pair(records: list[tuple]) -> list[tuple]:
+    """Records sorted by (enroll, test) id; a repeated pair raises
+    ``_require_unique``'s error for the first repeat in input order.
+
+    Two stable sorts on one id each give the (enroll, test) order at a
+    fraction of the cost of one sort on tuple keys, and after them a
+    repeated pair sits next to its twin.
+    """
+    rows = sorted(records, key=itemgetter(1))
+    rows.sort(key=itemgetter(0))
+    following = map(_pair, rows)
+    next(following, None)
+    if any(map(eq, map(_pair, rows), following)):
+        _require_unique(map(_pair, records))
+    return rows
 
 
 def _require_unique(keys) -> None:

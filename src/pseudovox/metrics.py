@@ -95,10 +95,18 @@ def _pav_blocks(trials: np.ndarray, targets: np.ndarray):
     return blocks
 
 
-def _rocch_vertices(scores: TrialScoreSet):
+def _pav_fit(scores: TrialScoreSet):
+    """Tied groups and their PAV blocks: the one fit EER and min-Cllr share.
+
+    Returns (inverse, trials, blocks): each trial's group index, the trial
+    count per group, and the blocks of ``_pav_blocks``.
+    """
+    _, inverse, trials, targets = _tied_groups(scores)
+    return inverse, trials, _pav_blocks(trials, targets)
+
+
+def _rocch_vertices(scores: TrialScoreSet, blocks):
     """Vertices (p_miss, p_fa) of the ROC convex hull, p_fa descending."""
-    _, _, trials, targets = _tied_groups(scores)
-    blocks = _pav_blocks(trials, targets)
     n_tar = float(scores.target_scores.size)
     n_non = float(scores.nontarget_scores.size)
     p_miss = [0.0]
@@ -121,7 +129,11 @@ def eer(scores: TrialScoreSet) -> float:
     score transforms.
     """
     _require_populations(scores)
-    p_miss, p_fa = _rocch_vertices(scores)
+    return _eer(scores, _pav_fit(scores)[2])
+
+
+def _eer(scores: TrialScoreSet, blocks) -> float:
+    p_miss, p_fa = _rocch_vertices(scores, blocks)
     best = 0.0
     for i in range(p_fa.size - 1):
         x1, y1 = p_fa[i], p_miss[i]
@@ -145,16 +157,14 @@ def cllr(scores: TrialScoreSet) -> float:
     return 0.5 * (c_tar + c_non) / _LN2
 
 
-def _optimal_llrs(scores: TrialScoreSet):
+def _optimal_llrs(scores: TrialScoreSet, inverse, trials, blocks):
     """PAV-calibrated natural-log LLRs per trial (targets, nontargets).
 
     Tied-score groups are pooled first, then fit with weighted PAV; the
     posterior of each group converts to an LLR by removing the empirical
     prior log-odds log(n_tar / n_non). End groups may map to +-inf.
     """
-    distinct, inverse, trials, targets = _tied_groups(scores)
-    blocks = _pav_blocks(trials, targets)
-    posterior_per_group = np.empty(distinct.size)
+    posterior_per_group = np.empty(trials.size)
     group_index = 0
     for w, t in blocks:
         p = t / w
@@ -175,7 +185,11 @@ def _optimal_llrs(scores: TrialScoreSet):
 def min_cllr(scores: TrialScoreSet) -> float:
     """Cllr in bits after optimal monotone (PAV) recalibration of the scores."""
     _require_populations(scores)
-    tar_llr, non_llr = _optimal_llrs(scores)
+    return _min_cllr(scores, *_pav_fit(scores))
+
+
+def _min_cllr(scores: TrialScoreSet, inverse, trials, blocks) -> float:
+    tar_llr, non_llr = _optimal_llrs(scores, inverse, trials, blocks)
     c_tar = float(np.mean(np.logaddexp(0.0, -tar_llr)))
     c_non = float(np.mean(np.logaddexp(0.0, non_llr)))
     return 0.5 * (c_tar + c_non) / _LN2
@@ -219,12 +233,17 @@ class EvalReport:
 
 
 def evaluate(scores: TrialScoreSet) -> EvalReport:
-    """Compute the full report (EER %, Cllr, min-Cllr, trial counts)."""
+    """Compute the full report (EER %, Cllr, min-Cllr, trial counts).
+
+    Equal to ``EvalReport(100 * eer(s), cllr(s), min_cllr(s), ...)``, with
+    the tied groups built and PAV fit once for both EER and min-Cllr.
+    """
     _require_populations(scores)
+    inverse, trials, blocks = _pav_fit(scores)
     return EvalReport(
-        eer_pct=100.0 * eer(scores),
+        eer_pct=100.0 * _eer(scores, blocks),
         cllr_bits=cllr(scores),
-        min_cllr_bits=min_cllr(scores),
+        min_cllr_bits=_min_cllr(scores, inverse, trials, blocks),
         n_target_trials=int(scores.target_scores.size),
         n_nontarget_trials=int(scores.nontarget_scores.size),
     )

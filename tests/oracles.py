@@ -8,11 +8,22 @@ dense grid; the F0 oracle is a frame-by-frame pure-Python loop.
 The scalar scoring and ranking oracles are the per-pair code that the
 library's batched paths replaced, kept verbatim so tests can require the
 batched results to be bit-identical to it.
+
+The per-token text parsers and serializers at the end are the format code
+that the one-pass fast paths replaced, with LF-only lines and ASCII-only
+digits; the formats tests require the library to accept, reject (same error
+type and message) and write exactly what they do.
 """
 
 import math
+import re
 
 import numpy as np
+
+from pseudovox import errors
+from pseudovox.f0 import F0Contour, LogF0Stats
+from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding
+from pseudovox.selection import PoolSpeaker
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -162,3 +173,344 @@ def rank_furthest_scalar(pool_subset, source_xvector, cfg):
     else:
         scores = scalar_cosine_scores(source, members)
     return sorted_ranking(scores, [s.speaker_id for s in pool_subset.speakers], cfg.k_far)
+
+
+# --- per-token text formats ---------------------------------------------------
+
+_FLOAT_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
+_UINT_RE = re.compile(r"\d+\Z", re.ASCII)
+
+
+def _data_lines(text):
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        yield lineno, stripped.split()
+
+
+def _parse_float(token, line):
+    if not _FLOAT_RE.match(token):
+        raise errors.LineSyntaxError(f"expected a decimal real, got {token!r}", line)
+    value = float(token)
+    if not np.isfinite(value):
+        raise errors.InvalidValueError(f"non-finite value {token!r}", line)
+    return value
+
+
+def _parse_uint(token, line, bits=64):
+    if not _UINT_RE.match(token):
+        raise errors.LineSyntaxError(f"expected an unsigned integer, got {token!r}", line)
+    value = int(token)
+    if value >= (1 << bits):
+        raise errors.InvalidValueError(f"integer {token} does not fit in {bits} bits", line)
+    return value
+
+
+def _parse_id(token, line):
+    if token.startswith("#"):
+        raise errors.InvalidValueError(f"id {token!r} may not start with '#'", line)
+    return token
+
+
+def _check_out_id(identifier):
+    if not identifier or any(c.isspace() for c in identifier) or identifier.startswith("#"):
+        raise errors.InvalidValueError(f"id {identifier!r} is not serializable")
+    return identifier
+
+
+def _with_line(exc, line):
+    kinds = (errors.LineSyntaxError, errors.InvalidValueError, errors.DimensionMismatchError)
+    return type(exc)(str(exc), line) if isinstance(exc, kinds) else errors.InvalidValueError(str(exc), line)
+
+
+def _format_float(value):
+    return repr(float(value))
+
+
+def _joined(lines):
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def _require_unique(keys):
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise errors.InvalidValueError(f"duplicate record key {key!r}")
+        seen.add(key)
+
+
+def parse_contours(text):
+    records = []
+    seen = set()
+    for lineno, tokens in _data_lines(text):
+        utt_id = _parse_id(tokens[0], lineno)
+        if utt_id in seen:
+            raise errors.InvalidValueError(f"duplicate utterance id {utt_id!r}", lineno)
+        seen.add(utt_id)
+        values = [_parse_float(t, lineno) for t in tokens[1:]]
+        try:
+            records.append(F0Contour(utt_id, values))
+        except errors.PseudovoxError as exc:
+            raise errors.InvalidValueError(str(exc), lineno) from None
+    return records
+
+
+def serialize_contours(records):
+    _require_unique(r.utterance_id for r in records)
+    lines = []
+    for rec in sorted(records, key=lambda r: r.utterance_id):
+        fields = [_check_out_id(rec.utterance_id)] + [_format_float(v) for v in rec.values]
+        lines.append(" ".join(fields))
+    return _joined(lines)
+
+
+def serialize_stats(records):
+    _require_unique(r[0] for r in records)
+    lines = []
+    for rec_id, stats in sorted(records, key=lambda r: r[0]):
+        lines.append(
+            " ".join(
+                [
+                    _check_out_id(rec_id),
+                    _format_float(stats.mean),
+                    _format_float(stats.std),
+                    str(stats.voiced_frame_count),
+                ]
+            )
+        )
+    return _joined(lines)
+
+
+def parse_embeddings(text):
+    records = []
+    seen = set()
+    gender_of = {}
+    dim = None
+    for lineno, tokens in _data_lines(text):
+        if len(tokens) < 4:
+            raise errors.LineSyntaxError("embedding line needs id, utt, gender, values", lineno)
+        speaker_id = _parse_id(tokens[0], lineno)
+        utt_id = _parse_id(tokens[1], lineno)
+        gender_token = tokens[2]
+        if (speaker_id, utt_id) in seen:
+            raise errors.InvalidValueError(
+                f"duplicate embedding for ({speaker_id!r}, {utt_id!r})", lineno
+            )
+        seen.add((speaker_id, utt_id))
+        try:
+            gender = Gender.parse(gender_token)
+        except errors.PseudovoxError as exc:
+            raise _with_line(exc, lineno) from None
+        if gender_of.setdefault(speaker_id, gender) is not gender:
+            raise errors.InvalidValueError(f"conflicting gender for speaker {speaker_id!r}", lineno)
+        values = [_parse_float(t, lineno) for t in tokens[3:]]
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise errors.DimensionMismatchError(
+                f"expected {dim} embedding values, got {len(values)}", lineno
+            )
+        try:
+            records.append(SpeakerEmbedding(speaker_id, gender, values, utt_id))
+        except errors.PseudovoxError as exc:
+            raise _with_line(exc, lineno) from None
+    return records
+
+
+def serialize_embeddings(records):
+    keys = []
+    for rec in records:
+        if rec.utterance_id is None:
+            raise errors.InvalidValueError(
+                f"embedding for {rec.speaker_id!r} needs an utterance_id to serialize"
+            )
+        keys.append((rec.speaker_id, rec.utterance_id))
+    _require_unique(keys)
+    lines = []
+    for rec in sorted(records, key=lambda r: (r.speaker_id, r.utterance_id)):
+        fields = [
+            _check_out_id(rec.speaker_id),
+            _check_out_id(rec.utterance_id),
+            rec.gender.value,
+        ] + [_format_float(v) for v in rec.vector]
+        lines.append(" ".join(fields))
+    return _joined(lines)
+
+
+def parse_pool(text):
+    records = []
+    seen = set()
+    dim = None
+    for lineno, tokens in _data_lines(text):
+        if len(tokens) < 7:
+            raise errors.LineSyntaxError(
+                "pool line needs id, gender, embedding, '|', three stats", lineno
+            )
+        if tokens[-4] != "|":
+            raise errors.LineSyntaxError("pool line needs a '|' before the F0 stats", lineno)
+        speaker_id = _parse_id(tokens[0], lineno)
+        if speaker_id in seen:
+            raise errors.InvalidValueError(f"duplicate pool speaker {speaker_id!r}", lineno)
+        seen.add(speaker_id)
+        try:
+            gender = Gender.parse(tokens[1])
+        except errors.PseudovoxError as exc:
+            raise _with_line(exc, lineno) from None
+        values = [_parse_float(t, lineno) for t in tokens[2:-4]]
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise errors.DimensionMismatchError(
+                f"expected {dim} embedding values, got {len(values)}", lineno
+            )
+        mean = _parse_float(tokens[-3], lineno)
+        std = _parse_float(tokens[-2], lineno)
+        count = _parse_uint(tokens[-1], lineno)
+        if count < 1:
+            raise errors.InvalidValueError("voiced_count must be >= 1", lineno)
+        try:
+            records.append(PoolSpeaker(speaker_id, gender, values, LogF0Stats(mean, std, count)))
+        except errors.PseudovoxError as exc:
+            raise _with_line(exc, lineno) from None
+    return records
+
+
+def serialize_pool(records):
+    _require_unique(r.speaker_id for r in records)
+    lines = []
+    for rec in sorted(records, key=lambda r: r.speaker_id):
+        fields = (
+            [_check_out_id(rec.speaker_id), rec.gender.value]
+            + [_format_float(v) for v in rec.mean_embedding]
+            + [
+                "|",
+                _format_float(rec.f0_stats.mean),
+                _format_float(rec.f0_stats.std),
+                str(rec.f0_stats.voiced_frame_count),
+            ]
+        )
+        lines.append(" ".join(fields))
+    return _joined(lines)
+
+
+def parse_plda(text):
+    rows = list(_data_lines(text))
+    if not rows:
+        raise errors.LineSyntaxError("PLDA file is empty", 1)
+    lineno, tokens = rows[0]
+    if len(tokens) != 2 or tokens[0] != "dim":
+        raise errors.LineSyntaxError("first PLDA line must be 'dim <d>'", lineno)
+    dim = _parse_uint(tokens[1], lineno)
+    if dim < 1:
+        raise errors.InvalidValueError("PLDA dimension must be >= 1", lineno)
+    if len(rows) != dim + 3:
+        last = rows[-1][0]
+        raise errors.LineSyntaxError(
+            f"PLDA file needs {dim + 3} data lines for dim {dim}, got {len(rows)}", last
+        )
+
+    def vector_line(index, label):
+        lineno, tokens = rows[index]
+        if len(tokens) != dim + 1 or tokens[0] != label:
+            raise errors.LineSyntaxError(f"expected '{label}' followed by {dim} reals", lineno)
+        return np.array([_parse_float(t, lineno) for t in tokens[1:]])
+
+    mean = vector_line(1, "mean")
+    transform = np.stack([vector_line(2 + i, "transform") for i in range(dim)])
+    psi = vector_line(dim + 2, "psi")
+    if np.any(psi < 0.0):
+        raise errors.InvalidValueError("psi components must be >= 0", rows[dim + 2][0])
+    try:
+        return PldaModel(mean, transform, psi)
+    except errors.PseudovoxError as exc:
+        raise _with_line(exc, rows[0][0]) from None
+
+
+def serialize_plda(model):
+    lines = [f"dim {model.dim}"]
+    lines.append(" ".join(["mean"] + [_format_float(v) for v in model.mean]))
+    for row in model.transform:
+        lines.append(" ".join(["transform"] + [_format_float(v) for v in row]))
+    lines.append(" ".join(["psi"] + [_format_float(v) for v in model.psi]))
+    return _joined(lines)
+
+
+def parse_scores(text):
+    records = []
+    seen = set()
+    for lineno, tokens in _data_lines(text):
+        if len(tokens) != 3:
+            raise errors.LineSyntaxError("score line needs enroll, test, score", lineno)
+        key = (_parse_id(tokens[0], lineno), _parse_id(tokens[1], lineno))
+        if key in seen:
+            raise errors.InvalidValueError(f"duplicate trial {key!r}", lineno)
+        seen.add(key)
+        records.append((key[0], key[1], _parse_float(tokens[2], lineno)))
+    return records
+
+
+def serialize_scores(records):
+    _require_unique((r[0], r[1]) for r in records)
+    lines = [
+        " ".join([_check_out_id(e), _check_out_id(t), _format_float(s)])
+        for e, t, s in sorted(records, key=lambda r: (r[0], r[1]))
+    ]
+    return _joined(lines)
+
+
+def parse_trials(text):
+    records = []
+    seen = set()
+    for lineno, tokens in _data_lines(text):
+        if len(tokens) != 3:
+            raise errors.LineSyntaxError("trial line needs enroll, test, label", lineno)
+        if tokens[2] not in ("target", "nontarget"):
+            raise errors.InvalidValueError(
+                f"label must be 'target' or 'nontarget', got {tokens[2]!r}", lineno
+            )
+        key = (_parse_id(tokens[0], lineno), _parse_id(tokens[1], lineno))
+        if key in seen:
+            raise errors.InvalidValueError(f"duplicate trial {key!r}", lineno)
+        seen.add(key)
+        records.append((key[0], key[1], tokens[2] == "target"))
+    return records
+
+
+def serialize_trials(records):
+    _require_unique((r[0], r[1]) for r in records)
+    lines = [
+        " ".join([_check_out_id(e), _check_out_id(t), "target" if is_tar else "nontarget"])
+        for e, t, is_tar in sorted(records, key=lambda r: (r[0], r[1]))
+    ]
+    return _joined(lines)
+
+
+def serialize_mapping(records):
+    _require_unique(r[0] for r in records)
+    lines = []
+    for source, seed, members in sorted(records, key=lambda r: r[0]):
+        lines.append(
+            " ".join([_check_out_id(source), str(seed)] + [_check_out_id(m) for m in members])
+        )
+    return _joined(lines)
+
+
+def serialize_det(points):
+    return _joined([f"{_format_float(x)} {_format_float(y)}" for x, y in points])
+
+
+def serialize_report(report):
+    lines = [
+        f"eer_pct {_format_float(report.eer_pct)}",
+        f"cllr_bits {_format_float(report.cllr_bits)}",
+        f"min_cllr_bits {_format_float(report.min_cllr_bits)}",
+        f"n_target_trials {report.n_target_trials}",
+        f"n_nontarget_trials {report.n_nontarget_trials}",
+    ]
+    return _joined(lines)
+
+
+def serialize_keyvalues(values):
+    lines = [f"{_check_out_id(k)} {_check_out_id(str(v))}" for k, v in sorted(values.items())]
+    return _joined(lines)

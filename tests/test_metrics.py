@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pseudovox import metrics
 from pseudovox.errors import EmptyPopulationError, InvalidValueError
 from pseudovox.metrics import (
+    EvalReport,
     TrialScoreSet,
     cllr,
     det_points,
@@ -173,3 +177,23 @@ def test_evaluate_report_fields():
     assert report.n_nontarget_trials == 3
     assert report.min_cllr_bits <= report.cllr_bits + 1e-9
     assert report.eer == report.eer_pct / 100.0
+
+
+def test_evaluate_fits_pav_once(monkeypatch):
+    calls = []
+    real = metrics._pav_blocks
+    monkeypatch.setattr(metrics, "_pav_blocks", lambda *a: calls.append(1) or real(*a))
+    rng = np.random.default_rng(3)
+    evaluate(scores(rng.normal(1.0, 1.0, 300).round(1), rng.normal(0.0, 1.0, 900).round(1)))
+    assert len(calls) == 1
+
+
+# few distinct values, so ties and PAV merges are common
+SCORES = st.lists(st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0, 40.0]) | st.floats(-50, 50), min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCORES, SCORES)
+def test_evaluate_equals_the_separate_metrics(tar, non):
+    s = scores(tar, non)
+    assert evaluate(s) == EvalReport(100.0 * eer(s), cllr(s), min_cllr(s), len(tar), len(non))

@@ -1,0 +1,344 @@
+"""Strict text I/O: the one-pass fast paths in ``formats`` accept, reject and
+write exactly what the per-token code in ``tests/oracles.py`` does, and
+canonical files never fall back to that per-token code."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from pseudovox import formats
+from pseudovox.errors import InvalidValueError, LineSyntaxError, PseudovoxError
+from pseudovox.f0 import F0Contour, LogF0Stats
+from pseudovox.metrics import EvalReport
+from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding
+from pseudovox.selection import PoolSpeaker
+
+PROPERTY = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# --- generated texts ----------------------------------------------------------
+
+VALID_REALS = ["0", "1.5", "-2.25", "+.5", "5.", "1e-3", "2E+10", "-0.0", "100", "3"]
+BAD_REALS = ["nan", "inf", "-inf", "1_0", "1e999", "١", "١٢", ".", "-", "+", "e5", "1e", "0x10", "1.2.3"]
+REALS = st.sampled_from(VALID_REALS * 3 + BAD_REALS)
+NONNEG_REALS = st.sampled_from(["0", "1.5", "+.5", "5.", "1e-3", "100", "-0.0"] * 3 + BAD_REALS + ["-1.0"])
+UINTS = st.sampled_from(["1", "40", "7"] * 3 + ["0", "١٢", "18446744073709551616", "-1", "1.0"])
+IDS = st.sampled_from(["a", "b", "c", "u1", "spk-2", "#x", "é"])
+GENDERS = st.sampled_from(["M", "F", "M", "F", "X"])
+SEPARATORS = st.sampled_from([" "] * 6 + ["\t", "  ", "\x0c", "\x0b", "\x1c", " ", "\x85"])
+
+
+@st.composite
+def texts(draw, line_tokens):
+    """Lines of ``line_tokens`` lists. A canonical file (single spaces, LF
+    endings, no comments or blank lines) takes the fast paths; any other
+    adds tabs, form feeds, CRLF, comments, blank lines and padding."""
+    rows = draw(st.lists(line_tokens, max_size=6))
+    if draw(st.booleans()):
+        return "".join(" ".join(tokens) + "\n" for tokens in rows)
+    out = []
+    for tokens in rows:
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(st.sampled_from(["# comment", "", "   ", "  # indented"])))
+        sep = draw(SEPARATORS)
+        pad = draw(st.sampled_from(["", "", " ", "\t"]))
+        out.append(pad + sep.join(tokens) + pad)
+    endings = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in out]
+    text = "".join(line + end for line, end in zip(out, endings))
+    return text[: -len(endings[-1])] if out and draw(st.booleans()) else text
+
+
+def reals(n, elements=REALS):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+contour_line = st.builds(lambda i, v: [i, *v], IDS, st.lists(NONNEG_REALS, max_size=4))
+
+
+@st.composite
+def embedding_line(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(IDS, max_size=3))
+    dim = draw(st.sampled_from([2, 2, 2, 1]))
+    return [draw(IDS), draw(IDS), draw(GENDERS), *draw(reals(dim))]
+
+
+@st.composite
+def pool_line(draw):
+    dim = draw(st.sampled_from([2, 2, 2, 1]))
+    tokens = [draw(IDS), draw(GENDERS), *draw(reals(dim)), "|", *draw(reals(2, NONNEG_REALS)), draw(UINTS)]
+    if draw(st.integers(0, 9)) == 0:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return tokens
+
+
+@st.composite
+def score_line(draw):
+    tokens = [draw(IDS), draw(IDS), draw(REALS)]
+    if draw(st.integers(0, 9)) == 0:
+        return tokens[: draw(st.integers(0, 2))] or tokens + ["extra"]
+    return tokens
+
+
+@st.composite
+def trial_line(draw):
+    tokens = [draw(IDS), draw(IDS), draw(st.sampled_from(["target", "nontarget"] * 3 + ["maybe", "Target"]))]
+    if draw(st.integers(0, 9)) == 0:
+        return tokens[:2] + draw(st.sampled_from([[], ["x", "y"]]))
+    return tokens
+
+
+@st.composite
+def plda_text(draw):
+    dim = draw(st.integers(1, 2))
+    lines = [["dim", draw(st.sampled_from([str(dim)] * 8 + ["0", "x", "١"]))]]
+    lines.append(["mean", *draw(reals(dim))])
+    lines += [["transform", *draw(reals(dim))] for _ in range(dim)]
+    lines.append(["psi", *draw(reals(dim, NONNEG_REALS))])
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from([lines[i][:-1], lines[i] + ["1.0"], ["bogus", *lines[i][1:]]]))
+    if draw(st.integers(0, 9)) == 0:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    if draw(st.booleans()):
+        return "".join(" ".join(tokens) + "\n" for tokens in lines)
+    return "".join(
+        draw(st.sampled_from(["", "# c\n", "\n"]))
+        + draw(SEPARATORS).join(tokens)
+        + draw(st.sampled_from(["\n", "\r\n"]))
+        for tokens in lines
+    )
+
+
+def outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except PseudovoxError as exc:
+        return type(exc), str(exc)
+
+
+PARSERS = {
+    "contours": (texts(contour_line), formats.parse_contours, oracles.parse_contours),
+    "embeddings": (texts(embedding_line()), formats.parse_embeddings, oracles.parse_embeddings),
+    "pool": (texts(pool_line()), formats.parse_pool, oracles.parse_pool),
+    "plda": (plda_text(), formats.parse_plda, oracles.parse_plda),
+    "scores": (texts(score_line()), formats.parse_scores, oracles.parse_scores),
+    "trials": (texts(trial_line()), formats.parse_trials, oracles.parse_trials),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+@PROPERTY
+@given(data=st.data())
+def test_parser_accepts_and_rejects_like_the_per_token_code(name, data):
+    strategy, parse, oracle = PARSERS[name]
+    text = data.draw(strategy)
+    assert outcome(parse, text) == outcome(oracle, text)
+
+
+EDGE_TEXTS = {
+    "contours": [
+        "u1 nan\n", "u1 inf\n", "u1 1_0\n", "u1 1e999\n", "u1 ١\n", "u1 +.5 5.\n", "u1 .\n",
+        "u1 -\n", "u1\t1.0\x0c2.0\r\n", "# c\n\nu1 1.0\nu1 2.0\n", "u1 1.0 -3.0\n", "u1\n",
+    ],
+    "embeddings": [
+        "a u1 M 1.0 2.0\nb u2 F 1.0\n", "a #u M 1.0\n", "a u1 M nan\n", "a u1 M 1.0\na u1 M 2.0\n",
+        "a u1 M 1.0\na u2 F 1.0\n", "a u1 M 1e999\n", "a\tu1 M 1.0\r\n",
+    ],
+    "pool": [
+        "s1 M 1.0 2.0 | 5.0 0.2 40\ns2 F 1.0 | 5.0 0.2 40\n", "s1 M 1.0 | 5.0 0.2 ١٢\n",
+        "s1 M 1.0 | nan 0.2 4\n", "s1 M 1.0 | 5.0 -0.2 4\n", "s1 M 1.0 5.0 0.2 4\n",
+    ],
+    "plda": [
+        "dim 1\nmean 0.0\ntransform 1.0\npsi -1.0\n", "dim 1\nmean nan\ntransform 1.0\npsi 1.0\n",
+        "dim ١\nmean 0.0\ntransform 1.0\npsi 1.0\n", "dim 1\r\nmean 0.0\r\ntransform 1_0\r\npsi 1.0\r\n", "",
+    ],
+    "scores": [
+        "a b 1.0\na b 2.0\n", "a #b 1.0\n", "a b nan\n", "a b 1e999\n", "a b ١\n", "a b 1.0\r\n",
+        "a b 1.0", "# c\na b 1.0\n\n", "a\tb 1.0\n", "é b 1.0\n", "a b 1.0 2.0\n", "a b 1_0\n",
+    ],
+    "trials": [
+        "a b target\na b nontarget\n", "a #b target\n", "a b maybe\n", "a b target\r\n",
+        "a b target", "é b target\n", "a b\n",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name,text", [(name, text) for name, cases in sorted(EDGE_TEXTS.items()) for text in cases]
+)
+def test_edge_cases_match_the_per_token_code(name, text):
+    _, parse, oracle = PARSERS[name]
+    assert outcome(parse, text) == outcome(oracle, text)
+
+
+# --- round trips --------------------------------------------------------------
+
+OUT_IDS = st.text(alphabet="abz09_.-é", min_size=1, max_size=4)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+NONNEG = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+STATS = st.builds(LogF0Stats, FLOATS, NONNEG, st.integers(1, 2**64 - 1))
+
+
+def unique_by(key, elements):
+    return st.lists(elements, max_size=6, unique_by=key)
+
+
+def vectors(d):
+    return st.lists(FLOATS, min_size=d, max_size=d)
+
+
+@st.composite
+def embedding_records(draw):
+    d = draw(st.integers(1, 3))
+    speakers = draw(st.lists(OUT_IDS, min_size=1, max_size=3, unique=True))
+    keys = draw(st.lists(st.tuples(st.sampled_from(speakers), OUT_IDS), max_size=6, unique=True))
+    gender = {s: draw(st.sampled_from(Gender)) for s in speakers}
+    return [SpeakerEmbedding(s, gender[s], draw(vectors(d)), u) for s, u in keys]
+
+
+@st.composite
+def pool_records(draw):
+    d = draw(st.integers(1, 3))
+    ids = draw(st.lists(OUT_IDS, max_size=5, unique=True))
+    return [PoolSpeaker(i, draw(st.sampled_from(Gender)), draw(vectors(d)), draw(STATS)) for i in ids]
+
+
+@st.composite
+def plda_models(draw):
+    d = draw(st.integers(1, 3))
+    transform = [draw(vectors(d)) for _ in range(d)]
+    return PldaModel(draw(vectors(d)), transform, draw(st.lists(NONNEG, min_size=d, max_size=d)))
+
+
+ROUND_TRIPS = {
+    "contours": (
+        unique_by(lambda c: c.utterance_id, st.builds(F0Contour, OUT_IDS, st.lists(NONNEG, max_size=4))),
+        lambda r: r.utterance_id,
+    ),
+    "stats": (unique_by(lambda r: r[0], st.tuples(OUT_IDS, STATS)), lambda r: r[0]),
+    "embeddings": (embedding_records(), lambda r: (r.speaker_id, r.utterance_id)),
+    "pool": (pool_records(), lambda r: r.speaker_id),
+    "plda": (plda_models(), None),
+    "scores": (unique_by(lambda r: r[:2], st.tuples(OUT_IDS, OUT_IDS, FLOATS)), lambda r: r[:2]),
+    "trials": (unique_by(lambda r: r[:2], st.tuples(OUT_IDS, OUT_IDS, st.booleans())), lambda r: r[:2]),
+    "mapping": (
+        unique_by(
+            lambda r: r[0],
+            st.tuples(OUT_IDS, st.integers(0, 2**64 - 1), st.lists(OUT_IDS, min_size=1, max_size=3, unique=True).map(tuple)),
+        ),
+        lambda r: r[0],
+    ),
+    "det": (st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=5), None),
+    "report": (st.builds(EvalReport, FLOATS, FLOATS, FLOATS, st.integers(0, 10**6), st.integers(0, 10**6)), None),
+    "keyvalues": (st.dictionaries(OUT_IDS, OUT_IDS, max_size=5), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+@settings(PROPERTY, max_examples=150)
+@given(data=st.data())
+def test_round_trip_is_exact_and_writes_the_per_token_bytes(name, data):
+    strategy, sort_key = ROUND_TRIPS[name]
+    records = data.draw(strategy)
+    serialize = getattr(formats, f"serialize_{name}")
+    text = serialize(records)
+    assert text == getattr(oracles, f"serialize_{name}")(records)
+    parsed = getattr(formats, f"parse_{name}")(text)
+    assert parsed == (sorted(records, key=sort_key) if sort_key else records)
+    assert serialize(parsed) == text  # also keeps the sign of every zero
+
+
+@pytest.mark.parametrize("name", ["scores", "trials"])
+@PROPERTY
+@given(rows=st.lists(st.tuples(st.sampled_from(["a", "b", "#c", "d e", ""]), st.sampled_from(["a", "b", "#c"]), st.booleans())))
+def test_pair_serializers_raise_the_per_token_error(name, rows):
+    assert outcome(getattr(formats, f"serialize_{name}"), rows) == outcome(getattr(oracles, f"serialize_{name}"), rows)
+
+
+# --- no fallback on canonical files -------------------------------------------
+
+
+def canonical_texts(d=512, n=40):
+    rng = np.random.default_rng(44)
+    model = PldaModel(rng.normal(size=d), rng.normal(size=(d, d)), rng.uniform(0.0, 2.0, d))
+    embeddings = [
+        SpeakerEmbedding(f"spk{i // 4}", Gender.MALE if i // 4 % 2 else Gender.FEMALE, rng.normal(size=d), f"utt{i}")
+        for i in range(n)
+    ]
+    pool = [
+        PoolSpeaker(f"p{i}", Gender.MALE if i % 2 else Gender.FEMALE, rng.normal(size=d),
+                    LogF0Stats(rng.normal(5.0, 0.2), rng.uniform(0.05, 0.4), 60 + i))
+        for i in range(n)
+    ]
+    contours = [F0Contour(f"utt{i}", np.where(rng.random(300) < 0.3, 0.0, rng.uniform(80, 300, 300))) for i in range(n)]
+    scores = [(f"spk{e}", f"utt{t}", float(rng.normal())) for e in range(10) for t in range(n)]
+    return {
+        "plda": formats.serialize_plda(model),
+        "embeddings": formats.serialize_embeddings(embeddings),
+        "pool": formats.serialize_pool(pool),
+        "contours": formats.serialize_contours(contours),
+        "scores": formats.serialize_scores(scores),
+        "trials": formats.serialize_trials([(e, t, s > 0) for e, t, s in scores]),
+    }
+
+
+def test_canonical_files_never_reach_the_per_token_parser(monkeypatch):
+    calls = []
+    real = formats._parse_float
+    monkeypatch.setattr(formats, "_parse_float", lambda token, line: calls.append(token) or real(token, line))
+    for name, text in canonical_texts().items():
+        parsed = getattr(formats, f"parse_{name}")(text)
+        assert getattr(formats, f"serialize_{name}")(parsed) == text
+        assert calls == [], name
+
+
+@pytest.mark.parametrize("name", ["scores", "trials"])
+def test_pair_serializers_check_each_distinct_id_once(monkeypatch, name):
+    rows = [(f"spk{e}", f"utt{t}", float(e - t)) for e in range(10) for t in range(40)]
+    rows.append(("utt3", "spk1", 0.5))  # ids that are both enroll and test ids
+    if name == "trials":
+        rows = [(e, t, s > 0) for e, t, s in rows]
+    checked = []
+    real = formats._check_out_id
+    monkeypatch.setattr(formats, "_check_out_id", lambda i: checked.append(i) or real(i))
+    getattr(formats, f"serialize_{name}")(rows[::-1])
+    in_order = [i for e, t, _ in sorted(rows, key=lambda r: r[:2]) for i in (e, t)]
+    assert checked == list(dict.fromkeys(in_order))
+
+
+# --- grammar: ASCII digits, LF-only lines --------------------------------------
+
+
+def test_non_ascii_digits_are_not_reals():
+    with pytest.raises(LineSyntaxError) as err:
+        formats.parse_contours("u1 ١٢\n")
+    assert str(err.value) == "line 1: expected a decimal real, got '١٢'"
+
+
+def test_non_ascii_digits_are_not_counts():
+    with pytest.raises(LineSyntaxError) as err:
+        formats.parse_stats("a 5.0 0.5 ١٢\n")
+    assert str(err.value) == "line 1: expected an unsigned integer, got '١٢'"
+
+
+def test_only_lf_ends_a_line():
+    # a form feed is a field separator, not a line break, so this is two lines
+    with pytest.raises(LineSyntaxError) as err:
+        formats.parse_contours("u1 1.0\x0c3.0\nu2 x\n")
+    assert str(err.value) == "line 2: expected a decimal real, got 'x'"
+    with pytest.raises(LineSyntaxError) as err:
+        formats.parse_contours("u1 1.0\x0cu3 1.0\nu2 x\n")
+    assert str(err.value) == "line 1: expected a decimal real, got 'u3'"
+    assert formats.parse_contours("u1 1.0\x0c2.0\n") == [F0Contour("u1", [1.0, 2.0])]
+
+
+def test_crlf_files_parse():
+    assert formats.parse_contours("u1 1.0 2.0\r\nu2 3.0\r\n") == [
+        F0Contour("u1", [1.0, 2.0]), F0Contour("u2", [3.0])
+    ]
+    assert formats.parse_scores("a b 1.5\r\n") == [("a", "b", 1.5)]
+    with pytest.raises(InvalidValueError) as err:
+        formats.parse_trials("a b target\r\n\r\na b nontarget\r\n")
+    assert err.value.line == 3
