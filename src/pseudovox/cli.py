@@ -78,6 +78,19 @@ def _read(path: str, name: str, entries: dict[str, str], parse: Callable[[str], 
         raise
 
 
+def _parse_utterances(text: str) -> list[SpeakerEmbedding]:
+    """Parse per-utterance embeddings, each utterance id under one speaker."""
+    embeddings = formats.parse_embeddings(text)
+    speaker_of: dict[str, str] = {}
+    for emb in embeddings:
+        first = speaker_of.setdefault(emb.utterance_id, emb.speaker_id)
+        if first != emb.speaker_id:
+            raise InvalidValueError(
+                f"utterance {emb.utterance_id!r} is listed under speakers {first!r} and {emb.speaker_id!r}"
+            )
+    return embeddings
+
+
 def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
     """Write each output to a hidden temp file beside its target, then rename
     them all into place in the given order; callers put the manifest last.
@@ -289,7 +302,7 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
             plda_model = _read(plda_file, "plda", entries, formats.parse_plda)
         pool = _read(pool_file, "pool", entries,
                      lambda text: SpeakerPool(formats.parse_pool(text), plda_model))
-        embeddings = _read(embeddings_file, "embeddings", entries, formats.parse_embeddings)
+        embeddings = _read(embeddings_file, "embeddings", entries, _parse_utterances)
         contours = _read(contours_file, "contours", entries, formats.parse_contours)
 
         contour_by_utt = {c.utterance_id: c for c in contours}
@@ -382,7 +395,7 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
         entries = {"length_norm": "true" if length_norm else "false"}
         model = _read(plda_file, "plda", entries, formats.parse_plda)
         enroll = _read(enroll_file, "enroll", entries, formats.parse_embeddings)
-        trials_emb = _read(trial_embeddings, "trial_embeddings", entries, formats.parse_embeddings)
+        trials_emb = _read(trial_embeddings, "trial_embeddings", entries, _parse_utterances)
         key_rows = _read(trial_key, "trial_key", entries, formats.parse_trials)
 
         # row of each id in the stacked latents below: first-appearance order
@@ -558,8 +571,6 @@ def simulate(obj, out_dir, **flags):
         cohort = generate_cohort(spec)
         result = run_scenario(cohort, scenario, sel, threads=obj.threads)
 
-        score_rows = [(e, u, s) for e, u, s, _ in result.trial_rows]
-        trial_rows = [(e, u, t) for e, u, _, t in result.trial_rows]
         user_embeddings = [
             SpeakerEmbedding(u.speaker_id, u.gender, u.embedding, u.utterance_id)
             for speaker in cohort.users
@@ -593,15 +604,15 @@ def simulate(obj, out_dir, **flags):
             "f0_between_std": formats.format_float(spec.f0_between_std),
             "f0_within_std": formats.format_float(spec.f0_within_std),
             "frames_per_utt": str(spec.frames_per_utt),
-            "n_trials": str(len(score_rows)),
+            "n_trials": str(len(result.score_rows)),
         })
         data_outputs = {
             "pool.txt": formats.serialize_pool(cohort.pool.speakers),
             "user_embeddings.txt": formats.serialize_embeddings(user_embeddings),
             "user_contours.txt": formats.serialize_contours(user_contours),
             "plda.txt": formats.serialize_plda(cohort.plda),
-            "scores.txt": formats.serialize_scores(score_rows),
-            "trials.txt": formats.serialize_trials(trial_rows),
+            "scores.txt": formats.serialize_scores(result.score_rows),
+            "trials.txt": formats.serialize_trials(result.trial_rows),
             "report.txt": formats.serialize_report(result.report),
         }
         _write_out_dir(out_dir, data_outputs, "simulate", entries, _det_output(obj, result.scores))

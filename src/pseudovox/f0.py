@@ -37,13 +37,10 @@ class F0Contour:
         Opaque identifier, no whitespace.
     values : array-like of float
         F0 per frame in Hz; 0.0 if and only if the frame is unvoiced.
-    frame_shift_ms : float
-        Frame shift metadata in milliseconds; not used by any computation.
     """
 
     utterance_id: str
     values: np.ndarray
-    frame_shift_ms: float = 10.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -59,8 +56,6 @@ class F0Contour:
             raise InvalidValueError(
                 f"contour {self.utterance_id!r} has negative F0 values"
             )
-        if not (self.frame_shift_ms > 0.0):
-            raise InvalidValueError("frame_shift_ms must be positive")
 
     @property
     def voiced_mask(self) -> np.ndarray:
@@ -72,7 +67,6 @@ class F0Contour:
             return NotImplemented
         return (
             self.utterance_id == other.utterance_id
-            and self.frame_shift_ms == other.frame_shift_ms
             and np.array_equal(self.values, other.values)
         )
 
@@ -143,7 +137,7 @@ def transform_contour(
     out = contour.values.copy()
     mask = contour.voiced_mask
     out[mask] = np.exp(target.mean + ratio * (np.log(contour.values[mask]) - source.mean))
-    return F0Contour(contour.utterance_id, out, contour.frame_shift_ms)
+    return F0Contour(contour.utterance_id, out)
 
 
 def aggregate_target_stats(per_speaker_stats: list[LogF0Stats]) -> LogF0Stats:

@@ -6,6 +6,12 @@ trial sets. Cllr is reported in bits; min-Cllr evaluates Cllr after the
 optimal monotone recalibration obtained with pool-adjacent-violators over
 tied-score groups (tied scores always receive one common calibrated value,
 so the calibration is a true monotone function of the score).
+
+All of it comes from one table of tied-score groups (trial and target counts,
+ascending in score) and one cumulative sweep over it. ``evaluate`` fits PAV
+once; the sweep over its blocks gives the ROC hull vertices for EER, each
+group takes its block's target proportion for min-Cllr, and the sweep over
+the groups themselves gives the DET points. PAV is the only Python loop.
 """
 
 from __future__ import annotations
@@ -64,7 +70,8 @@ def _require_populations(scores: TrialScoreSet) -> None:
 
 
 def _tied_groups(scores: TrialScoreSet):
-    """Distinct pooled score values (ascending) with trial and target counts."""
+    """Each trial's group of tied scores (groups ascending in score), and
+    the trial and target counts of each group."""
     pooled = np.concatenate([scores.target_scores, scores.nontarget_scores])
     labels = np.concatenate(
         [
@@ -75,50 +82,48 @@ def _tied_groups(scores: TrialScoreSet):
     distinct, inverse = np.unique(pooled, return_inverse=True)
     trials = np.bincount(inverse, minlength=distinct.size).astype(np.float64)
     targets = np.bincount(inverse, weights=labels, minlength=distinct.size)
-    return distinct, inverse, trials, targets
+    return inverse, trials, targets
 
 
 def _pav_blocks(trials: np.ndarray, targets: np.ndarray):
     """Weighted pool-adjacent-violators fit of target proportion vs. score rank.
 
-    Returns per-block (trial_count, target_count) with nondecreasing
-    target proportion; adjacent blocks with equal proportion are merged.
+    Returns arrays (trials, targets, groups) per block: its trial and target
+    counts and the number of tied groups it pools. Target proportions are
+    nondecreasing; adjacent blocks with equal proportion are merged.
     """
-    blocks: list[list[float]] = []
-    for w, t in zip(trials, targets):
-        blocks.append([float(w), float(t)])
+    blocks: list[tuple[float, float, int]] = []
+    for w, t in zip(trials.tolist(), targets.tolist()):
+        groups = 1
         # merge while previous proportion >= current: t1/w1 >= t2/w2
-        while len(blocks) > 1 and blocks[-2][1] * blocks[-1][0] >= blocks[-1][1] * blocks[-2][0]:
-            w2, t2 = blocks.pop()
-            blocks[-1][0] += w2
-            blocks[-1][1] += t2
-    return blocks
+        while blocks and blocks[-1][1] * w >= t * blocks[-1][0]:
+            prev_w, prev_t, prev_groups = blocks.pop()
+            w, t, groups = w + prev_w, t + prev_t, groups + prev_groups
+        blocks.append((w, t, groups))
+    return tuple(map(np.array, zip(*blocks)))
 
 
 def _pav_fit(scores: TrialScoreSet):
     """Tied groups and their PAV blocks: the one fit EER and min-Cllr share.
 
-    Returns (inverse, trials, blocks): each trial's group index, the trial
-    count per group, and the blocks of ``_pav_blocks``.
+    Returns (inverse, blocks): each trial's group index and the blocks of
+    ``_pav_blocks``.
     """
-    _, inverse, trials, targets = _tied_groups(scores)
-    return inverse, trials, _pav_blocks(trials, targets)
+    inverse, trials, targets = _tied_groups(scores)
+    return inverse, _pav_blocks(trials, targets)
 
 
-def _rocch_vertices(scores: TrialScoreSet, blocks):
-    """Vertices (p_miss, p_fa) of the ROC convex hull, p_fa descending."""
-    n_tar = float(scores.target_scores.size)
-    n_non = float(scores.nontarget_scores.size)
-    p_miss = [0.0]
-    p_fa = [1.0]
-    miss = 0.0
-    rejected = 0.0
-    for w, t in blocks:
-        rejected += w
-        miss += t
-        p_miss.append(miss / n_tar)
-        p_fa.append((n_non - (rejected - miss)) / n_non)
-    return np.array(p_miss), np.array(p_fa)
+def _sweep(trials: np.ndarray, targets: np.ndarray):
+    """(p_fa, p_miss) of rejecting nothing, then each longer prefix of the
+    given score-ascending groups or blocks, down to rejecting everything.
+
+    The counts are integers held as floats, so the cumulative sums are exact.
+    """
+    miss = np.cumsum(targets)
+    rejected_non = np.cumsum(trials) - miss
+    n_non = rejected_non[-1]
+    p_fa = np.concatenate([[1.0], (n_non - rejected_non) / n_non])
+    return p_fa, np.concatenate([[0.0], miss / miss[-1]])
 
 
 def eer(scores: TrialScoreSet) -> float:
@@ -129,24 +134,17 @@ def eer(scores: TrialScoreSet) -> float:
     score transforms.
     """
     _require_populations(scores)
-    return _eer(scores, _pav_fit(scores)[2])
+    return _eer(_pav_fit(scores)[1])
 
 
-def _eer(scores: TrialScoreSet, blocks) -> float:
-    p_miss, p_fa = _rocch_vertices(scores, blocks)
-    best = 0.0
-    for i in range(p_fa.size - 1):
-        x1, y1 = p_fa[i], p_miss[i]
-        x2, y2 = p_fa[i + 1], p_miss[i + 1]
-        if x1 == x2 or y1 == y2:
-            continue  # axis-parallel segment crosses the diagonal only at a vertex
-        det = x1 * y2 - y1 * x2
-        if det == 0.0:
-            continue
-        a = (y2 - y1) / det
-        b = (x1 - x2) / det
-        best = max(best, 1.0 / (a + b))
-    return float(np.clip(best, 0.0, 0.5))
+def _eer(blocks) -> float:
+    p_fa, p_miss = _sweep(*blocks[:2])  # ROC hull vertices, p_fa descending
+    x1, x2, y1, y2 = p_fa[:-1], p_fa[1:], p_miss[:-1], p_miss[1:]
+    det = x1 * y2 - y1 * x2
+    # an axis-parallel segment crosses the diagonal only at a vertex
+    seg = (x1 != x2) & (y1 != y2) & (det != 0.0)
+    crossings = 1.0 / ((y2 - y1)[seg] / det[seg] + (x1 - x2)[seg] / det[seg])
+    return float(np.clip(np.max(crossings, initial=0.0), 0.0, 0.5))
 
 
 def cllr(scores: TrialScoreSet) -> float:
@@ -157,41 +155,25 @@ def cllr(scores: TrialScoreSet) -> float:
     return 0.5 * (c_tar + c_non) / _LN2
 
 
-def _optimal_llrs(scores: TrialScoreSet, inverse, trials, blocks):
-    """PAV-calibrated natural-log LLRs per trial (targets, nontargets).
-
-    Tied-score groups are pooled first, then fit with weighted PAV; the
-    posterior of each group converts to an LLR by removing the empirical
-    prior log-odds log(n_tar / n_non). End groups may map to +-inf.
-    """
-    posterior_per_group = np.empty(trials.size)
-    group_index = 0
-    for w, t in blocks:
-        p = t / w
-        consumed = 0.0
-        while consumed < w - 0.5:  # trial counts are integral
-            posterior_per_group[group_index] = p
-            consumed += trials[group_index]
-            group_index += 1
-    with np.errstate(divide="ignore"):
-        post_log_odds = np.log(posterior_per_group) - np.log1p(-posterior_per_group)
-    prior_log_odds = np.log(scores.target_scores.size / scores.nontarget_scores.size)
-    llr_per_group = post_log_odds - prior_log_odds
-    llr_per_trial = llr_per_group[inverse]
-    n_tar = scores.target_scores.size
-    return llr_per_trial[:n_tar], llr_per_trial[n_tar:]
-
-
 def min_cllr(scores: TrialScoreSet) -> float:
     """Cllr in bits after optimal monotone (PAV) recalibration of the scores."""
     _require_populations(scores)
     return _min_cllr(scores, *_pav_fit(scores))
 
 
-def _min_cllr(scores: TrialScoreSet, inverse, trials, blocks) -> float:
-    tar_llr, non_llr = _optimal_llrs(scores, inverse, trials, blocks)
-    c_tar = float(np.mean(np.logaddexp(0.0, -tar_llr)))
-    c_non = float(np.mean(np.logaddexp(0.0, non_llr)))
+def _min_cllr(scores: TrialScoreSet, inverse, blocks) -> float:
+    """Cllr of the PAV-calibrated LLRs: each group's block posterior, less
+    the empirical prior log-odds log(n_tar / n_non). End groups may map to
+    +-inf."""
+    block_w, block_t, block_groups = blocks
+    posterior = np.repeat(block_t / block_w, block_groups)
+    with np.errstate(divide="ignore"):
+        post_log_odds = np.log(posterior) - np.log1p(-posterior)
+    prior_log_odds = np.log(scores.target_scores.size / scores.nontarget_scores.size)
+    llr_per_trial = (post_log_odds - prior_log_odds)[inverse]
+    n_tar = scores.target_scores.size
+    c_tar = float(np.mean(np.logaddexp(0.0, -llr_per_trial[:n_tar])))
+    c_non = float(np.mean(np.logaddexp(0.0, llr_per_trial[n_tar:])))
     return 0.5 * (c_tar + c_non) / _LN2
 
 
@@ -202,19 +184,9 @@ def det_points(scores: TrialScoreSet) -> list[tuple[float, float]]:
     includes the reject-all (0, 1) and accept-all (1, 0) endpoints.
     """
     _require_populations(scores)
-    _, _, trials, targets = _tied_groups(scores)
-    n_tar = float(scores.target_scores.size)
-    n_non = float(scores.nontarget_scores.size)
-    points = []
-    miss = 0.0
-    rejected = 0.0
-    points.append((1.0, 0.0))
-    for w, t in zip(trials, targets):
-        rejected += w
-        miss += t
-        points.append(((n_non - (rejected - miss)) / n_non, miss / n_tar))
-    points.reverse()
-    return points
+    _, trials, targets = _tied_groups(scores)
+    p_fa, p_miss = _sweep(trials, targets)
+    return list(zip(p_fa[::-1].tolist(), p_miss[::-1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -239,11 +211,11 @@ def evaluate(scores: TrialScoreSet) -> EvalReport:
     the tied groups built and PAV fit once for both EER and min-Cllr.
     """
     _require_populations(scores)
-    inverse, trials, blocks = _pav_fit(scores)
+    inverse, blocks = _pav_fit(scores)
     return EvalReport(
-        eer_pct=100.0 * _eer(scores, blocks),
+        eer_pct=100.0 * _eer(blocks),
         cllr_bits=cllr(scores),
-        min_cllr_bits=_min_cllr(scores, inverse, trials, blocks),
+        min_cllr_bits=_min_cllr(scores, inverse, blocks),
         n_target_trials=int(scores.target_scores.size),
         n_nontarget_trials=int(scores.nontarget_scores.size),
     )

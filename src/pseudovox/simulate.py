@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import Mapping
 
 import numpy as np
@@ -171,7 +172,8 @@ class Cohort:
 class ScenarioResult:
     scores: TrialScoreSet
     report: EvalReport
-    trial_rows: list[tuple[str, str, float, bool]]  # enroll id, utt id, score, target?
+    score_rows: list[tuple[str, str, float]]  # (enroll id, utt id, score), sorted
+    trial_rows: list[tuple[str, str, bool]]  # (enroll id, utt id, target?), same order
     f0_weight_used: float | None
 
 
@@ -309,17 +311,23 @@ def _score_trials(
         else:
             weight_used = float(f0_weight)
         scores = scores + weight_used * f0_term
-    labels = np.array(
-        [[e.speaker_id == t.speaker_id for t in trial_utts] for e in enroll_utts]
-    )
+    enroll_ids = [u.speaker_id for u in enroll_utts]
+    utt_ids = [u.utterance_id for u in trial_utts]
+    labels = np.array(enroll_ids)[:, None] == np.array([u.speaker_id for u in trial_utts])
     score_set = TrialScoreSet(scores[labels], scores[~labels])
-    rows = [
-        (e.speaker_id, t.utterance_id, float(scores[i, j]), bool(labels[i, j]))
-        for i, e in enumerate(enroll_utts)
-        for j, t in enumerate(trial_utts)
-    ]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return ScenarioResult(score_set, evaluate(score_set), rows, weight_used)
+    # both id lists are unique, so sorting each side gives (enroll, utt) order
+    enroll_order = sorted(range(len(enroll_ids)), key=enroll_ids.__getitem__)
+    utt_order = sorted(range(len(utt_ids)), key=utt_ids.__getitem__)
+    cells = np.ix_(enroll_order, utt_order)
+    enroll_col = list(chain.from_iterable(repeat(e, len(utt_ids)) for e in sorted(enroll_ids)))
+    utt_col = sorted(utt_ids) * len(enroll_ids)
+    return ScenarioResult(
+        score_set,
+        evaluate(score_set),
+        list(zip(enroll_col, utt_col, scores[cells].ravel().tolist())),
+        list(zip(enroll_col, utt_col, labels[cells].ravel().tolist())),
+        weight_used,
+    )
 
 
 def run_baseline(

@@ -13,6 +13,11 @@ The per-token text parsers and serializers at the end are the format code
 that the one-pass fast paths replaced, with LF-only lines and ASCII-only
 digits; the formats tests require the library to accept, reject (same error
 type and message) and write exactly what they do.
+
+The metric loops and the sort-built simulate rows at the very end are the
+code that the one-sweep metrics and the one trial table of ``simulate``
+replaced: the metrics and simulate tests require those to return exactly
+(``repr``-equal) what these do.
 """
 
 import math
@@ -21,9 +26,11 @@ import re
 import numpy as np
 
 from pseudovox import errors
-from pseudovox.f0 import F0Contour, LogF0Stats
-from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding
+from pseudovox.f0 import F0Contour, LogF0Stats, compute_log_f0_stats
+from pseudovox.metrics import EvalReport, TrialScoreSet
+from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding, plda_score_matrix, project_many
 from pseudovox.selection import PoolSpeaker
+from pseudovox.simulate import AttackerModel
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -514,3 +521,179 @@ def serialize_report(report):
 def serialize_keyvalues(values):
     lines = [f"{_check_out_id(k)} {_check_out_id(str(v))}" for k, v in sorted(values.items())]
     return _joined(lines)
+
+
+# --- metric loops and sort-built simulate rows ---------------------------------
+
+_LN2 = float(np.log(2.0))
+
+
+def _tied_groups(tar, non):
+    """Distinct pooled score values (ascending) with trial and target counts."""
+    pooled = np.concatenate([tar, non])
+    labels = np.concatenate([np.ones(tar.size), np.zeros(non.size)])
+    distinct, inverse = np.unique(pooled, return_inverse=True)
+    trials = np.bincount(inverse, minlength=distinct.size).astype(np.float64)
+    targets = np.bincount(inverse, weights=labels, minlength=distinct.size)
+    return distinct, inverse, trials, targets
+
+
+def _pav_blocks(trials, targets):
+    """Per-block [trial_count, target_count], nondecreasing target proportion."""
+    blocks = []
+    for w, t in zip(trials, targets):
+        blocks.append([float(w), float(t)])
+        # merge while previous proportion >= current: t1/w1 >= t2/w2
+        while len(blocks) > 1 and blocks[-2][1] * blocks[-1][0] >= blocks[-1][1] * blocks[-2][0]:
+            w2, t2 = blocks.pop()
+            blocks[-1][0] += w2
+            blocks[-1][1] += t2
+    return blocks
+
+
+def _rocch_vertices(tar, non, blocks):
+    """Vertices (p_miss, p_fa) of the ROC convex hull, p_fa descending."""
+    n_tar = float(tar.size)
+    n_non = float(non.size)
+    p_miss = [0.0]
+    p_fa = [1.0]
+    miss = 0.0
+    rejected = 0.0
+    for w, t in blocks:
+        rejected += w
+        miss += t
+        p_miss.append(miss / n_tar)
+        p_fa.append((n_non - (rejected - miss)) / n_non)
+    return np.array(p_miss), np.array(p_fa)
+
+
+def _eer(tar, non, blocks):
+    p_miss, p_fa = _rocch_vertices(tar, non, blocks)
+    best = 0.0
+    for i in range(p_fa.size - 1):
+        x1, y1 = p_fa[i], p_miss[i]
+        x2, y2 = p_fa[i + 1], p_miss[i + 1]
+        if x1 == x2 or y1 == y2:
+            continue  # axis-parallel segment crosses the diagonal only at a vertex
+        det = x1 * y2 - y1 * x2
+        if det == 0.0:
+            continue
+        a = (y2 - y1) / det
+        b = (x1 - x2) / det
+        best = max(best, 1.0 / (a + b))
+    return float(np.clip(best, 0.0, 0.5))
+
+
+def _optimal_llrs(tar, non, inverse, trials, blocks):
+    """PAV-calibrated natural-log LLRs per trial (targets, nontargets)."""
+    posterior_per_group = np.empty(trials.size)
+    group_index = 0
+    for w, t in blocks:
+        p = t / w
+        consumed = 0.0
+        while consumed < w - 0.5:  # trial counts are integral
+            posterior_per_group[group_index] = p
+            consumed += trials[group_index]
+            group_index += 1
+    with np.errstate(divide="ignore"):
+        post_log_odds = np.log(posterior_per_group) - np.log1p(-posterior_per_group)
+    prior_log_odds = np.log(tar.size / non.size)
+    llr_per_group = post_log_odds - prior_log_odds
+    llr_per_trial = llr_per_group[inverse]
+    return llr_per_trial[: tar.size], llr_per_trial[tar.size :]
+
+
+def _min_cllr(tar, non, inverse, trials, blocks):
+    tar_llr, non_llr = _optimal_llrs(tar, non, inverse, trials, blocks)
+    c_tar = float(np.mean(np.logaddexp(0.0, -tar_llr)))
+    c_non = float(np.mean(np.logaddexp(0.0, non_llr)))
+    return 0.5 * (c_tar + c_non) / _LN2
+
+
+def loop_eer(tar, non):
+    """ROCCH-EER from the per-block vertex loop and the per-segment loop."""
+    _, _, trials, targets = _tied_groups(tar, non)
+    return _eer(tar, non, _pav_blocks(trials, targets))
+
+
+def loop_min_cllr(tar, non):
+    """Min-Cllr with each group's posterior filled in by a per-group loop."""
+    _, inverse, trials, targets = _tied_groups(tar, non)
+    return _min_cllr(tar, non, inverse, trials, _pav_blocks(trials, targets))
+
+
+def loop_evaluate(tar, non):
+    """``EvalReport`` from one PAV fit shared by the two loops above."""
+    _, inverse, trials, targets = _tied_groups(tar, non)
+    blocks = _pav_blocks(trials, targets)
+    c_tar = float(np.mean(np.logaddexp(0.0, -tar)))
+    c_non = float(np.mean(np.logaddexp(0.0, non)))
+    return EvalReport(
+        eer_pct=100.0 * _eer(tar, non, blocks),
+        cllr_bits=0.5 * (c_tar + c_non) / _LN2,
+        min_cllr_bits=_min_cllr(tar, non, inverse, trials, blocks),
+        n_target_trials=int(tar.size),
+        n_nontarget_trials=int(non.size),
+    )
+
+
+def loop_det_points(tar, non):
+    """DET points from a per-group threshold sweep, ascending in p_fa.
+
+    The swept points hold NumPy scalars, where the library returns Python
+    floats of the same values."""
+    _, _, trials, targets = _tied_groups(tar, non)
+    n_tar = float(tar.size)
+    n_non = float(non.size)
+    points = []
+    miss = 0.0
+    rejected = 0.0
+    points.append((1.0, 0.0))
+    for w, t in zip(trials, targets):
+        rejected += w
+        miss += t
+        points.append(((n_non - (rejected - miss)) / n_non, miss / n_tar))
+    points.reverse()
+    return points
+
+
+def sorted_trial_rows(cohort, enroll_utts, trial_utts, attacker, f0_weight):
+    """Scores, rows and f0 weight of one scenario, rows built per trial.
+
+    Takes ``simulate._score_trials``'s arguments. Returns (score set, score
+    rows, trial rows, f0 weight used): one 4-tuple per (enroll, trial) cell,
+    sorted on (enroll id, utterance id) keys, then split into the
+    (enroll, utt, score) and (enroll, utt, target) records of ``scores.txt``
+    and ``trials.txt``.
+    """
+    enroll_latents = project_many(
+        cohort.plda, np.stack([u.embedding for u in enroll_utts]), length_norm=False
+    )
+    trial_latents = project_many(
+        cohort.plda, np.stack([u.embedding for u in trial_utts]), length_norm=False
+    )
+    scores = plda_score_matrix(cohort.plda, enroll_latents, trial_latents)
+    weight_used = None
+    if attacker is AttackerModel.EMBEDDING_PLUS_F0:
+        enroll_f0 = np.array([compute_log_f0_stats(u.contour).mean for u in enroll_utts])
+        trial_f0 = np.array([compute_log_f0_stats(u.contour).mean for u in trial_utts])
+        f0_term = -np.abs(enroll_f0[:, None] - trial_f0[None, :])
+        if f0_weight is None:
+            spread = float(f0_term.std())
+            weight_used = float(scores.std()) / spread if spread > 1e-12 else 0.0
+        else:
+            weight_used = float(f0_weight)
+        scores = scores + weight_used * f0_term
+    labels = np.array(
+        [[e.speaker_id == t.speaker_id for t in trial_utts] for e in enroll_utts]
+    )
+    score_set = TrialScoreSet(scores[labels], scores[~labels])
+    rows = [
+        (e.speaker_id, t.utterance_id, float(scores[i, j]), bool(labels[i, j]))
+        for i, e in enumerate(enroll_utts)
+        for j, t in enumerate(trial_utts)
+    ]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    score_rows = [(e, u, s) for e, u, s, _ in rows]
+    trial_rows = [(e, u, t) for e, u, _, t in rows]
+    return score_set, score_rows, trial_rows, weight_used

@@ -194,6 +194,20 @@ def test_anonymize_pool_too_small_names_speaker(tmp_path, runner):
     assert not (out / "mapping.txt").exists()
 
 
+def test_anonymize_rejects_an_utterance_under_two_speakers(tmp_path, runner):
+    paths = build_anonymize_inputs(tmp_path)
+    lines = Path(paths["embeddings"]).read_text().splitlines(keepends=True)
+    write(tmp_path / "embeddings.txt", "".join(lines) + "src9 src0-u0 M 1.0 0.5 0.0 0.0\n")
+    before = sorted(tmp_path.iterdir())
+    result = runner.invoke(main, anonymize_args(paths, tmp_path / "out"))
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"error: {paths['embeddings']}: utterance 'src0-u0' is listed under"
+        " speakers 'src0' and 'src9'\n"
+    )
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_anonymize_default_selection_sizes(tmp_path, runner):
     assert SelectionConfig().k_far == 200
     assert SelectionConfig().k_sel == 100
@@ -344,6 +358,24 @@ def test_score_missing_id_fails(tmp_path, runner):
     assert result.exit_code != 0
     assert "ghost" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("first, second", [("a", "b"), ("b", "a")])
+def test_score_rejects_an_utterance_under_two_speakers(tmp_path, runner, first, second):
+    inputs = build_score_inputs(tmp_path, dim=2)
+    trials = write(
+        tmp_path / "trials_emb.txt",
+        f"{first} u1 M 1.0 0.5\n{second} u1 M -1.0 0.2\n",
+    )
+    key = write(tmp_path / "key.txt", "e1 u1 target\n")
+    out = tmp_path / "scores.txt"
+    before = sorted(tmp_path.iterdir())
+    result = runner.invoke(main, ["score", inputs["plda"], inputs["enroll"], trials, key, str(out)])
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"error: {trials}: utterance 'u1' is listed under speakers {first!r} and {second!r}\n"
+    )
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # --- eval ----------------------------------------------------------------------

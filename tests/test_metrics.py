@@ -17,6 +17,7 @@ from pseudovox.metrics import (
     min_cllr,
 )
 
+import oracles
 from oracles import brute_force_eer, cllr_direct
 
 
@@ -197,3 +198,72 @@ SCORES = st.lists(st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0, 40.0])
 def test_evaluate_equals_the_separate_metrics(tar, non):
     s = scores(tar, non)
     assert evaluate(s) == EvalReport(100.0 * eer(s), cllr(s), min_cllr(s), len(tar), len(non))
+
+
+# --- the one sweep equals the loops it replaced (tests/oracles.py) ------------
+
+TIED = st.sampled_from([-3.0, -1.0, 0.0, 0.25, 1.0, 2.0])
+EXTREME = st.sampled_from([5e-324, 1e-300, 1e-30, 1e30, 1e300]).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+ANY = TIED | EXTREME | st.floats(-50, 50)
+
+
+def sides(values, max_size=40):
+    return st.tuples(
+        st.lists(values, min_size=1, max_size=max_size),
+        st.lists(values, min_size=1, max_size=max_size),
+    )
+
+
+@st.composite
+def all_tied(draw):
+    value = draw(ANY)
+    return [value] * draw(st.integers(1, 20)), [value] * draw(st.integers(1, 20))
+
+
+@st.composite
+def separated(draw):
+    """Every target above every nontarget, or every target below."""
+    distinct = sorted(set(draw(st.lists(ANY, min_size=2, max_size=40))))
+    if len(distinct) < 2:
+        distinct = [0.0, 1.0]
+    cut = draw(st.integers(1, len(distinct) - 1))
+    low, high = distinct[:cut], distinct[cut:]
+    low = draw(st.lists(st.sampled_from(low), min_size=1, max_size=20))
+    high = draw(st.lists(st.sampled_from(high), min_size=1, max_size=20))
+    return (high, low) if draw(st.booleans()) else (low, high)
+
+
+TRIAL_SETS = st.one_of(
+    sides(TIED),  # heavy ties: PAV merges and tied groups everywhere
+    all_tied(),
+    sides(ANY, max_size=1),  # one target, one nontarget
+    separated(),
+    sides(EXTREME),  # tiny and huge magnitudes
+    sides(ANY),
+)
+
+
+def exact(points):
+    return repr([(float(x), float(y)) for x, y in points])
+
+
+@settings(max_examples=500, deadline=None)
+@given(TRIAL_SETS)
+def test_metrics_equal_the_loop_oracles(trial_set):
+    tar, non = (np.asarray(side, float) for side in trial_set)
+    s = scores(tar, non)
+    assert repr(evaluate(s)) == repr(oracles.loop_evaluate(tar, non))
+    assert repr(eer(s)) == repr(oracles.loop_eer(tar, non))
+    assert repr(min_cllr(s)) == repr(oracles.loop_min_cllr(tar, non))
+    assert exact(det_points(s)) == exact(oracles.loop_det_points(tar, non))
+
+
+def test_metrics_equal_the_loop_oracles_on_a_large_overlapping_set():
+    rng = np.random.default_rng(5)
+    tar = rng.normal(1.0, 1.0, 20_000).round(2)
+    non = rng.normal(-1.0, 1.0, 60_000).round(2)
+    s = scores(tar, non)
+    assert repr(evaluate(s)) == repr(oracles.loop_evaluate(tar, non))
+    assert exact(det_points(s)) == exact(oracles.loop_det_points(tar, non))

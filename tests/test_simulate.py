@@ -1,6 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from pseudovox import simulate
 from pseudovox.errors import InvalidSpecError
 from pseudovox.metrics import TrialScoreSet, evaluate
 from pseudovox.plda import Gender, plda_score, project
@@ -116,6 +122,7 @@ def test_scenario_is_deterministic_and_thread_invariant():
     r1 = run_scenario(cohort, cfg, SEL)
     r2 = run_scenario(cohort, cfg, SEL)
     r4 = run_scenario(cohort, cfg, SEL, threads=4)
+    assert r1.score_rows == r2.score_rows == r4.score_rows
     assert r1.trial_rows == r2.trial_rows == r4.trial_rows
     assert r1.report == r2.report == r4.report
     assert r1.f0_weight_used == r4.f0_weight_used
@@ -210,4 +217,35 @@ def test_gender_policy_flows_from_scenario_config():
                        gender_policy=GenderPolicy.OPPOSITE, trial_seed=9),
         SEL,
     )
-    assert same.trial_rows != opposite.trial_rows
+    assert same.score_rows != opposite.score_rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_per_gender=st.integers(2, 5),
+    utts=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    attack=st.sampled_from(AttackModel),
+    f0_mode=st.sampled_from(F0Mode),
+    attacker=st.sampled_from(AttackerModel),
+    f0_weight=st.sampled_from([None, 0.5]),
+)
+def test_scenario_rows_equal_the_sorted_oracle(
+    n_per_gender, utts, seed, attack, f0_mode, attacker, f0_weight
+):
+    """The rows indexed out of the score matrix are the per-trial rows that
+    one sort on (enroll, utt) keys gave, split into the two files' records."""
+    cohort = generate_cohort(CohortSpec(
+        n_speakers_per_gender=n_per_gender, utts_per_speaker=utts, embed_dim=4,
+        frames_per_utt=20, seed=seed,
+    ))
+    cfg = ScenarioConfig(attack=attack, f0_mode=f0_mode, attacker=attacker, f0_weight=f0_weight)
+    calls = []
+    real = simulate._score_trials
+    with patch.object(simulate, "_score_trials", lambda *args: calls.append(args) or real(*args)):
+        result = run_scenario(cohort, cfg, SelectionConfig(k_far=2, k_sel=1, length_norm=False))
+    score_set, score_rows, trial_rows, weight = oracles.sorted_trial_rows(*calls[0])
+    assert repr(result.score_rows) == repr(score_rows)
+    assert repr(result.trial_rows) == repr(trial_rows)
+    assert result.scores == score_set
+    assert repr(result.f0_weight_used) == repr(weight)
