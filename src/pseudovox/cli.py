@@ -4,7 +4,10 @@ Every subcommand is a thin shell over the library; file outputs are
 byte-identical to direct library calls. Global flags (``--seed``,
 ``--config``, ``--threads``, ``--det-out``) are given before the subcommand::
 
-    pseudovox --seed 7 --threads 4 anonymize --pool pool.txt ...
+    pseudovox --seed 7 anonymize --pool pool.txt ...
+
+Every command runs on one thread; ``--threads`` is accepted for compatibility
+and has no effect.
 
 Configuration files are ``key value`` lines whose keys mirror the flag names;
 flags win when both are given. Diagnostics go to stderr; the exit code is 0
@@ -17,14 +20,15 @@ import errno
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, NoReturn, TypeVar
 
 import click
 import numpy as np
 
 from . import __version__
-from .concurrency import parallel_map
 from .errors import (
+    DimensionMismatchError,
     InvalidValueError,
     NoVoicedFramesError,
     PoolTooSmallError,
@@ -91,20 +95,39 @@ def _parse_utterances(text: str) -> list[SpeakerEmbedding]:
     return embeddings
 
 
+def _of_dim(parse: Callable[[str], list[SpeakerEmbedding]], dim: int | None, of: str):
+    """``parse``, then require ``dim`` components (one file has one dimension)."""
+    def checked(text: str) -> list[SpeakerEmbedding]:
+        embeddings = parse(text)
+        if dim is not None and embeddings and embeddings[0].vector.size != dim:
+            raise DimensionMismatchError(
+                f"embedding dimension {embeddings[0].vector.size} != {of} dimension {dim}"
+            )
+        return embeddings
+
+    return checked
+
+
 def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
     """Write each output to a hidden temp file beside its target, then rename
     them all into place in the given order; callers put the manifest last.
 
-    No target is touched unless every temp file was written and no target is
-    a directory. The temp files are always removed, and so are the
-    directories made here if the set is not written.
+    No target is touched unless every temp file was written, no target is
+    a directory and no two outputs resolve to the same file. The temp files
+    are always removed, and so are the directories made here if the set is
+    not written.
     """
     staged: list[tuple[Path, Path]] = []
     created: list[Path] = []
+    targets: set[str] = set()
     written = False
     try:
         for path, data in outputs:
             _make_dirs(path.parent, created)
+            target = os.path.realpath(path)
+            if target in targets:
+                raise OSError("another output of this command is the same file")
+            targets.add(target)
             tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((path, tmp))
@@ -142,8 +165,8 @@ def _make_dirs(directory: Path, created: list[Path]) -> None:
         created.append(directory)
 
 
-def _encoded(outputs: dict[Path, str]) -> Iterable[tuple[Path, bytes]]:
-    return ((path, text.encode("utf-8")) for path, text in outputs.items())
+def _encoded(outputs: Iterable[tuple[Path, str]]) -> Iterable[tuple[Path, bytes]]:
+    return ((path, text.encode("utf-8")) for path, text in outputs)
 
 
 def _manifest(command: str, entries: dict[str, str]) -> str:
@@ -156,15 +179,15 @@ def _manifest(command: str, entries: dict[str, str]) -> str:
 
 
 def _write_with_manifest(out_file: str, text: str, command: str, entries: dict[str, str],
-                         extra: dict[Path, str]) -> None:
+                         extra: list[tuple[Path, str]]) -> None:
     """Write ``out_file``, then ``extra``, then the manifest ``<out_file>.manifest``."""
     out = Path(out_file)
     manifest = out.with_name(out.name + ".manifest")
-    _write_outputs(_encoded({out: text, **extra, manifest: _manifest(command, entries)}))
+    _write_outputs(_encoded([(out, text), *extra, (manifest, _manifest(command, entries))]))
 
 
 def _write_out_dir(out_dir: str, data: dict[str, str], command: str, entries: dict[str, str],
-                   extra: dict[Path, str]) -> None:
+                   extra: list[tuple[Path, str]]) -> None:
     """Write ``data`` into ``out_dir``, then ``extra``, then ``manifest.txt``
     with an ``output_sha256_<name>`` entry for each ``data`` file."""
     out = Path(out_dir)
@@ -175,7 +198,7 @@ def _write_out_dir(out_dir: str, data: dict[str, str], command: str, entries: di
             entries[f"output_sha256_{name.removesuffix('.txt')}"] = formats.sha256_hex(raw)
             yield out / name, raw
             del raw
-        yield from _encoded({**extra, out / "manifest.txt": _manifest(command, entries)})
+        yield from _encoded([*extra, (out / "manifest.txt", _manifest(command, entries))])
 
     _write_outputs(outputs())
 
@@ -208,31 +231,24 @@ def _convert(key: str, raw: str, kind):
         raise InvalidValueError(f"bad value {raw!r} for key {key!r}") from None
 
 
-def _det_output(obj, score_set: TrialScoreSet) -> dict[Path, str]:
+def _det_output(obj, score_set: TrialScoreSet) -> list[tuple[Path, str]]:
     """The ``--det-out`` file and its text, if the flag was given."""
     if obj.det_out is None:
-        return {}
-    return {Path(obj.det_out): formats.serialize_det(det_points(score_set))}
-
-
-class _Cli:
-    def __init__(self, seed, config, threads, det_out):
-        self.seed = seed
-        self.config = config
-        self.threads = threads
-        self.det_out = det_out
+        return []
+    return [(Path(obj.det_out), formats.serialize_det(det_points(score_set)))]
 
 
 @click.group()
 @click.version_option(__version__)
 @click.option("--seed", type=int, default=None, help="Global selection/cohort seed override.")
 @click.option("--config", type=click.Path(), default=None, help="'key value' config file.")
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, help="Worker threads for batch steps.")
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, expose_value=False,
+              help="Accepted for compatibility; has no effect (every command runs on one thread).")
 @click.option("--det-out", type=click.Path(), default=None, help="Write DET operating points to this file.")
 @click.pass_context
-def main(ctx, seed, config, threads, det_out):
+def main(ctx, seed, config, det_out):
     """X-vector pseudo-speaker pipeline and privacy-linkability evaluation."""
-    ctx.obj = _Cli(seed, config, threads, det_out)
+    ctx.obj = SimpleNamespace(seed=seed, config=config, det_out=det_out)
 
 
 # --- stats -------------------------------------------------------------------
@@ -256,7 +272,7 @@ def stats(contours_file, out_stats_file):
                     err=True,
                 )
         entries["n_utterances"] = str(len(records))
-        _write_with_manifest(out_stats_file, formats.serialize_stats(records), "stats", entries, {})
+        _write_with_manifest(out_stats_file, formats.serialize_stats(records), "stats", entries, [])
     except PseudovoxError as exc:
         _fail(str(exc))
 
@@ -302,7 +318,9 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
             plda_model = _read(plda_file, "plda", entries, formats.parse_plda)
         pool = _read(pool_file, "pool", entries,
                      lambda text: SpeakerPool(formats.parse_pool(text), plda_model))
-        embeddings = _read(embeddings_file, "embeddings", entries, _parse_utterances)
+        pool_dim = pool.speakers[0].mean_embedding.size if len(pool) else None
+        embeddings = _read(embeddings_file, "embeddings", entries,
+                           _of_dim(_parse_utterances, pool_dim, "pool"))
         contours = _read(contours_file, "contours", entries, formats.parse_contours)
 
         contour_by_utt = {c.utterance_id: c for c in contours}
@@ -316,7 +334,11 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
             by_speaker.setdefault(emb.speaker_id, []).append(emb)
         speakers = sorted(by_speaker)
 
-        def derive(speaker_id: str):
+        mapping_rows = []
+        xvector_rows = []
+        stats_rows = []
+        contour_rows = []
+        for speaker_id in speakers:
             embs = by_speaker[speaker_id]
             source = SpeakerEmbedding(
                 speaker_id,
@@ -327,7 +349,11 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
                 pseudo = derive_pseudo_speaker(pool, source, sel)
             except PoolTooSmallError as exc:
                 raise PoolTooSmallError(f"speaker {speaker_id!r}: {exc}") from None
-            out_contours = []
+            mapping_rows.append((speaker_id, pseudo.seed_used, tuple(pseudo.member_ids)))
+            xvector_rows.append(
+                SpeakerEmbedding(speaker_id, source.gender, pseudo.xvector, "pseudo")
+            )
+            stats_rows.append((speaker_id, pseudo.f0_stats))
             for emb in embs:
                 contour = contour_by_utt[emb.utterance_id]
                 if mode is F0Mode.MODIFIED:
@@ -340,23 +366,8 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
                         contour = transform_contour(
                             contour, compute_log_f0_stats(contour), pseudo.f0_stats
                         )
-                out_contours.append(contour)
-            return pseudo, source.gender, out_contours
-
-        results = parallel_map(derive, speakers, obj.threads)
+                contour_rows.append(contour)
         del pool  # free its cached latents before the outputs are serialized
-
-        mapping_rows = []
-        xvector_rows = []
-        stats_rows = []
-        contour_rows = []
-        for speaker_id, (pseudo, gender, out_contours) in zip(speakers, results):
-            mapping_rows.append((speaker_id, pseudo.seed_used, tuple(pseudo.member_ids)))
-            xvector_rows.append(
-                SpeakerEmbedding(speaker_id, gender, pseudo.xvector, "pseudo")
-            )
-            stats_rows.append((speaker_id, pseudo.f0_stats))
-            contour_rows.extend(out_contours)
 
         data_outputs = {
             "mapping.txt": formats.serialize_mapping(mapping_rows),
@@ -374,7 +385,7 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
             "f0_mode": mode.value,
             "n_source_speakers": str(len(speakers)),
         })
-        _write_out_dir(out_dir, data_outputs, "anonymize", entries, {})
+        _write_out_dir(out_dir, data_outputs, "anonymize", entries, [])
     except PseudovoxError as exc:
         _fail(str(exc))
 
@@ -394,8 +405,10 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
     try:
         entries = {"length_norm": "true" if length_norm else "false"}
         model = _read(plda_file, "plda", entries, formats.parse_plda)
-        enroll = _read(enroll_file, "enroll", entries, formats.parse_embeddings)
-        trials_emb = _read(trial_embeddings, "trial_embeddings", entries, _parse_utterances)
+        enroll = _read(enroll_file, "enroll", entries,
+                       _of_dim(formats.parse_embeddings, model.dim, "model"))
+        trials_emb = _read(trial_embeddings, "trial_embeddings", entries,
+                           _of_dim(_parse_utterances, model.dim, "model"))
         key_rows = _read(trial_key, "trial_key", entries, formats.parse_trials)
 
         # row of each id in the stacked latents below: first-appearance order
@@ -426,7 +439,7 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
         rows = [(e, t, llr) for (e, t, _), llr in zip(key_rows, llrs.tolist())]
 
         entries["n_trials"] = str(len(rows))
-        _write_with_manifest(out_scores, formats.serialize_scores(rows), "score", entries, {})
+        _write_with_manifest(out_scores, formats.serialize_scores(rows), "score", entries, [])
     except PseudovoxError as exc:
         _fail(str(exc))
 
@@ -505,34 +518,22 @@ _SIM_SEL_DEFAULTS = {"k_far": 12, "k_sel": 6, "length_norm": False}
 
 
 def _build_simulation(resolved: dict) -> tuple[CohortSpec, ScenarioConfig, SelectionConfig]:
-    cohort_kwargs = {}
-    for key in (
-        "n_speakers_per_gender",
-        "utts_per_speaker",
-        "embed_dim",
-        "between_var",
-        "within_var",
-        "f0_between_std",
-        "f0_within_std",
-        "frames_per_utt",
-        "seed",
-    ):
-        if key in resolved:
-            cohort_kwargs[key] = resolved[key]
+    def given(*keys: str) -> dict:
+        return {key: resolved[key] for key in keys if key in resolved}
+
+    cohort_kwargs = given("n_speakers_per_gender", "utts_per_speaker", "embed_dim", "between_var",
+                          "within_var", "f0_between_std", "f0_within_std", "frames_per_utt", "seed")
     if "f0_mean_male" in resolved or "f0_mean_female" in resolved:
         defaults = CohortSpec().f0_gender_means
         cohort_kwargs["f0_gender_means"] = {
             Gender.MALE: resolved.get("f0_mean_male", defaults[Gender.MALE]),
             Gender.FEMALE: resolved.get("f0_mean_female", defaults[Gender.FEMALE]),
         }
-    scenario_kwargs = {"attack": resolved.get("attack", AttackModel.ORIGINAL_TO_ANONYMIZED)}
-    for key in ("f0_mode", "gender_policy", "enroll_seed", "trial_seed", "attacker", "f0_weight"):
-        if key in resolved:
-            scenario_kwargs[key] = resolved[key]
-    sel_kwargs = dict(_SIM_SEL_DEFAULTS)
-    for key in ("k_far", "k_sel", "scorer", "length_norm"):
-        if key in resolved:
-            sel_kwargs[key] = resolved[key]
+    scenario_kwargs = {
+        "attack": AttackModel.ORIGINAL_TO_ANONYMIZED,
+        **given("attack", "f0_mode", "gender_policy", "enroll_seed", "trial_seed", "attacker", "f0_weight"),
+    }
+    sel_kwargs = {**_SIM_SEL_DEFAULTS, **given("k_far", "k_sel", "scorer", "length_norm")}
     return CohortSpec(**cohort_kwargs), ScenarioConfig(**scenario_kwargs), SelectionConfig(**sel_kwargs)
 
 
@@ -569,7 +570,7 @@ def simulate(obj, out_dir, **flags):
         spec, scenario, sel = _build_simulation(resolved)
 
         cohort = generate_cohort(spec)
-        result = run_scenario(cohort, scenario, sel, threads=obj.threads)
+        result = run_scenario(cohort, scenario, sel)
 
         user_embeddings = [
             SpeakerEmbedding(u.speaker_id, u.gender, u.embedding, u.utterance_id)

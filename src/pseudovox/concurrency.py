@@ -1,4 +1,6 @@
-"""Order-preserving parallel map used by batch anonymization and simulation."""
+"""Order-preserving parallel map. No package module imports it: every command
+runs on one thread, the benchmark tracer (``perfbench/spans.py``) is its only
+importer, and the next change to the benchmark deletes it."""
 
 from __future__ import annotations
 

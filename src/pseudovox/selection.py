@@ -22,7 +22,6 @@ bounded draws, so member sets are identical across platforms and runs.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -184,9 +183,6 @@ class SpeakerPool:
     speakers: tuple[PoolSpeaker, ...]
     plda: PldaModel | None = None
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "speakers", tuple(self.speakers))
@@ -204,10 +200,9 @@ class SpeakerPool:
 
     def _cached(self, key, build):
         """``build()``, computed once per key for the life of the pool."""
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .concurrency import parallel_map
 from .errors import InvalidSpecError
 from .f0 import F0Contour, LogF0Stats, compute_log_f0_stats, transform_contour
 from .metrics import EvalReport, TrialScoreSet, evaluate
@@ -98,6 +97,9 @@ class CohortSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "f0_gender_means", dict(self.f0_gender_means))
+        for name in ("between_var", "within_var", "f0_between_std", "f0_within_std"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be finite")
         if self.n_speakers_per_gender < 1 or self.utts_per_speaker < 1:
             raise InvalidSpecError("cohort needs >= 1 speaker per gender and utterance")
         if self.embed_dim < 1 or self.frames_per_utt < 2:
@@ -108,6 +110,9 @@ class CohortSpec:
             raise InvalidSpecError("F0 spread parameters must be positive")
         if set(self.f0_gender_means) != {Gender.MALE, Gender.FEMALE}:
             raise InvalidSpecError("f0_gender_means must cover both genders")
+        for gender, mean in self.f0_gender_means.items():
+            if not np.isfinite(mean):
+                raise InvalidSpecError(f"f0_mean_{gender.name.lower()} must be finite")
         if not self.f0_gender_means[Gender.FEMALE] > self.f0_gender_means[Gender.MALE]:
             raise InvalidSpecError("female mean log-F0 must exceed the male mean")
         if not 0 <= int(self.seed) < (1 << 64):
@@ -188,9 +193,9 @@ def generate_cohort(spec: CohortSpec) -> Cohort:
     """Sample pool, users and the matching true PLDA model, deterministically.
 
     Every speaker gets an independent generator seeded from ``spec.seed`` and
-    the speaker id, so generation order (or parallelism) cannot change the
-    cohort. Pool speakers expose their identity vector as the pool mean
-    embedding and their true per-speaker F0 statistics.
+    the speaker id, so generation order cannot change the cohort. Pool
+    speakers expose their identity vector as the pool mean embedding and
+    their true per-speaker F0 statistics.
     """
     pool_speakers = []
     users = []
@@ -270,18 +275,14 @@ def _anonymize_side(
     sel: SelectionConfig,
     side_seed: int,
     which: str,
-    threads: int = 1,
 ) -> list[SimUtterance]:
     side_sel = replace(sel, global_seed=side_seed, gender_policy=cfg.gender_policy)
-
-    def one(user: SimSpeaker) -> list[SimUtterance]:
+    out = []
+    for user in cohort.users:
         pseudo = derive_pseudo_speaker(cohort.pool, _source_embedding(user), side_sel)
         utts = [user.enrollment] if which == "enroll" else user.trial_utterances
-        return [
-            _anonymize_utterance(cohort, u, pseudo, side_seed, cfg.f0_mode) for u in utts
-        ]
-
-    return [u for group in parallel_map(one, cohort.users, threads) for u in group]
+        out.extend(_anonymize_utterance(cohort, u, pseudo, side_seed, cfg.f0_mode) for u in utts)
+    return out
 
 
 def _score_trials(
@@ -346,7 +347,6 @@ def run_scenario(
     cfg: ScenarioConfig,
     sel: SelectionConfig,
     *,
-    threads: int = 1,
     allow_equal_seeds: bool = False,
 ) -> ScenarioResult:
     """Simulate one attack scenario and evaluate the attacker's linkability.
@@ -364,9 +364,9 @@ def run_scenario(
         and not allow_equal_seeds
     ):
         raise InvalidSpecError("a-a requires enroll_seed != trial_seed")
-    trial_utts = _anonymize_side(cohort, cfg, sel, cfg.trial_seed, "trial", threads)
+    trial_utts = _anonymize_side(cohort, cfg, sel, cfg.trial_seed, "trial")
     if cfg.attack is AttackModel.ORIGINAL_TO_ANONYMIZED:
         enroll_utts = [user.enrollment for user in cohort.users]
     else:
-        enroll_utts = _anonymize_side(cohort, cfg, sel, cfg.enroll_seed, "enroll", threads)
+        enroll_utts = _anonymize_side(cohort, cfg, sel, cfg.enroll_seed, "enroll")
     return _score_trials(cohort, enroll_utts, trial_utts, cfg.attacker, cfg.f0_weight)

@@ -3,8 +3,6 @@ replaced (``tests/oracles.py``), and the per-pair loops stay gone."""
 
 import dataclasses
 import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from hypothesis import strategies as st
 import pseudovox.plda
 from pseudovox import formats, selection
 from pseudovox.cli import main
-from pseudovox.concurrency import parallel_map
 from pseudovox.f0 import LogF0Stats
 from pseudovox.plda import (
     Gender,
@@ -159,32 +156,23 @@ def sources_of(pool, rng, d):
     ]
 
 
-@pytest.mark.parametrize("threads", [1, 2, 8])
-def test_pool_is_projected_once_per_gender(threads, monkeypatch):
+def test_pool_is_projected_once_per_gender(monkeypatch):
     rng = np.random.default_rng(5)
     d = 6
     pool = SpeakerPool(random_pool(rng, 9, d).speakers[:16], random_model(rng, d))
     sizes = sorted(sum(s.gender is g for s in pool.speakers) for g in Gender)
     assert sizes == [7, 9]
     rows = []
-    lock = threading.Lock()
     project_many = selection.project_many
 
     def counting(model, vectors, length_norm=True):
-        with lock:
-            rows.append(len(vectors))
-        time.sleep(0.02)  # widen the window in which two threads could both build
+        rows.append(len(vectors))
         return project_many(model, vectors, length_norm=length_norm)
 
     monkeypatch.setattr(selection, "project_many", counting)
     cfg = SelectionConfig(k_far=5, k_sel=2)
     sources = sources_of(pool, rng, d)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost update
-    try:
-        results = parallel_map(lambda src: derive_pseudo_speaker(pool, src, cfg), sources, threads)
-    finally:
-        sys.setswitchinterval(interval)
+    results = [derive_pseudo_speaker(pool, src, cfg) for src in sources]
     assert len(results) == len(sources)
     assert sorted(rows) == sizes
 

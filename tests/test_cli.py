@@ -280,6 +280,20 @@ def test_anonymize_out_dir_is_a_file(tmp_path, runner):
     assert out.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("scorer", ["plda", "cosine"])
+def test_anonymize_embedding_dimension_error_names_the_file(tmp_path, runner, scorer):
+    paths = build_anonymize_inputs(tmp_path, dim=4)
+    (tmp_path / "d3").mkdir()
+    embeddings = build_anonymize_inputs(tmp_path / "d3", dim=3)["embeddings"]
+    out = tmp_path / "anon"
+    result = runner.invoke(
+        main, anonymize_args({**paths, "embeddings": embeddings}, out, ["--scorer", scorer])
+    )
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {embeddings}: embedding dimension 3 != pool dimension 4\n"
+    assert not out.exists()
+
+
 # --- score ---------------------------------------------------------------------
 
 
@@ -378,6 +392,21 @@ def test_score_rejects_an_utterance_under_two_speakers(tmp_path, runner, first, 
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("which", ["enroll", "trials_emb"])
+def test_score_embedding_dimension_error_names_the_file(tmp_path, runner, which):
+    inputs = build_score_inputs(tmp_path, dim=4)
+    (tmp_path / "d3").mkdir()
+    inputs[which] = build_score_inputs(tmp_path / "d3", dim=3)[which]
+    out = tmp_path / "scores.txt"
+    result = runner.invoke(
+        main,
+        ["score", inputs["plda"], inputs["enroll"], inputs["trials_emb"], inputs["key"], str(out)],
+    )
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {inputs[which]}: embedding dimension 3 != model dimension 4\n"
+    assert not out.exists()
+
+
 # --- eval ----------------------------------------------------------------------
 
 
@@ -418,6 +447,22 @@ def test_eval_join_mismatch_fails(tmp_path, runner):
     result = runner.invoke(main, ["eval", score_file, key_file])
     assert result.exit_code != 0
     assert "u2" in result.stderr
+
+
+@pytest.mark.parametrize("det_name", ["report.txt", "report.txt.manifest", "./report.txt"])
+def test_eval_det_out_naming_another_output_fails(tmp_path, runner, det_name):
+    score_file = write(tmp_path / "s.txt", "e1 u1 2.0\ne1 u2 -1.0\n")
+    key_file = write(tmp_path / "k.txt", "e1 u1 target\ne1 u2 nontarget\n")
+    out = tmp_path / "report.txt"
+    first = runner.invoke(main, ["eval", score_file, key_file, "--out", str(out)])
+    assert first.exit_code == 0, first.output
+    before = read_dir(tmp_path)
+    det = str(tmp_path / det_name)
+    result = runner.invoke(main, ["--det-out", det, "eval", score_file, key_file, "--out", str(out)])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write"), result.stderr
+    assert read_dir(tmp_path) == before  # no output replaced, no temp file left
 
 
 # --- simulate -------------------------------------------------------------------
@@ -505,6 +550,41 @@ def test_simulate_unknown_config_key_rejected(tmp_path, runner):
     result = runner.invoke(main, ["--config", cfg, "simulate", "--out-dir", str(tmp_path / "o")])
     assert result.exit_code != 0
     assert "bogus" in result.stderr
+
+
+@pytest.mark.parametrize("det_name", ["scores.txt", "manifest.txt", "../sim/report.txt"])
+def test_simulate_det_out_naming_another_output_fails(tmp_path, runner, det_name):
+    out = tmp_path / "sim"
+    first = runner.invoke(main, ["simulate", "--out-dir", str(out)] + SIM_ARGS)
+    assert first.exit_code == 0, first.output
+    before = read_dir(out)
+    result = runner.invoke(
+        main, ["--seed", "4", "--det-out", str(out / det_name), "simulate", "--out-dir", str(out)] + SIM_ARGS
+    )
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write"), result.stderr
+    assert read_dir(out) == before  # no output replaced, no temp file left
+
+
+def test_simulate_det_out_collision_leaves_no_new_directory(tmp_path, runner):
+    out = tmp_path / "fresh" / "sim"
+    result = runner.invoke(
+        main, ["--det-out", str(out / "scores.txt"), "simulate", "--out-dir", str(out)] + SIM_ARGS
+    )
+    assert result.exit_code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag, name", [("--between-var", "between_var"), ("--f0-mean-male", "f0_mean_male")]
+)
+def test_simulate_rejects_a_non_finite_cohort_value(tmp_path, runner, flag, name):
+    out = tmp_path / "sim"
+    result = runner.invoke(main, ["simulate", "--out-dir", str(out), flag, "-inf"])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {name} must be finite\n"
+    assert not out.exists()
 
 
 def test_failed_write_removes_the_directories_it_made(tmp_path, runner):

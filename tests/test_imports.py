@@ -2,6 +2,9 @@
 every module-level private name is referenced by some package module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +90,14 @@ def test_detects_orphans():
 
 def test_package_has_no_orphans():
     assert orphans({path.name: path.read_text(encoding="utf-8") for path in MODULES}) == []
+
+
+def test_cli_loads_no_thread_pool():
+    code = (
+        "import sys, pseudovox.cli; "
+        "print(sorted({'concurrent.futures', 'pseudovox.concurrency'} & set(sys.modules)))"
+    )
+    src = str(Path(pseudovox.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

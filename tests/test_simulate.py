@@ -1,3 +1,4 @@
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -69,6 +70,22 @@ def test_cohort_spec_validation():
         CohortSpec(frames_per_utt=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"between_var": math.inf}, "between_var"),
+        ({"within_var": math.nan}, "within_var"),
+        ({"f0_between_std": math.inf}, "f0_between_std"),
+        ({"f0_within_std": -math.inf}, "f0_within_std"),
+        ({"f0_gender_means": {Gender.MALE: -math.inf, Gender.FEMALE: 5.3}}, "f0_mean_male"),
+        ({"f0_gender_means": {Gender.MALE: 4.8, Gender.FEMALE: math.inf}}, "f0_mean_female"),
+    ],
+)
+def test_cohort_spec_rejects_non_finite_values(kwargs, name):
+    with pytest.raises(InvalidSpecError, match=f"^{name} must be finite$"):
+        CohortSpec(**kwargs)
+
+
 def test_vanishing_between_variance_gives_chance_eer():
     cohort = generate_cohort(CohortSpec(
         n_speakers_per_gender=12, utts_per_speaker=4, embed_dim=8,
@@ -110,7 +127,7 @@ def test_baseline_matches_manual_plda_scoring():
     assert result.report.n_nontarget_trials == manual.n_nontarget_trials
 
 
-def test_scenario_is_deterministic_and_thread_invariant():
+def test_scenario_is_deterministic():
     cohort = generate_cohort(SMALL)
     cfg = ScenarioConfig(
         attack=AttackModel.ANONYMIZED_TO_ANONYMIZED,
@@ -121,11 +138,11 @@ def test_scenario_is_deterministic_and_thread_invariant():
     )
     r1 = run_scenario(cohort, cfg, SEL)
     r2 = run_scenario(cohort, cfg, SEL)
-    r4 = run_scenario(cohort, cfg, SEL, threads=4)
-    assert r1.score_rows == r2.score_rows == r4.score_rows
-    assert r1.trial_rows == r2.trial_rows == r4.trial_rows
-    assert r1.report == r2.report == r4.report
-    assert r1.f0_weight_used == r4.f0_weight_used
+    r3 = run_scenario(generate_cohort(SMALL), cfg, SEL)  # a fresh pool cache
+    assert r1.score_rows == r2.score_rows == r3.score_rows
+    assert r1.trial_rows == r2.trial_rows == r3.trial_rows
+    assert r1.report == r2.report == r3.report
+    assert r1.f0_weight_used == r3.f0_weight_used
 
 
 def test_aa_requires_distinct_seeds():
