@@ -156,7 +156,8 @@ def sources_of(pool, rng, d):
     ]
 
 
-def test_pool_is_projected_once_per_gender(monkeypatch):
+@pytest.mark.parametrize("rounds", [1, 2, 8])
+def test_pool_is_projected_once_per_gender(rounds, monkeypatch):
     rng = np.random.default_rng(5)
     d = 6
     pool = SpeakerPool(random_pool(rng, 9, d).speakers[:16], random_model(rng, d))
@@ -172,8 +173,9 @@ def test_pool_is_projected_once_per_gender(monkeypatch):
     monkeypatch.setattr(selection, "project_many", counting)
     cfg = SelectionConfig(k_far=5, k_sel=2)
     sources = sources_of(pool, rng, d)
-    results = [derive_pseudo_speaker(pool, src, cfg) for src in sources]
-    assert len(results) == len(sources)
+    # however often the sources are selected for, the projections are reused
+    results = [derive_pseudo_speaker(pool, src, cfg) for _ in range(rounds) for src in sources]
+    assert len(results) == rounds * len(sources)
     assert sorted(rows) == sizes
 
 
