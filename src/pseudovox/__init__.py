@@ -5,7 +5,7 @@ desk-scale simulator of the original-vs-anonymized attack scenarios."""
 __version__ = "0.1.0"
 
 from .errors import PseudovoxError
-from .f0 import F0Contour, LogF0Stats, aggregate_target_stats, compute_log_f0_stats, transform_contour
+from .f0 import F0Contour, F0Mode, LogF0Stats, aggregate_target_stats, compute_log_f0_stats, transform_contour
 from .metrics import EvalReport, TrialScoreSet, cllr, det_points, eer, evaluate, min_cllr
 from .plda import Gender, PldaModel, SpeakerEmbedding, cosine_score, plda_score, project
 from .selection import (
@@ -17,6 +17,7 @@ from .selection import (
     SpeakerPool,
     derive_pseudo_speaker,
     filter_by_gender,
+    pseudonymize_speaker,
     rank_furthest,
     seed_for_speaker,
 )
@@ -25,7 +26,6 @@ from .simulate import (
     AttackModel,
     Cohort,
     CohortSpec,
-    F0Mode,
     ScenarioConfig,
     generate_cohort,
     run_baseline,
@@ -56,6 +56,7 @@ __all__ = [
     "filter_by_gender",
     "rank_furthest",
     "derive_pseudo_speaker",
+    "pseudonymize_speaker",
     "TrialScoreSet",
     "EvalReport",
     "eer",

@@ -7,7 +7,8 @@ byte-identical to direct library calls. Global flags (``--seed``,
     pseudovox --seed 7 anonymize --pool pool.txt ...
 
 Every command runs on one thread; ``--threads`` is accepted for compatibility
-and has no effect.
+and has no effect. ``--seed`` has none on ``stats``, ``score`` and ``eval``,
+and a command refuses ``--det-out`` or ``--config`` when it would ignore it.
 
 Configuration files are ``key value`` lines whose keys mirror the flag names;
 flags win when both are given. Diagnostics go to stderr; the exit code is 0
@@ -35,7 +36,7 @@ from .errors import (
     PseudovoxError,
 )
 from . import formats
-from .f0 import compute_log_f0_stats, transform_contour
+from .f0 import F0Mode, compute_log_f0_stats
 from .metrics import TrialScoreSet, det_points, evaluate
 from .plda import Gender, SpeakerEmbedding, plda_score_pairs, project
 from .selection import (
@@ -43,13 +44,12 @@ from .selection import (
     Scorer,
     SelectionConfig,
     SpeakerPool,
-    derive_pseudo_speaker,
+    pseudonymize_speaker,
 )
 from .simulate import (
     AttackerModel,
     AttackModel,
     CohortSpec,
-    F0Mode,
     ScenarioConfig,
     generate_cohort,
     run_scenario,
@@ -240,7 +240,8 @@ def _det_output(obj, score_set: TrialScoreSet) -> list[tuple[Path, str]]:
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--seed", type=int, default=None, help="Global selection/cohort seed override.")
+@click.option("--seed", type=int, default=None,
+              help="Global selection/cohort seed override; no effect on stats, score and eval.")
 @click.option("--config", type=click.Path(), default=None, help="'key value' config file.")
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, expose_value=False,
               help="Accepted for compatibility; has no effect (every command runs on one thread).")
@@ -248,6 +249,10 @@ def _det_output(obj, score_set: TrialScoreSet) -> list[tuple[Path, str]]:
 @click.pass_context
 def main(ctx, seed, config, det_out):
     """X-vector pseudo-speaker pipeline and privacy-linkability evaluation."""
+    for flag, value, users in (("--det-out", det_out, ("eval", "simulate")),
+                               ("--config", config, ("anonymize", "simulate"))):
+        if value is not None and ctx.invoked_subcommand not in users:
+            _fail(f"{flag} has no effect on {ctx.invoked_subcommand}")
     ctx.obj = SimpleNamespace(seed=seed, config=config, det_out=det_out)
 
 
@@ -340,33 +345,23 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
         contour_rows = []
         for speaker_id in speakers:
             embs = by_speaker[speaker_id]
-            source = SpeakerEmbedding(
-                speaker_id,
-                embs[0].gender,
-                np.mean([e.vector for e in embs], axis=0),
-            )
+            contours = [contour_by_utt[e.utterance_id] for e in embs]
             try:
-                pseudo = derive_pseudo_speaker(pool, source, sel)
+                pseudo, anon_contours = pseudonymize_speaker(
+                    pool, speaker_id, embs[0].gender, [e.vector for e in embs], contours, sel, mode
+                )
             except PoolTooSmallError as exc:
                 raise PoolTooSmallError(f"speaker {speaker_id!r}: {exc}") from None
+            for contour in contours:
+                if mode is F0Mode.MODIFIED and not contour.voiced_mask.any():
+                    click.echo(
+                        f"warning: {contour.utterance_id} has no voiced frames, copied unchanged",
+                        err=True,
+                    )
             mapping_rows.append((speaker_id, pseudo.seed_used, tuple(pseudo.member_ids)))
-            xvector_rows.append(
-                SpeakerEmbedding(speaker_id, source.gender, pseudo.xvector, "pseudo")
-            )
+            xvector_rows.append(SpeakerEmbedding(speaker_id, embs[0].gender, pseudo.xvector, "pseudo"))
             stats_rows.append((speaker_id, pseudo.f0_stats))
-            for emb in embs:
-                contour = contour_by_utt[emb.utterance_id]
-                if mode is F0Mode.MODIFIED:
-                    if not contour.voiced_mask.any():
-                        click.echo(
-                            f"warning: {contour.utterance_id} has no voiced frames, copied unchanged",
-                            err=True,
-                        )
-                    else:
-                        contour = transform_contour(
-                            contour, compute_log_f0_stats(contour), pseudo.f0_stats
-                        )
-                contour_rows.append(contour)
+            contour_rows.extend(anon_contours)
         del pool  # free its cached latents before the outputs are serialized
 
         data_outputs = {

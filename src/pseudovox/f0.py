@@ -7,6 +7,7 @@ through every operation untouched.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +20,18 @@ from .errors import (
 )
 
 __all__ = [
+    "F0Mode",
     "F0Contour",
     "LogF0Stats",
     "compute_log_f0_stats",
     "transform_contour",
     "aggregate_target_stats",
 ]
+
+
+class F0Mode(enum.Enum):
+    ORIGINAL = "original"
+    MODIFIED = "modified"
 
 
 @dataclass(eq=False)
@@ -131,7 +138,8 @@ def transform_contour(
     """
     if source.std == 0.0 and target.std > 0.0:
         raise DegenerateSourceStatsError(
-            "source log-F0 std is zero; cannot scale to a nonzero target std"
+            f"utterance {contour.utterance_id!r}: source log-F0 std is zero;"
+            " cannot scale to a nonzero target std"
         )
     ratio = 0.0 if source.std == 0.0 else target.std / source.std
     out = contour.values.copy()

@@ -15,8 +15,9 @@ Per-speaker seeds are derived as::
 where ``mix64`` is one SplitMix64 step (increment by 0x9E3779B97F4A7C15, then
 the 30/27/31-shift finalizer) and ``fnv1a64`` is the 64-bit FNV-1a hash
 (offset basis 0xCBF29CE484222325, prime 0x100000001B3). Sampling uses a
-SplitMix64 stream driving a partial Fisher-Yates shuffle with rejection-free
-bounded draws, so member sets are identical across platforms and runs.
+SplitMix64 stream driving a partial Fisher-Yates shuffle with unbiased bounded
+draws (the biased tail is rejected), so member sets are identical across
+platforms and runs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .errors import (
     InvalidValueError,
     PoolTooSmallError,
 )
-from .f0 import LogF0Stats, aggregate_target_stats
+from .f0 import (
+    F0Contour, F0Mode, LogF0Stats, aggregate_target_stats, compute_log_f0_stats, transform_contour,
+)
 from .plda import (
     Gender,
     PldaModel,
@@ -58,6 +61,7 @@ __all__ = [
     "filter_by_gender",
     "rank_furthest",
     "derive_pseudo_speaker",
+    "pseudonymize_speaker",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -93,11 +97,9 @@ class SplitMix64:
         self._state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
+        z = _mix64(self._state)
         self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return z
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
@@ -332,3 +334,19 @@ def derive_pseudo_speaker(
     xvector = np.mean([m.mean_embedding for m in members], axis=0)
     stats = aggregate_target_stats([m.f0_stats for m in members])
     return PseudoSpeaker(source.speaker_id, xvector, stats, member_ids, seed)
+
+
+def pseudonymize_speaker(
+    pool: SpeakerPool, speaker_id: str, gender: Gender, vectors: Sequence[np.ndarray],
+    contours: Sequence[F0Contour], cfg: SelectionConfig, f0_mode: F0Mode,
+) -> tuple[PseudoSpeaker, list[F0Contour]]:
+    """The pseudo-speaker derived from the mean of ``vectors``, and ``contours``
+    in order, renormalized toward its F0 statistics under ``F0Mode.MODIFIED``.
+    A contour with no voiced frames, or any under ``ORIGINAL``, is returned as is."""
+    source = SpeakerEmbedding(speaker_id, gender, np.mean(vectors, axis=0))
+    pseudo = derive_pseudo_speaker(pool, source, cfg)
+    return pseudo, [
+        transform_contour(c, compute_log_f0_stats(c), pseudo.f0_stats)
+        if f0_mode is F0Mode.MODIFIED and c.voiced_mask.any() else c
+        for c in contours
+    ]

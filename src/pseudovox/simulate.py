@@ -24,21 +24,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
 from typing import Mapping
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .f0 import F0Contour, LogF0Stats, compute_log_f0_stats, transform_contour
+from .f0 import F0Contour, F0Mode, LogF0Stats, compute_log_f0_stats
 from .metrics import EvalReport, TrialScoreSet, evaluate
-from .plda import Gender, PldaModel, SpeakerEmbedding, plda_score_matrix, project_many
+from .plda import Gender, PldaModel, plda_score_matrix, project_many
 from .selection import (
     GenderPolicy,
     PoolSpeaker,
     SelectionConfig,
     SpeakerPool,
-    derive_pseudo_speaker,
+    pseudonymize_speaker,
     seed_for_speaker,
 )
 
@@ -63,11 +62,6 @@ UNVOICED_STRIDE = 10  # every 10th frame is unvoiced: a fixed 10% of frames
 class AttackModel(enum.Enum):
     ORIGINAL_TO_ANONYMIZED = "o-a"
     ANONYMIZED_TO_ANONYMIZED = "a-a"
-
-
-class F0Mode(enum.Enum):
-    ORIGINAL = "original"
-    MODIFIED = "modified"
 
 
 class AttackerModel(enum.Enum):
@@ -177,7 +171,7 @@ class Cohort:
 class ScenarioResult:
     scores: TrialScoreSet
     report: EvalReport
-    score_rows: list[tuple[str, str, float]]  # (enroll id, utt id, score), sorted
+    score_rows: list[tuple[str, str, float]]  # (enroll id, utt id, score), cohort order
     trial_rows: list[tuple[str, str, bool]]  # (enroll id, utt id, target?), same order
     f0_weight_used: float | None
 
@@ -246,29 +240,6 @@ def generate_cohort(spec: CohortSpec) -> Cohort:
     return Cohort(spec, SpeakerPool(pool_speakers, plda), users, plda)
 
 
-def _source_embedding(user: SimSpeaker) -> SpeakerEmbedding:
-    mean = np.mean([u.embedding for u in user.utterances], axis=0)
-    return SpeakerEmbedding(user.speaker_id, user.gender, mean)
-
-
-def _anonymize_utterance(
-    cohort: Cohort,
-    utt: SimUtterance,
-    pseudo,
-    side_seed: int,
-    f0_mode: F0Mode,
-) -> SimUtterance:
-    spec = cohort.spec
-    rng = np.random.default_rng(seed_for_speaker(side_seed, "noise/" + utt.utterance_id))
-    embedding = pseudo.xvector + rng.normal(0.0, np.sqrt(spec.within_var), spec.embed_dim)
-    contour = utt.contour
-    if f0_mode is F0Mode.MODIFIED:
-        contour = transform_contour(
-            contour, compute_log_f0_stats(contour), pseudo.f0_stats
-        )
-    return SimUtterance(utt.utterance_id, utt.speaker_id, utt.gender, embedding, contour)
-
-
 def _anonymize_side(
     cohort: Cohort,
     cfg: ScenarioConfig,
@@ -276,12 +247,19 @@ def _anonymize_side(
     side_seed: int,
     which: str,
 ) -> list[SimUtterance]:
+    spec = cohort.spec
     side_sel = replace(sel, global_seed=side_seed, gender_policy=cfg.gender_policy)
     out = []
     for user in cohort.users:
-        pseudo = derive_pseudo_speaker(cohort.pool, _source_embedding(user), side_sel)
         utts = [user.enrollment] if which == "enroll" else user.trial_utterances
-        out.extend(_anonymize_utterance(cohort, u, pseudo, side_seed, cfg.f0_mode) for u in utts)
+        pseudo, contours = pseudonymize_speaker(
+            cohort.pool, user.speaker_id, user.gender, [u.embedding for u in user.utterances],
+            [u.contour for u in utts], side_sel, cfg.f0_mode,
+        )
+        for utt, contour in zip(utts, contours):
+            rng = np.random.default_rng(seed_for_speaker(side_seed, "noise/" + utt.utterance_id))
+            embedding = pseudo.xvector + rng.normal(0.0, np.sqrt(spec.within_var), spec.embed_dim)
+            out.append(SimUtterance(utt.utterance_id, utt.speaker_id, utt.gender, embedding, contour))
     return out
 
 
@@ -316,17 +294,13 @@ def _score_trials(
     utt_ids = [u.utterance_id for u in trial_utts]
     labels = np.array(enroll_ids)[:, None] == np.array([u.speaker_id for u in trial_utts])
     score_set = TrialScoreSet(scores[labels], scores[~labels])
-    # both id lists are unique, so sorting each side gives (enroll, utt) order
-    enroll_order = sorted(range(len(enroll_ids)), key=enroll_ids.__getitem__)
-    utt_order = sorted(range(len(utt_ids)), key=utt_ids.__getitem__)
-    cells = np.ix_(enroll_order, utt_order)
-    enroll_col = list(chain.from_iterable(repeat(e, len(utt_ids)) for e in sorted(enroll_ids)))
-    utt_col = sorted(utt_ids) * len(enroll_ids)
+    enroll_col = [e for e in enroll_ids for _ in utt_ids]
+    utt_col = utt_ids * len(enroll_ids)
     return ScenarioResult(
         score_set,
         evaluate(score_set),
-        list(zip(enroll_col, utt_col, scores[cells].ravel().tolist())),
-        list(zip(enroll_col, utt_col, labels[cells].ravel().tolist())),
+        list(zip(enroll_col, utt_col, scores.ravel().tolist())),
+        list(zip(enroll_col, utt_col, labels.ravel().tolist())),
         weight_used,
     )
 

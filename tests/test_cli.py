@@ -294,6 +294,40 @@ def test_anonymize_embedding_dimension_error_names_the_file(tmp_path, runner, sc
     assert not out.exists()
 
 
+def test_anonymize_copies_unvoiced_contours_with_a_warning(tmp_path, runner):
+    paths = build_anonymize_inputs(tmp_path)
+    contours = formats.parse_contours(Path(paths["contours"]).read_text())
+    unvoiced = {"src0-u2", "src1-u0"}
+    for contour in contours:
+        if contour.utterance_id in unvoiced:
+            contour.values[:] = 0.0
+    write(tmp_path / "contours.txt", formats.serialize_contours(contours))
+    out = tmp_path / "anon"
+    result = runner.invoke(main, anonymize_args(paths, out, ["--f0", "modified"]))
+    assert result.exit_code == 0, result.output
+    assert result.stderr == (
+        "warning: src0-u2 has no voiced frames, copied unchanged\n"
+        "warning: src1-u0 has no voiced frames, copied unchanged\n"
+    )
+    anon = {c.utterance_id: c for c in formats.parse_contours((out / "contours_anon.txt").read_text())}
+    for contour in contours:
+        assert (anon[contour.utterance_id] == contour) is (contour.utterance_id in unvoiced)
+
+
+def test_anonymize_degenerate_contour_names_its_utterance(tmp_path, runner):
+    paths = build_anonymize_inputs(tmp_path)
+    write(tmp_path / "embeddings.txt", "src0 u1 M 1.0 0.5 0.0 0.0\n")
+    write(tmp_path / "contours.txt", "u1 0.0 120.0 0.0\n")  # one voiced frame: std 0
+    out = tmp_path / "anon"
+    result = runner.invoke(main, anonymize_args(paths, out, ["--f0", "modified"]))
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: utterance 'u1': source log-F0 std is zero;"
+        " cannot scale to a nonzero target std\n"
+    )
+    assert not out.exists()
+
+
 # --- score ---------------------------------------------------------------------
 
 
@@ -611,6 +645,41 @@ def test_failed_write_keeps_directories_that_hold_other_files(tmp_path, runner):
     )
     assert result.exit_code == 1
     assert sorted(p.name for p in out.parent.iterdir()) == ["keep.txt"]
+
+
+# --- global flags ----------------------------------------------------------------------
+
+COMMAND_ARGS = {
+    "stats": ["stats", "c.txt", "stats.txt"],
+    "anonymize": ["anonymize", "--pool", "p.txt", "--embeddings", "e.txt", "--contours", "c.txt",
+                  "--out-dir", "anon"],
+    "score": ["score", "plda.txt", "enroll.txt", "trials_emb.txt", "key.txt", "scores.txt"],
+    "eval": ["eval", "scores.txt", "key.txt", "--out", "report.txt"],
+}
+
+
+@pytest.mark.parametrize("flag, command", [
+    ("--det-out", "stats"), ("--det-out", "anonymize"), ("--det-out", "score"),
+    ("--config", "stats"), ("--config", "score"), ("--config", "eval"),
+])
+def test_global_flag_a_command_ignores_is_refused(flag, command, tmp_path, runner, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "flag.txt", "length_norm false\n")
+    result = runner.invoke(main, ["--seed", "3", "--threads", "2", flag, "flag.txt", *COMMAND_ARGS[command]])
+    assert result.exit_code == 1
+    # the inputs do not exist: the refusal comes before any of them is read
+    assert result.stderr == f"error: {flag} has no effect on {command}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["flag.txt"]
+    assert (tmp_path / "flag.txt").read_text() == "length_norm false\n"
+
+
+def test_seed_and_threads_are_accepted_where_they_have_no_effect(tmp_path, runner):
+    contours = write(tmp_path / "c.txt", "u1 100.0 0.0 400.0\n")
+    plain, flagged = tmp_path / "plain.txt", tmp_path / "flagged.txt"
+    assert runner.invoke(main, ["stats", contours, str(plain)]).exit_code == 0
+    result = runner.invoke(main, ["--seed", "3", "--threads", "2", "stats", contours, str(flagged)])
+    assert result.exit_code == 0, result.output
+    assert flagged.read_bytes() == plain.read_bytes()
 
 
 # --- input errors name their file (every command) ------------------------------------

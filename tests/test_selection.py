@@ -6,7 +6,7 @@ from pseudovox.errors import (
     InvalidSpecError,
     PoolTooSmallError,
 )
-from pseudovox.f0 import LogF0Stats
+from pseudovox.f0 import F0Contour, F0Mode, LogF0Stats, compute_log_f0_stats, transform_contour
 from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding
 from pseudovox.selection import (
     GenderPolicy,
@@ -14,8 +14,11 @@ from pseudovox.selection import (
     Scorer,
     SelectionConfig,
     SpeakerPool,
+    SplitMix64,
     derive_pseudo_speaker,
+    fnv1a64,
     filter_by_gender,
+    pseudonymize_speaker,
     rank_furthest,
     sample_without_replacement,
     seed_for_speaker,
@@ -181,6 +184,58 @@ def test_grand_mean_when_selecting_entire_filtered_pool():
     pseudo = derive_pseudo_speaker(pool, src, cfg)
     females = [s.mean_embedding for s in pool.speakers if s.gender is Gender.FEMALE]
     assert pseudo.xvector == pytest.approx(np.mean(females, axis=0), rel=1e-12)
+
+
+def test_pseudonymize_speaker_derives_from_the_mean_embedding():
+    pool = big_pool()
+    cfg = SelectionConfig(k_far=12, k_sel=5, scorer=Scorer.COSINE, global_seed=42)
+    rng = np.random.default_rng(5)
+    vectors = [rng.normal(size=8) for _ in range(3)]
+    contours = [F0Contour("u0", [0.0, 110.0, 130.0])]
+    direct = derive_pseudo_speaker(
+        pool, SpeakerEmbedding("src", Gender.MALE, np.mean(vectors, axis=0)), cfg
+    )
+    for mode in F0Mode:
+        pseudo, _ = pseudonymize_speaker(pool, "src", Gender.MALE, vectors, contours, cfg, mode)
+        assert pseudo.source_speaker_id == direct.source_speaker_id
+        assert pseudo.member_ids == direct.member_ids
+        assert pseudo.seed_used == direct.seed_used
+        assert np.array_equal(pseudo.xvector, direct.xvector)
+        assert pseudo.f0_stats == direct.f0_stats
+
+
+def test_pseudonymize_speaker_keeps_original_contours():
+    cfg = SelectionConfig(k_far=12, k_sel=5, scorer=Scorer.COSINE)
+    contours = [F0Contour("u0", [0.0, 110.0, 130.0]), F0Contour("u1", [0.0, 0.0])]
+    _, out = pseudonymize_speaker(
+        big_pool(), "src", Gender.MALE, [source().vector], contours, cfg, F0Mode.ORIGINAL
+    )
+    assert len(out) == len(contours)
+    assert all(got is given for got, given in zip(out, contours))
+
+
+def test_pseudonymize_speaker_renormalizes_voiced_contours_only():
+    cfg = SelectionConfig(k_far=12, k_sel=5, scorer=Scorer.COSINE)
+    voiced = F0Contour("u0", [0.0, 110.0, 130.0])
+    unvoiced = F0Contour("u1", [0.0, 0.0])
+    pseudo, out = pseudonymize_speaker(
+        big_pool(), "src", Gender.MALE, [source().vector], [voiced, unvoiced], cfg, F0Mode.MODIFIED
+    )
+    assert out[0] == transform_contour(voiced, compute_log_f0_stats(voiced), pseudo.f0_stats)
+    assert out[1] is unvoiced
+    assert np.array_equal(unvoiced.values, [0.0, 0.0])
+
+
+def test_splitmix64_and_fnv1a64_known_answers():
+    rng = SplitMix64(0)
+    assert [rng.next_u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
+    rng = SplitMix64(1234567)
+    assert [rng.next_u64() for _ in range(2)] == [6457827717110365317, 3203168211198807973]
+    assert fnv1a64(b"") == 0xCBF29CE484222325
+    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
 def test_seed_for_speaker_is_pure_and_collision_free():

@@ -4,10 +4,12 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 import oracles
-from pseudovox import simulate
+from pseudovox import formats, simulate
+from pseudovox.cli import main
 from pseudovox.errors import InvalidSpecError
 from pseudovox.metrics import TrialScoreSet, evaluate
 from pseudovox.plda import Gender, plda_score, project
@@ -250,8 +252,10 @@ def test_gender_policy_flows_from_scenario_config():
 def test_scenario_rows_equal_the_sorted_oracle(
     n_per_gender, utts, seed, attack, f0_mode, attacker, f0_weight
 ):
-    """The rows indexed out of the score matrix are the per-trial rows that
-    one sort on (enroll, utt) keys gave, split into the two files' records."""
+    """The rows taken out of the score matrix, once sorted as the writers
+    sort them, are the per-trial rows that one sort on (enroll, utt) keys
+    gave, split into the two files' records. The pairs are unique, so
+    ``sorted`` never compares the values."""
     cohort = generate_cohort(CohortSpec(
         n_speakers_per_gender=n_per_gender, utts_per_speaker=utts, embed_dim=4,
         frames_per_utt=20, seed=seed,
@@ -262,7 +266,58 @@ def test_scenario_rows_equal_the_sorted_oracle(
     with patch.object(simulate, "_score_trials", lambda *args: calls.append(args) or real(*args)):
         result = run_scenario(cohort, cfg, SelectionConfig(k_far=2, k_sel=1, length_norm=False))
     score_set, score_rows, trial_rows, weight = oracles.sorted_trial_rows(*calls[0])
-    assert repr(result.score_rows) == repr(score_rows)
-    assert repr(result.trial_rows) == repr(trial_rows)
+    assert repr(sorted(result.score_rows)) == repr(score_rows)
+    assert repr(sorted(result.trial_rows)) == repr(trial_rows)
     assert result.scores == score_set
     assert repr(result.f0_weight_used) == repr(weight)
+
+
+def test_simulate_trial_side_is_what_anonymize_ships(tmp_path):
+    """``anonymize``, run with ``simulate``'s settings and trial seed on the
+    files ``simulate`` wrote, draws the members and writes the contours that
+    ``simulate``'s trial side used: the attack runs the shipped pipeline."""
+    sim, anon = tmp_path / "sim", tmp_path / "anon"
+    # a pool much larger than k_far, so that the ranking decides the members
+    selection = ["--k-far", "4", "--k-sel", "2", "--scorer", "plda"]
+    calls = []
+    real = simulate.pseudonymize_speaker
+
+    def recorded(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    runner = CliRunner()
+    with patch.object(simulate, "pseudonymize_speaker", recorded):
+        result = runner.invoke(main, [
+            "simulate", "--out-dir", str(sim), "--attack", "a-a", "--enroll-seed", "11",
+            "--trial-seed", "12", "--f0-mode", "modified", "--gender-policy", "opposite",
+            "--n-speakers-per-gender", "10", "--utts-per-speaker", "3", "--embed-dim", "8",
+            "--frames-per-utt", "40", *selection,
+        ])
+    assert result.exit_code == 0, result.output
+    trial_side = {args[1]: out for args, out in calls if args[5].global_seed == 12}
+    assert len(calls) == 40 and len(trial_side) == 20
+
+    result = runner.invoke(main, [
+        "--seed", "12", "anonymize", "--pool", str(sim / "pool.txt"),
+        "--embeddings", str(sim / "user_embeddings.txt"),
+        "--contours", str(sim / "user_contours.txt"), "--plda", str(sim / "plda.txt"),
+        "--out-dir", str(anon), "--no-length-norm", "--f0", "modified", "--gender", "opposite",
+        *selection,
+    ])
+    assert result.exit_code == 0, result.output
+    mapping = formats.parse_mapping((anon / "mapping.txt").read_text())
+    assert {sid: (seed, members) for sid, seed, members in mapping} == {
+        sid: (pseudo.seed_used, tuple(pseudo.member_ids)) for sid, (pseudo, _) in trial_side.items()
+    }
+    for emb in formats.parse_embeddings((anon / "pseudo_xvectors.txt").read_text()):
+        assert np.array_equal(emb.vector, trial_side[emb.speaker_id][0].xvector)
+    shipped = {
+        line.split(" ", 1)[0]: line
+        for line in (anon / "contours_anon.txt").read_text().splitlines()
+    }
+    simulated = formats.serialize_contours(
+        [c for _, contours in trial_side.values() for c in contours]
+    ).splitlines()
+    assert len(simulated) == 20 * 2
+    assert simulated == [shipped[line.split(" ", 1)[0]] for line in simulated]
