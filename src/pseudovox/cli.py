@@ -20,6 +20,7 @@ from __future__ import annotations
 import errno
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, NoReturn, TypeVar
@@ -458,19 +459,7 @@ def eval_cmd(obj, score_file, trial_key, out_file):
         entries: dict[str, str] = {}
         scores = _read(score_file, "scores", entries, formats.parse_scores)
         key_rows = _read(trial_key, "trial_key", entries, formats.parse_trials)
-        score_by_trial = {(e, t): s for e, t, s in scores}
-        key_set = {(e, t) for e, t, _ in key_rows}
-        for pair in score_by_trial:
-            if pair not in key_set:
-                _fail(f"score for {pair!r} has no trial-key entry")
-        target, nontarget = [], []
-        for enroll_id, test_id, is_target in key_rows:
-            if (enroll_id, test_id) not in score_by_trial:
-                _fail(f"trial ({enroll_id!r}, {test_id!r}) has no score")
-            (target if is_target else nontarget).append(
-                score_by_trial[(enroll_id, test_id)]
-            )
-        score_set = TrialScoreSet(np.array(target), np.array(nontarget))
+        score_set = _key_scores(scores, key_rows)
         report_text = formats.serialize_report(evaluate(score_set))
         click.echo(report_text, nl=False)
         det = _det_output(obj, score_set)
@@ -480,6 +469,49 @@ def eval_cmd(obj, score_file, trial_key, out_file):
             _write_outputs(_encoded(det))
     except PseudovoxError as exc:
         _fail(str(exc))
+
+
+def _key_scores(scores: list[tuple[str, str, float]],
+                key_rows: list[tuple[str, str, bool]]) -> TrialScoreSet:
+    """The score of each key trial, split by the key's labels in key order.
+
+    ``score`` writes the key's (enroll, test) columns, so they usually equal
+    the score file's. Otherwise both sides are put in (enroll, test) order
+    and compared again; sides that still differ raise the first missing pair
+    (both parsers reject a repeated pair, so one side lacks a pair).
+    """
+    values = np.fromiter(map(itemgetter(2), scores), np.float64, len(scores))
+    labels = np.fromiter(map(itemgetter(2), key_rows), bool, len(key_rows))
+    enroll, test = [r[0] for r in scores], [r[1] for r in scores]
+    key_enroll, key_test = [r[0] for r in key_rows], [r[1] for r in key_rows]
+    if enroll != key_enroll or test != key_test:
+        order, key_order = _pair_order(enroll, test), _pair_order(key_enroll, key_test)
+        if ([enroll[i] for i in order] != [key_enroll[i] for i in key_order]
+                or [test[i] for i in order] != [key_test[i] for i in key_order]):
+            raise InvalidValueError(_join_error(scores, key_rows))
+        values[key_order] = values[order]
+    return TrialScoreSet(values[labels], values[~labels])
+
+
+def _pair_order(enroll: list[str], test: list[str]) -> list[int]:
+    """Row indices in (enroll, test) order, by two stable single-key sorts."""
+    order = sorted(range(len(test)), key=test.__getitem__)
+    order.sort(key=enroll.__getitem__)
+    return order
+
+
+def _join_error(scores: list[tuple[str, str, float]], key_rows: list[tuple[str, str, bool]]) -> str:
+    """The first score pair missing from the key, else the first key pair
+    missing from the scores, each in its file's order."""
+    key_pairs = {(e, t) for e, t, _ in key_rows}
+    for e, t, _ in scores:
+        if (e, t) not in key_pairs:
+            return f"score for {(e, t)!r} has no trial-key entry"
+    score_pairs = {(e, t) for e, t, _ in scores}
+    for e, t, _ in key_rows:
+        if (e, t) not in score_pairs:
+            return f"trial ({e!r}, {t!r}) has no score"
+    raise AssertionError("the two sides hold the same pairs")
 
 
 # --- simulate -------------------------------------------------------------------
@@ -600,15 +632,19 @@ def simulate(obj, out_dir, **flags):
             "f0_between_std": formats.format_float(spec.f0_between_std),
             "f0_within_std": formats.format_float(spec.f0_within_std),
             "frames_per_utt": str(spec.frames_per_utt),
-            "n_trials": str(len(result.score_rows)),
+            "n_trials": str(result.score_matrix.size),
         })
         data_outputs = {
             "pool.txt": formats.serialize_pool(cohort.pool.speakers),
             "user_embeddings.txt": formats.serialize_embeddings(user_embeddings),
             "user_contours.txt": formats.serialize_contours(user_contours),
             "plda.txt": formats.serialize_plda(cohort.plda),
-            "scores.txt": formats.serialize_scores(result.score_rows),
-            "trials.txt": formats.serialize_trials(result.trial_rows),
+            "scores.txt": formats.serialize_score_grid(
+                result.enroll_ids, result.utt_ids, result.score_matrix
+            ),
+            "trials.txt": formats.serialize_trial_grid(
+                result.enroll_ids, result.utt_ids, result.label_matrix
+            ),
             "report.txt": formats.serialize_report(result.report),
         }
         _write_out_dir(out_dir, data_outputs, "simulate", entries, _det_output(obj, result.scores))

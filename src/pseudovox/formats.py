@@ -18,7 +18,11 @@ checked as a whole with one regex pass over its lines, one set of its
 (enroll, test) pairs and one finiteness check. Whatever these checks do not
 accept goes through the per-token code, which accepts the same records and
 raises the first error with its line number. Serializers check each distinct
-id once and write reals as ``repr`` of Python floats.
+id once and write reals as ``repr`` of Python floats. The grid writers
+(``serialize_score_grid``, ``serialize_trial_grid``) write the all-pairs rows
+of an (enroll, utt) matrix without building them: they sort each id list once,
+reorder the matrix to match and write each enrollment row from precomputed
+``" <utt> ..."`` tails, with the bytes and errors of the row writers.
 
 Grammars
 --------
@@ -41,7 +45,7 @@ import hashlib
 import math
 import re
 from itertools import chain
-from operator import eq, itemgetter
+from operator import add, eq, getitem, itemgetter
 
 import numpy as np
 
@@ -69,8 +73,10 @@ __all__ = [
     "serialize_plda",
     "parse_scores",
     "serialize_scores",
+    "serialize_score_grid",
     "parse_trials",
     "serialize_trials",
+    "serialize_trial_grid",
     "parse_mapping",
     "serialize_mapping",
     "parse_det",
@@ -498,6 +504,20 @@ def serialize_trials(records: list[tuple[str, str, bool]]) -> str:
     return _joined([f"{e} {t} {'target' if is_tar else 'nontarget'}" for e, t, is_tar in rows])
 
 
+def serialize_score_grid(enroll_ids: list[str], utt_ids: list[str], scores) -> str:
+    """``serialize_scores`` of the rows ``(enroll_ids[i], utt_ids[j], scores[i, j])``."""
+    enroll, utts, matrix = _sorted_grid(enroll_ids, utt_ids, scores, np.float64)
+    tails = [f" {u} " for u in utts]
+    return _grid_text(enroll, (map(add, tails, map(repr, row.tolist())) for row in matrix))
+
+
+def serialize_trial_grid(enroll_ids: list[str], utt_ids: list[str], labels) -> str:
+    """``serialize_trials`` of the rows ``(enroll_ids[i], utt_ids[j], labels[i, j])``."""
+    enroll, utts, matrix = _sorted_grid(enroll_ids, utt_ids, labels, bool)
+    tails = [(f" {u} nontarget", f" {u} target") for u in utts]
+    return _grid_text(enroll, (map(getitem, tails, row.tolist()) for row in matrix))
+
+
 # --- pseudo-speaker mapping -------------------------------------------------
 
 
@@ -616,6 +636,33 @@ def serialize_keyvalues(values: dict[str, str]) -> str:
 
 def _joined(lines: list[str]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def _sorted_grid(enroll_ids, utt_ids, matrix, dtype) -> tuple[list[str], list[str], np.ndarray]:
+    """Both id lists sorted and ``matrix`` reordered to match, after the checks
+    the row writers make on the enrollment-major rows: a repeated pair raises
+    ``_require_unique``'s error, then each distinct id is checked once in the
+    order the rows write them. No cells: nothing to write, nothing checked.
+    """
+    enroll_ids, utt_ids = list(enroll_ids), list(utt_ids)
+    matrix = np.asarray(matrix, dtype=dtype)
+    if matrix.shape != (len(enroll_ids), len(utt_ids)):
+        raise ValueError(f"matrix shape {matrix.shape} does not match {len(enroll_ids)} x {len(utt_ids)} ids")
+    if not matrix.size:
+        return [], [], matrix
+    if len(set(enroll_ids)) < len(enroll_ids) or len(set(utt_ids)) < len(utt_ids):
+        _require_unique((e, u) for e in enroll_ids for u in utt_ids)
+    enroll_order = sorted(range(len(enroll_ids)), key=enroll_ids.__getitem__)
+    utt_order = sorted(range(len(utt_ids)), key=utt_ids.__getitem__)
+    enroll = [enroll_ids[i] for i in enroll_order]
+    utts = [utt_ids[j] for j in utt_order]
+    _check_out_ids(chain(enroll[:1], utts, enroll[1:]))  # the first row, then the other rows
+    return enroll, utts, matrix[np.ix_(enroll_order, utt_order)]
+
+
+def _grid_text(enroll: list[str], row_tails) -> str:
+    """One line per (enroll id, tail): each row's tails joined by LF + its id."""
+    return _joined([e + ("\n" + e).join(tails) for e, tails in zip(enroll, row_tails)])
 
 
 def _sorted_by_pair(records: list[tuple]) -> list[tuple]:

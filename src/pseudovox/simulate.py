@@ -94,8 +94,12 @@ class CohortSpec:
         for name in ("between_var", "within_var", "f0_between_std", "f0_within_std"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidSpecError(f"{name} must be finite")
-        if self.n_speakers_per_gender < 1 or self.utts_per_speaker < 1:
-            raise InvalidSpecError("cohort needs >= 1 speaker per gender and utterance")
+        if self.n_speakers_per_gender < 1:
+            raise InvalidSpecError("cohort needs >= 1 speaker per gender")
+        if self.utts_per_speaker < 2:
+            raise InvalidSpecError(
+                "utts_per_speaker must be >= 2: one enrollment and at least one trial utterance"
+            )
         if self.embed_dim < 1 or self.frames_per_utt < 2:
             raise InvalidSpecError("embed_dim must be >= 1 and frames_per_utt >= 2")
         if not (self.between_var > 0 and self.within_var > 0):
@@ -171,8 +175,10 @@ class Cohort:
 class ScenarioResult:
     scores: TrialScoreSet
     report: EvalReport
-    score_rows: list[tuple[str, str, float]]  # (enroll id, utt id, score), cohort order
-    trial_rows: list[tuple[str, str, bool]]  # (enroll id, utt id, target?), same order
+    enroll_ids: list[str]  # speaker id of each matrix row, cohort order
+    utt_ids: list[str]  # trial utterance id of each matrix column, cohort order
+    score_matrix: np.ndarray  # (enroll, utt) attacker scores, F0 term fused in
+    label_matrix: np.ndarray  # (enroll, utt) bool: the utterance is the enrolled speaker's
     f0_weight_used: float | None
 
 
@@ -294,14 +300,8 @@ def _score_trials(
     utt_ids = [u.utterance_id for u in trial_utts]
     labels = np.array(enroll_ids)[:, None] == np.array([u.speaker_id for u in trial_utts])
     score_set = TrialScoreSet(scores[labels], scores[~labels])
-    enroll_col = [e for e in enroll_ids for _ in utt_ids]
-    utt_col = utt_ids * len(enroll_ids)
     return ScenarioResult(
-        score_set,
-        evaluate(score_set),
-        list(zip(enroll_col, utt_col, scores.ravel().tolist())),
-        list(zip(enroll_col, utt_col, labels.ravel().tolist())),
-        weight_used,
+        score_set, evaluate(score_set), enroll_ids, utt_ids, scores, labels, weight_used
     )
 
 

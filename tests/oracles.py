@@ -17,7 +17,9 @@ type and message) and write exactly what they do.
 The metric loops and the sort-built simulate rows at the very end are the
 code that the one-sweep metrics and the one trial table of ``simulate``
 replaced: the metrics and simulate tests require those to return exactly
-(``repr``-equal) what these do.
+(``repr``-equal) what these do. The dict join of ``eval`` is the code that
+its column join replaced; the CLI tests require the same scores or the same
+error message.
 """
 
 import math
@@ -697,3 +699,26 @@ def sorted_trial_rows(cohort, enroll_utts, trial_utts, attacker, f0_weight):
     score_rows = [(e, u, s) for e, u, s, _ in rows]
     trial_rows = [(e, u, t) for e, u, _, t in rows]
     return score_set, score_rows, trial_rows, weight_used
+
+
+def dict_join(scores, key_rows):
+    """``eval``'s join of score rows to key rows through a pair dict and a
+    key set: the scores of the key's target and nontarget trials, in key
+    order. Raises ``InvalidValueError`` with the message ``eval`` fails with.
+    """
+    def fail(message):
+        raise errors.InvalidValueError(message)
+
+    score_by_trial = {(e, t): s for e, t, s in scores}
+    key_set = {(e, t) for e, t, _ in key_rows}
+    for pair in score_by_trial:
+        if pair not in key_set:
+            fail(f"score for {pair!r} has no trial-key entry")
+    target, nontarget = [], []
+    for enroll_id, test_id, is_target in key_rows:
+        if (enroll_id, test_id) not in score_by_trial:
+            fail(f"trial ({enroll_id!r}, {test_id!r}) has no score")
+        (target if is_target else nontarget).append(
+            score_by_trial[(enroll_id, test_id)]
+        )
+    return TrialScoreSet(np.array(target), np.array(nontarget))

@@ -6,9 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pseudovox import formats
+import oracles
+from pseudovox import cli, formats
 from pseudovox.cli import main
+from pseudovox.errors import InvalidValueError
 from pseudovox.f0 import F0Contour, LogF0Stats, compute_log_f0_stats
 from pseudovox.metrics import TrialScoreSet, evaluate
 from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding, plda_score, project
@@ -499,6 +503,43 @@ def test_eval_det_out_naming_another_output_fails(tmp_path, runner, det_name):
     assert read_dir(tmp_path) == before  # no output replaced, no temp file left
 
 
+def _join_outcome(join, scores, key_rows):
+    try:
+        score_set = join(scores, key_rows)
+    except InvalidValueError as exc:
+        return str(exc)
+    return repr(score_set.target_scores.tolist()), repr(score_set.nontarget_scores.tolist())
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from("abc"), st.sampled_from("abc"), st.floats(-5, 5), st.booleans()),
+        unique_by=lambda r: r[:2], max_size=9,
+    ),
+    data=st.data(),
+)
+def test_eval_join_equals_the_dict_join(rows, data):
+    """For unsorted keys, scores in key or any other order, an extra score, a
+    missing score and an (enroll, test) pair swapped, the column join gives
+    the dict join's scores in key order, or fails with its message."""
+    key_rows = [(e, t, label) for e, t, _, label in rows]
+    scores = [(e, t, v) for e, t, v, _ in rows]
+    if data.draw(st.booleans()):
+        scores = data.draw(st.permutations(scores))
+    edit = data.draw(st.sampled_from(["none", "extra", "missing", "swap"]))
+    if edit == "extra":
+        scores.insert(data.draw(st.integers(0, len(scores))), ("d", "a", 0.5))
+    elif scores and edit != "none":
+        i = data.draw(st.integers(0, len(scores) - 1))
+        e, t, v = scores.pop(i)
+        if edit == "swap" and (t, e) not in {r[:2] for r in scores}:  # pairs stay unique
+            scores.insert(i, (t, e, v))
+    assert _join_outcome(cli._key_scores, scores, key_rows) == _join_outcome(
+        oracles.dict_join, scores, key_rows
+    )
+
+
 # --- simulate -------------------------------------------------------------------
 
 
@@ -542,6 +583,27 @@ def test_simulate_reproducible_and_complete(tmp_path, runner):
     non = [s for (e, u, s), (_, _, t) in zip(scores, trials) if not t]
     direct = evaluate(TrialScoreSet(np.array(tar), np.array(non)))
     assert report == direct
+
+
+def test_simulate_writes_scores_and_trials_from_the_grid(tmp_path, runner, monkeypatch):
+    """No per-trial rows: the row writers and their pair sort are never called."""
+    calls = []
+    for name in ("serialize_scores", "serialize_trials", "_sorted_by_pair"):
+        real = getattr(formats, name)
+        monkeypatch.setattr(formats, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    result = runner.invoke(main, ["--seed", "3", "simulate", "--out-dir", str(tmp_path / "out")] + SIM_ARGS)
+    assert result.exit_code == 0, result.output
+    assert calls == []
+
+
+def test_simulate_one_utterance_per_speaker_is_refused(tmp_path, runner):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", "--out-dir", str(out), "--utts-per-speaker", "1"])
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: utts_per_speaker must be >= 2: one enrollment and at least one trial utterance\n"
+    )
+    assert not out.exists()
 
 
 def test_simulate_config_file_and_flag_override(tmp_path, runner):

@@ -30,6 +30,19 @@ SMALL = CohortSpec(n_speakers_per_gender=8, utts_per_speaker=3, embed_dim=8, see
 SEL = SelectionConfig(k_far=6, k_sel=3, length_norm=False)
 
 
+def sorted_rows(result):
+    """The grid as the (enroll, utt, score) and (enroll, utt, target) records
+    of ``scores.txt`` and ``trials.txt``, each sorted on (enroll, utt)."""
+    pairs = [(e, u) for e in result.enroll_ids for u in result.utt_ids]
+    assert result.score_matrix.shape == result.label_matrix.shape == (
+        len(result.enroll_ids), len(result.utt_ids)
+    )
+    return (
+        sorted((e, u, v) for (e, u), v in zip(pairs, result.score_matrix.ravel().tolist())),
+        sorted((e, u, t) for (e, u), t in zip(pairs, result.label_matrix.ravel().tolist())),
+    )
+
+
 def test_cohort_is_deterministic():
     a = generate_cohort(SMALL)
     b = generate_cohort(SMALL)
@@ -70,6 +83,12 @@ def test_cohort_spec_validation():
         CohortSpec(f0_gender_means={Gender.MALE: 5.3, Gender.FEMALE: 4.8})
     with pytest.raises(InvalidSpecError):
         CohortSpec(frames_per_utt=1)
+
+
+@pytest.mark.parametrize("utts", [0, 1])
+def test_cohort_needs_a_trial_utterance_per_speaker(utts):
+    with pytest.raises(InvalidSpecError, match=r"^utts_per_speaker must be >= 2: one enrollment"):
+        CohortSpec(utts_per_speaker=utts)
 
 
 @pytest.mark.parametrize(
@@ -141,8 +160,9 @@ def test_scenario_is_deterministic():
     r1 = run_scenario(cohort, cfg, SEL)
     r2 = run_scenario(cohort, cfg, SEL)
     r3 = run_scenario(generate_cohort(SMALL), cfg, SEL)  # a fresh pool cache
-    assert r1.score_rows == r2.score_rows == r3.score_rows
-    assert r1.trial_rows == r2.trial_rows == r3.trial_rows
+    (s1, t1), (s2, t2), (s3, t3) = map(sorted_rows, (r1, r2, r3))
+    assert s1 == s2 == s3
+    assert t1 == t2 == t3
     assert r1.report == r2.report == r3.report
     assert r1.f0_weight_used == r3.f0_weight_used
 
@@ -236,7 +256,7 @@ def test_gender_policy_flows_from_scenario_config():
                        gender_policy=GenderPolicy.OPPOSITE, trial_seed=9),
         SEL,
     )
-    assert same.score_rows != opposite.score_rows
+    assert sorted_rows(same)[0] != sorted_rows(opposite)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,10 +272,10 @@ def test_gender_policy_flows_from_scenario_config():
 def test_scenario_rows_equal_the_sorted_oracle(
     n_per_gender, utts, seed, attack, f0_mode, attacker, f0_weight
 ):
-    """The rows taken out of the score matrix, once sorted as the writers
-    sort them, are the per-trial rows that one sort on (enroll, utt) keys
-    gave, split into the two files' records. The pairs are unique, so
-    ``sorted`` never compares the values."""
+    """The grid, expanded to rows and sorted as the writers order them, is
+    the per-trial rows that one sort on (enroll, utt) keys gave, split into
+    the two files' records. The pairs are unique, so ``sorted`` never
+    compares the values."""
     cohort = generate_cohort(CohortSpec(
         n_speakers_per_gender=n_per_gender, utts_per_speaker=utts, embed_dim=4,
         frames_per_utt=20, seed=seed,
@@ -266,8 +286,9 @@ def test_scenario_rows_equal_the_sorted_oracle(
     with patch.object(simulate, "_score_trials", lambda *args: calls.append(args) or real(*args)):
         result = run_scenario(cohort, cfg, SelectionConfig(k_far=2, k_sel=1, length_norm=False))
     score_set, score_rows, trial_rows, weight = oracles.sorted_trial_rows(*calls[0])
-    assert repr(sorted(result.score_rows)) == repr(score_rows)
-    assert repr(sorted(result.trial_rows)) == repr(trial_rows)
+    grid_scores, grid_trials = sorted_rows(result)
+    assert repr(grid_scores) == repr(score_rows)
+    assert repr(grid_trials) == repr(trial_rows)
     assert result.scores == score_set
     assert repr(result.f0_weight_used) == repr(weight)
 

@@ -308,6 +308,51 @@ def test_pair_serializers_check_each_distinct_id_once(monkeypatch, name):
     assert checked == list(dict.fromkeys(in_order))
 
 
+# --- grid writers ----------------------------------------------------------------
+
+GRID_IDS = st.lists(st.sampled_from(["a", "b", "c", "u1", "spk-2", "é", "#x", "a b", "x\ty", ""]), max_size=5)
+
+
+def _write_outcome(write, *args):
+    try:
+        return write(*args)
+    except PseudovoxError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(enroll=GRID_IDS, utts=GRID_IDS, data=st.data())
+def test_grid_writers_equal_the_row_writers(enroll, utts, data):
+    """For ids in any order, repeated, unserializable or none, the grid
+    writers write the bytes of the row writers on the enrollment-major rows,
+    or raise the same error."""
+    size = len(enroll) * len(utts)
+    values = data.draw(st.lists(st.floats(width=64), min_size=size, max_size=size))
+    scores = np.array(values, dtype=np.float64).reshape(len(enroll), len(utts))
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    labels = labels.reshape(scores.shape)
+
+    def rows(matrix):
+        return [(e, u, v) for e, row in zip(enroll, matrix.tolist()) for u, v in zip(utts, row)]
+
+    assert _write_outcome(formats.serialize_score_grid, enroll, utts, scores) == _write_outcome(
+        formats.serialize_scores, rows(scores)
+    )
+    assert _write_outcome(formats.serialize_trial_grid, enroll, utts, labels) == _write_outcome(
+        formats.serialize_trials, rows(labels)
+    )
+
+
+@pytest.mark.parametrize("write", [formats.serialize_score_grid, formats.serialize_trial_grid])
+def test_grid_writers_check_each_distinct_id_once(monkeypatch, write):
+    checked = []
+    real = formats._check_out_id
+    monkeypatch.setattr(formats, "_check_out_id", lambda i: checked.append(i) or real(i))
+    write(["spk3", "spk1", "utt1", "spk2"], ["utt2", "utt0", "utt1"], np.zeros((4, 3)))
+    # in the order the rows write them: the first row, then the other rows
+    assert checked == ["spk1", "utt0", "utt1", "utt2", "spk2", "spk3"]
+
+
 # --- grammar: ASCII digits, LF-only lines --------------------------------------
 
 
