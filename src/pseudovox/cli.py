@@ -20,7 +20,7 @@ from __future__ import annotations
 import errno
 import os
 import sys
-from operator import itemgetter
+from operator import eq, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, NoReturn, TypeVar
@@ -471,47 +471,33 @@ def eval_cmd(obj, score_file, trial_key, out_file):
         _fail(str(exc))
 
 
+_PAIR = itemgetter(0, 1)
+
+
 def _key_scores(scores: list[tuple[str, str, float]],
                 key_rows: list[tuple[str, str, bool]]) -> TrialScoreSet:
     """The score of each key trial, split by the key's labels in key order.
 
-    ``score`` writes the key's (enroll, test) columns, so they usually equal
-    the score file's. Otherwise both sides are put in (enroll, test) order
-    and compared again; sides that still differ raise the first missing pair
-    (both parsers reject a repeated pair, so one side lacks a pair).
+    ``score`` writes its rows in (enroll, test) order, so for a key in that
+    order the two files hold the same pairs row by row and the scores are
+    taken as one array. Any other pair of files is joined through a pair
+    dict, which fails on the first pair missing from either side.
     """
-    values = np.fromiter(map(itemgetter(2), scores), np.float64, len(scores))
-    labels = np.fromiter(map(itemgetter(2), key_rows), bool, len(key_rows))
-    enroll, test = [r[0] for r in scores], [r[1] for r in scores]
-    key_enroll, key_test = [r[0] for r in key_rows], [r[1] for r in key_rows]
-    if enroll != key_enroll or test != key_test:
-        order, key_order = _pair_order(enroll, test), _pair_order(key_enroll, key_test)
-        if ([enroll[i] for i in order] != [key_enroll[i] for i in key_order]
-                or [test[i] for i in order] != [key_test[i] for i in key_order]):
-            raise InvalidValueError(_join_error(scores, key_rows))
-        values[key_order] = values[order]
-    return TrialScoreSet(values[labels], values[~labels])
-
-
-def _pair_order(enroll: list[str], test: list[str]) -> list[int]:
-    """Row indices in (enroll, test) order, by two stable single-key sorts."""
-    order = sorted(range(len(test)), key=test.__getitem__)
-    order.sort(key=enroll.__getitem__)
-    return order
-
-
-def _join_error(scores: list[tuple[str, str, float]], key_rows: list[tuple[str, str, bool]]) -> str:
-    """The first score pair missing from the key, else the first key pair
-    missing from the scores, each in its file's order."""
-    key_pairs = {(e, t) for e, t, _ in key_rows}
-    for e, t, _ in scores:
-        if (e, t) not in key_pairs:
-            return f"score for {(e, t)!r} has no trial-key entry"
-    score_pairs = {(e, t) for e, t, _ in scores}
-    for e, t, _ in key_rows:
-        if (e, t) not in score_pairs:
-            return f"trial ({e!r}, {t!r}) has no score"
-    raise AssertionError("the two sides hold the same pairs")
+    if len(scores) == len(key_rows) and all(map(eq, map(_PAIR, scores), map(_PAIR, key_rows))):
+        values = np.fromiter(map(itemgetter(2), scores), np.float64, len(scores))
+        labels = np.fromiter(map(itemgetter(2), key_rows), bool, len(key_rows))
+        return TrialScoreSet(values[labels], values[~labels])
+    score_by_trial = {(e, t): s for e, t, s in scores}
+    key_set = {(e, t) for e, t, _ in key_rows}
+    for pair in score_by_trial:
+        if pair not in key_set:
+            raise InvalidValueError(f"score for {pair!r} has no trial-key entry")
+    target, nontarget = [], []
+    for enroll_id, test_id, is_target in key_rows:
+        if (enroll_id, test_id) not in score_by_trial:
+            raise InvalidValueError(f"trial ({enroll_id!r}, {test_id!r}) has no score")
+        (target if is_target else nontarget).append(score_by_trial[(enroll_id, test_id)])
+    return TrialScoreSet(np.array(target), np.array(nontarget))
 
 
 # --- simulate -------------------------------------------------------------------

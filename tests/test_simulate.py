@@ -160,9 +160,12 @@ def test_scenario_is_deterministic():
     r1 = run_scenario(cohort, cfg, SEL)
     r2 = run_scenario(cohort, cfg, SEL)
     r3 = run_scenario(generate_cohort(SMALL), cfg, SEL)  # a fresh pool cache
-    (s1, t1), (s2, t2), (s3, t3) = map(sorted_rows, (r1, r2, r3))
-    assert s1 == s2 == s3
-    assert t1 == t2 == t3
+    assert r1.enroll_ids == r2.enroll_ids == r3.enroll_ids
+    assert r1.utt_ids == r2.utt_ids == r3.utt_ids
+    assert np.array_equal(r1.score_matrix, r2.score_matrix)
+    assert np.array_equal(r1.score_matrix, r3.score_matrix)
+    assert np.array_equal(r1.label_matrix, r2.label_matrix)
+    assert np.array_equal(r1.label_matrix, r3.label_matrix)
     assert r1.report == r2.report == r3.report
     assert r1.f0_weight_used == r3.f0_weight_used
 
