@@ -17,9 +17,9 @@ type and message) and write exactly what they do.
 The metric loops and the sort-built simulate rows at the very end are the
 code that the one-sweep metrics and the one trial table of ``simulate``
 replaced: the metrics and simulate tests require those to return exactly
-(``repr``-equal) what these do. The dict join of ``eval`` is the code that
-its column join replaced; the CLI tests require the same scores or the same
-error message.
+(``repr``-equal) what these do. The dict join of ``eval`` is what its
+column compare stands in for when the score file is in key order; the CLI
+tests require the same scores or the same error message.
 """
 
 import math
