@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from itertools import chain
+from itertools import chain, count
 from operator import add, eq, getitem, itemgetter
 
 import numpy as np
@@ -123,11 +123,22 @@ def format_float(value: float) -> str:
 
 
 def _data_lines(text: str):
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped.split()
+    """(line number, tokens) of each data line, cut from ``text`` one at a time.
+
+    ``text.split("\n")`` would put every line of a large file in the heap at
+    once, beside the records parsed from it; whether a later file of similar
+    size then fits in the freed lines or grows the heap depends on allocation
+    details as small as the length of a path, and so does the peak RSS.
+    """
+    start = 0
+    for lineno in count(1):
+        end = text.find("\n", start)
+        stripped = text[start:end if end >= 0 else None].strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped.split()
+        if end < 0:
+            return
+        start = end + 1
 
 
 def _parse_float(token: str, line: int) -> float:
