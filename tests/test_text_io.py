@@ -387,8 +387,3 @@ def test_crlf_files_parse():
     with pytest.raises(InvalidValueError) as err:
         formats.parse_trials("a b target\r\n\r\na b nontarget\r\n")
     assert err.value.line == 3
-
-
-@given(text=st.text(alphabet="ab #\n\r\t\x0c\x85 ", max_size=40))
-def test_data_lines_cut_lines_like_split_on_lf(text):
-    assert list(formats._data_lines(text)) == list(oracles._data_lines(text))
