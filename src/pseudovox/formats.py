@@ -11,10 +11,12 @@ Lines end at LF only: every other character that ``str.splitlines`` breaks at
 (CR, form feed, U+2028, ...) is whitespace inside a line, so a CRLF file
 parses and line numbers count LFs. Reals and counts take ASCII digits only.
 
-The fast path checks, the per-token path reports. A vector line (contours,
-embeddings, pool, PLDA) is checked with one regex match over its value tokens,
-one ``float`` per token and one finiteness check; a score or trial file is
-checked as a whole with one regex pass over its lines, one set of its
+The fast path checks, the per-token path reports. The value tokens of a vector
+line (contours, embeddings, pool, PLDA) are checked without a regex: they must
+be ASCII with no ``_``, each must convert with ``float`` and all must be
+finite (``float`` accepts the real grammar plus non-ASCII digits, ``_``
+between digits and inf/nan, which these checks reject). A score or trial file
+is checked as a whole with one regex pass over its lines, one set of its
 (enroll, test) pairs and one finiteness check. Whatever these checks do not
 accept goes through the per-token code, which accepts the same records and
 raises the first error with its line number. Serializers check each distinct
@@ -45,7 +47,7 @@ import hashlib
 import math
 import re
 from itertools import chain, count
-from operator import add, eq, getitem, itemgetter
+from operator import add, eq, getitem, itemgetter, lt
 
 import numpy as np
 
@@ -93,11 +95,8 @@ __all__ = [
 _REAL = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _FLOAT_RE = re.compile(_REAL + r"\Z", re.ASCII)
 _UINT_RE = re.compile(r"\d+\Z", re.ASCII)
-# Fast paths. _REALS_RE: value tokens joined by single spaces (``str.split``
-# tokens hold no whitespace, so this is the per-token grammar). The line
-# patterns take ids of printable ASCII not starting with '#'; any other id
-# leaves the file to the per-token path.
-_REALS_RE = re.compile(rf"{_REAL}(?: {_REAL})*\Z", re.ASCII)
+# Fast paths: the line patterns take ids of printable ASCII not starting with
+# '#'; any other id leaves the file to the per-token path.
 _ID = r"[!\"$-~][!-~]*"
 _SCORE_LINE_RE = re.compile(rf"{_ID} {_ID} {_REAL}\n", re.ASCII)
 _TRIAL_LINE_RE = re.compile(rf"{_ID} {_ID} (?:target|nontarget)\n", re.ASCII)
@@ -173,13 +172,23 @@ def _check_out_id(identifier: str) -> str:
 
 
 def _parse_reals(tokens: list[str], line: int) -> np.ndarray:
-    """The reals of one line: one regex match, one ``float`` per token and one
-    finiteness check, or else the per-token ``_parse_float`` loop."""
-    if _REALS_RE.match(" ".join(tokens)):
-        values = np.array(list(map(float, tokens)))
-        if np.isfinite(values).all():
-            return values
-    # rejected (or empty): the per-token loop names the first bad token
+    """The reals of one line: an ASCII and no-``_`` check, one ``float`` per
+    token and one finiteness check, or else the per-token ``_parse_float`` loop.
+
+    ``str.split`` tokens hold no whitespace, and on such a token ``float``
+    accepts ``_REAL``, non-ASCII digits, ``_`` between digits and signed
+    inf/nan in any case, so the three checks accept exactly ``_FLOAT_RE`` plus
+    a finite value.
+    """
+    joined = " ".join(tokens)
+    if joined.isascii() and "_" not in joined:
+        try:
+            values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+            if np.isfinite(values).all():
+                return values
+        except ValueError:
+            pass
+    # rejected: the per-token loop names the first bad token
     return np.array([_parse_float(t, line) for t in tokens], dtype=np.float64)
 
 
@@ -475,7 +484,7 @@ def _parse_score_lines(text: str) -> list[tuple[str, str, float]]:
 
 
 def serialize_scores(records: list[tuple[str, str, float]]) -> str:
-    rows = _sorted_by_pair(records)
+    rows = records if _strictly_by_pair(records) else _sorted_by_pair(records)
     _check_out_ids(chain.from_iterable(map(_pair, rows)))
     return _joined([f"{e} {t} {float(s)!r}" for e, t, s in rows])
 
@@ -646,7 +655,11 @@ def serialize_keyvalues(values: dict[str, str]) -> str:
 
 
 def _joined(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n" if lines else ""
+    """Each of ``lines`` ended by LF, in one join: the final ``""`` appended
+    to ``lines`` gives the last LF (and ``""`` for no lines) without copying
+    the whole text a second time."""
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _sorted_grid(enroll_ids, utt_ids, matrix, dtype) -> tuple[list[str], list[str], np.ndarray]:
@@ -674,6 +687,14 @@ def _sorted_grid(enroll_ids, utt_ids, matrix, dtype) -> tuple[list[str], list[st
 def _grid_text(enroll: list[str], row_tails) -> str:
     """One line per (enroll id, tail): each row's tails joined by LF + its id."""
     return _joined([e + ("\n" + e).join(tails) for e, tails in zip(enroll, row_tails)])
+
+
+def _strictly_by_pair(records: list[tuple]) -> bool:
+    """Whether the (enroll, test) pairs of ``records`` go strictly up: then
+    they are in ``_sorted_by_pair``'s order and hold no repeated pair."""
+    following = map(_pair, records)
+    next(following, None)
+    return all(map(lt, map(_pair, records), following))
 
 
 def _sorted_by_pair(records: list[tuple]) -> list[tuple]:

@@ -2,6 +2,10 @@
 write exactly what the per-token code in ``tests/oracles.py`` does, and
 canonical files never fall back to that per-token code."""
 
+import itertools
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +24,10 @@ PROPERTY = settings(max_examples=300, deadline=None, suppress_health_check=[Heal
 # --- generated texts ----------------------------------------------------------
 
 VALID_REALS = ["0", "1.5", "-2.25", "+.5", "5.", "1e-3", "2E+10", "-0.0", "100", "3"]
-BAD_REALS = ["nan", "inf", "-inf", "1_0", "1e999", "١", "١٢", ".", "-", "+", "e5", "1e", "0x10", "1.2.3"]
+BAD_REALS = [
+    "nan", "inf", "-inf", "1_0", "1e999", "١", "١٢", ".", "-", "+", "e5", "1e", "0x10", "1.2.3",
+    "Infinity", "-NaN", "+inf", "1e1_0", "_1", "1_", "１",
+]
 REALS = st.sampled_from(VALID_REALS * 3 + BAD_REALS)
 NONNEG_REALS = st.sampled_from(["0", "1.5", "+.5", "5.", "1e-3", "100", "-0.0"] * 3 + BAD_REALS + ["-1.0"])
 UINTS = st.sampled_from(["1", "40", "7"] * 3 + ["0", "١٢", "18446744073709551616", "-1", "1.0"])
@@ -141,18 +148,29 @@ EDGE_TEXTS = {
     "contours": [
         "u1 nan\n", "u1 inf\n", "u1 1_0\n", "u1 1e999\n", "u1 ١\n", "u1 +.5 5.\n", "u1 .\n",
         "u1 -\n", "u1\t1.0\x0c2.0\r\n", "# c\n\nu1 1.0\nu1 2.0\n", "u1 1.0 -3.0\n", "u1\n",
+        "u1 Infinity\n", "u1 1.0 -NaN\n", "u1 +inf\n", "u1 1e1_0\n", "u1 _1\n", "u1 1_\n", "u1 １\n",
+        "u_1 1.0 2.0\n", "é 1.0\n",
     ],
     "embeddings": [
         "a u1 M 1.0 2.0\nb u2 F 1.0\n", "a #u M 1.0\n", "a u1 M nan\n", "a u1 M 1.0\na u1 M 2.0\n",
         "a u1 M 1.0\na u2 F 1.0\n", "a u1 M 1e999\n", "a\tu1 M 1.0\r\n",
+        "a u1 M Infinity\n", "a u1 M -NaN\n", "a u1 M 1.0 +inf\n", "a u1 M 1e1_0\n", "a u1 M _1\n",
+        "a u1 M 1_\n", "a u1 M １\n", "p225 p225_001 F 1.0 2.0\n", "é u1 M 1.0\n",
     ],
     "pool": [
         "s1 M 1.0 2.0 | 5.0 0.2 40\ns2 F 1.0 | 5.0 0.2 40\n", "s1 M 1.0 | 5.0 0.2 ١٢\n",
         "s1 M 1.0 | nan 0.2 4\n", "s1 M 1.0 | 5.0 -0.2 4\n", "s1 M 1.0 5.0 0.2 4\n",
+        "s1 M Infinity | 5.0 0.2 4\n", "s1 M 1.0 | -NaN 0.2 4\n", "s1 M +inf | 5.0 0.2 4\n",
+        "s1 M 1e1_0 | 5.0 0.2 4\n", "s1 M 1.0 | _1 0.2 4\n", "s1 M 1.0 | 5.0 1_ 4\n",
+        "s1 M １ | 5.0 0.2 4\n", "s_1 M 1.0 | 5.0 0.2 4\n", "é M 1.0 | 5.0 0.2 4\n",
     ],
     "plda": [
         "dim 1\nmean 0.0\ntransform 1.0\npsi -1.0\n", "dim 1\nmean nan\ntransform 1.0\npsi 1.0\n",
         "dim ١\nmean 0.0\ntransform 1.0\npsi 1.0\n", "dim 1\r\nmean 0.0\r\ntransform 1_0\r\npsi 1.0\r\n", "",
+        "dim 1\nmean Infinity\ntransform 1.0\npsi 1.0\n", "dim 1\nmean 0.0\ntransform -NaN\npsi 1.0\n",
+        "dim 1\nmean 0.0\ntransform 1.0\npsi +inf\n", "dim 1\nmean 1e1_0\ntransform 1.0\npsi 1.0\n",
+        "dim 1\nmean _1\ntransform 1.0\npsi 1.0\n", "dim 1\nmean 0.0\ntransform 1_\npsi 1.0\n",
+        "dim 1\nmean 0.0\ntransform 1.0\npsi １\n",
     ],
     "scores": [
         "a b 1.0\na b 2.0\n", "a #b 1.0\n", "a b nan\n", "a b 1e999\n", "a b ١\n", "a b 1.0\r\n",
@@ -260,19 +278,19 @@ def test_pair_serializers_raise_the_per_token_error(name, rows):
 # --- no fallback on canonical files -------------------------------------------
 
 
-def canonical_texts(d=512, n=40):
+def canonical_texts(d=512, n=40, id_prefix=""):
     rng = np.random.default_rng(44)
     model = PldaModel(rng.normal(size=d), rng.normal(size=(d, d)), rng.uniform(0.0, 2.0, d))
     embeddings = [
-        SpeakerEmbedding(f"spk{i // 4}", Gender.MALE if i // 4 % 2 else Gender.FEMALE, rng.normal(size=d), f"utt{i}")
+        SpeakerEmbedding(f"{id_prefix}spk{i // 4}", Gender.MALE if i // 4 % 2 else Gender.FEMALE, rng.normal(size=d), f"{id_prefix}utt{i}")
         for i in range(n)
     ]
     pool = [
-        PoolSpeaker(f"p{i}", Gender.MALE if i % 2 else Gender.FEMALE, rng.normal(size=d),
+        PoolSpeaker(f"{id_prefix}p{i}", Gender.MALE if i % 2 else Gender.FEMALE, rng.normal(size=d),
                     LogF0Stats(rng.normal(5.0, 0.2), rng.uniform(0.05, 0.4), 60 + i))
         for i in range(n)
     ]
-    contours = [F0Contour(f"utt{i}", np.where(rng.random(300) < 0.3, 0.0, rng.uniform(80, 300, 300))) for i in range(n)]
+    contours = [F0Contour(f"{id_prefix}utt{i}", np.where(rng.random(300) < 0.3, 0.0, rng.uniform(80, 300, 300))) for i in range(n)]
     scores = [(f"spk{e}", f"utt{t}", float(rng.normal())) for e in range(10) for t in range(n)]
     return {
         "plda": formats.serialize_plda(model),
@@ -294,6 +312,35 @@ def test_canonical_files_never_reach_the_per_token_parser(monkeypatch):
         assert calls == [], name
 
 
+def test_vector_lines_with_any_ids_never_reach_the_per_token_parser(monkeypatch):
+    """The value check reads each line's values, not its ids: ids with ``_``
+    (VCTK's ``p225_001``) or non-ASCII letters keep the fast path."""
+    calls = []
+    real = formats._parse_float
+    monkeypatch.setattr(formats, "_parse_float", lambda token, line: calls.append(token) or real(token, line))
+    texts = canonical_texts(d=64, id_prefix="é_")
+    for name in ("pool", "embeddings", "contours"):
+        parsed = getattr(formats, f"parse_{name}")(texts[name])
+        assert getattr(formats, f"serialize_{name}")(parsed) == texts[name]
+        assert calls == [], name
+
+
+def test_value_check_accepts_exactly_the_real_grammar(monkeypatch):
+    """Every string of length 1-4 over an alphabet that spells reals, hex,
+    inf/nan and ``_`` groupings: ``_parse_reals`` keeps the fast path exactly
+    when ``_FLOAT_RE`` matches and the value is finite."""
+    fallbacks = []
+    monkeypatch.setattr(formats, "_parse_float", lambda token, line: fallbacks.append(token) or 0.0)
+    alphabet = "09.eE+-_naifINxX"
+    for size in range(1, 5):
+        for chars in itertools.product(alphabet, repeat=size):
+            token = "".join(chars)
+            expected = bool(formats._FLOAT_RE.match(token)) and math.isfinite(float(token))
+            fallbacks.clear()
+            formats._parse_reals([token], 1)
+            assert (fallbacks == []) == expected, token
+
+
 @pytest.mark.parametrize("name", ["scores", "trials"])
 def test_pair_serializers_check_each_distinct_id_once(monkeypatch, name):
     rows = [(f"spk{e}", f"utt{t}", float(e - t)) for e in range(10) for t in range(40)]
@@ -306,6 +353,40 @@ def test_pair_serializers_check_each_distinct_id_once(monkeypatch, name):
     getattr(formats, f"serialize_{name}")(rows[::-1])
     in_order = [i for e, t, _ in sorted(rows, key=lambda r: r[:2]) for i in (e, t)]
     assert checked == list(dict.fromkeys(in_order))
+
+
+SCORE_ROWS = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "#c", "é", "d e"]), st.sampled_from(["a", "u_1", "#c"]), FLOATS), max_size=8
+)
+
+
+@PROPERTY
+@given(rows=SCORE_ROWS, data=st.data())
+def test_serialize_scores_in_pair_order_equals_the_sorting_path(rows, data):
+    """Rows already strictly in (enroll, test) order skip ``_sorted_by_pair``;
+    for sorted, shuffled and duplicated rows the bytes and errors are those
+    of the path that always sorts."""
+    rows = data.draw(
+        st.sampled_from([
+            sorted(rows, key=lambda r: r[:2]),
+            data.draw(st.permutations(rows)),
+            sorted(rows + rows[:1], key=lambda r: r[:2]),
+        ])
+    )
+    with mock.patch.object(formats, "_strictly_by_pair", return_value=False):
+        sorting = outcome(formats.serialize_scores, rows)
+    assert outcome(formats.serialize_scores, rows) == sorting
+
+
+def test_serialize_scores_does_not_sort_sorted_rows(monkeypatch):
+    calls = []
+    real = formats._sorted_by_pair
+    monkeypatch.setattr(formats, "_sorted_by_pair", lambda rows: calls.append(len(rows)) or real(rows))
+    rows = [(f"spk{e}", f"utt{t:02d}", float(e - t)) for e in range(10) for t in range(40)]
+    text = formats.serialize_scores(rows)
+    assert calls == []
+    assert text == formats.serialize_scores(rows[::-1])
+    assert calls == [len(rows)]
 
 
 # --- grid writers ----------------------------------------------------------------
