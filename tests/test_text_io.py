@@ -167,10 +167,10 @@ EDGE_TEXTS = {
     "plda": [
         "dim 1\nmean 0.0\ntransform 1.0\npsi -1.0\n", "dim 1\nmean nan\ntransform 1.0\npsi 1.0\n",
         "dim ١\nmean 0.0\ntransform 1.0\npsi 1.0\n", "dim 1\r\nmean 0.0\r\ntransform 1_0\r\npsi 1.0\r\n", "",
-        "dim 1\nmean Infinity\ntransform 1.0\npsi 1.0\n", "dim 1\nmean 0.0\ntransform -NaN\npsi 1.0\n",
-        "dim 1\nmean 0.0\ntransform 1.0\npsi +inf\n", "dim 1\nmean 1e1_0\ntransform 1.0\npsi 1.0\n",
-        "dim 1\nmean _1\ntransform 1.0\npsi 1.0\n", "dim 1\nmean 0.0\ntransform 1_\npsi 1.0\n",
-        "dim 1\nmean 0.0\ntransform 1.0\npsi １\n",
+        "dim 1\nmean Infinity\ntransform 1.0\npsi 1.0\n", "dim 1\nmean 2.0\ntransform -NaN\npsi 1.0\n",
+        "dim 1\nmean 3.0\ntransform 1.0\npsi +inf\n", "dim 1\nmean 1e1_0\ntransform 1.0\npsi 1.0\n",
+        "dim 1\nmean _1\ntransform 1.0\npsi 1.0\n", "dim 1\nmean 4.0\ntransform 1_\npsi 1.0\n",
+        "dim 1\nmean 5.0\ntransform 1.0\npsi １\n",
     ],
     "scores": [
         "a b 1.0\na b 2.0\n", "a #b 1.0\n", "a b nan\n", "a b 1e999\n", "a b ١\n", "a b 1.0\r\n",
