@@ -67,12 +67,14 @@ def _fail(message: str) -> NoReturn:
 
 
 def _read(path: str, name: str, entries: dict[str, str], parse: Callable[[str], T]) -> T:
-    """Read ``path`` once: record ``input_sha256_<name>`` of its bytes, then
-    decode and parse them; a decode or parse error names ``path``."""
+    """Read ``path`` once: record ``input_sha256_<name>`` of its bytes and
+    the file among the command's inputs, then decode and parse them; a decode
+    or parse error names ``path``."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         _fail(f"cannot read {path}: {exc}")
+    click.get_current_context().meta.setdefault("inputs", set()).add(os.path.realpath(path))
     entries[f"input_sha256_{name}"] = formats.sha256_hex(data)
     try:
         text = formats.decode_text(data)
@@ -114,18 +116,21 @@ def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
     them all into place in the given order; callers put the manifest last.
 
     No target is touched unless every temp file was written, no target is
-    a directory and no two outputs resolve to the same file. The temp files
-    are always removed, and so are the directories made here if the set is
-    not written.
+    a directory or an input read by ``_read``, and no two outputs resolve to
+    the same file. The temp files are always removed, and so are the
+    directories made here if the set is not written.
     """
     staged: list[tuple[Path, Path]] = []
     created: list[Path] = []
     targets: set[str] = set()
+    inputs = click.get_current_context().meta.get("inputs", ())
     written = False
     try:
         for path, data in outputs:
             _make_dirs(path.parent, created)
             target = os.path.realpath(path)
+            if target in inputs:
+                raise OSError("it is an input of this command")
             if target in targets:
                 raise OSError("another output of this command is the same file")
             targets.add(target)
@@ -457,9 +462,8 @@ def eval_cmd(obj, score_file, trial_key, out_file):
     """EER / Cllr / min-Cllr report from a score file and its trial key."""
     try:
         entries: dict[str, str] = {}
-        scores = _read(score_file, "scores", entries, formats.parse_scores)
-        key_rows = _read(trial_key, "trial_key", entries, formats.parse_trials)
-        score_set = _key_scores(scores, key_rows)
+        score_set = _key_scores(_read(score_file, "scores", entries, formats.parse_scores),
+                                _read(trial_key, "trial_key", entries, formats.parse_trials))
         report_text = formats.serialize_report(evaluate(score_set))
         click.echo(report_text, nl=False)
         det = _det_output(obj, score_set)

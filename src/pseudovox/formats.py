@@ -149,12 +149,12 @@ def _parse_float(token: str, line: int) -> float:
     return value
 
 
-def _parse_uint(token: str, line: int, bits: int = 64) -> int:
+def _parse_uint(token: str, line: int) -> int:
     if not _UINT_RE.match(token):
         raise LineSyntaxError(f"expected an unsigned integer, got {token!r}", line)
     value = int(token)
-    if value >= (1 << bits):
-        raise InvalidValueError(f"integer {token} does not fit in {bits} bits", line)
+    if value >= (1 << 64):
+        raise InvalidValueError(f"integer {token} does not fit in 64 bits", line)
     return value
 
 

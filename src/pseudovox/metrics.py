@@ -73,15 +73,10 @@ def _tied_groups(scores: TrialScoreSet):
     """Each trial's group of tied scores (groups ascending in score), and
     the trial and target counts of each group."""
     pooled = np.concatenate([scores.target_scores, scores.nontarget_scores])
-    labels = np.concatenate(
-        [
-            np.ones(scores.target_scores.size),
-            np.zeros(scores.nontarget_scores.size),
-        ]
-    )
     distinct, inverse = np.unique(pooled, return_inverse=True)
     trials = np.bincount(inverse, minlength=distinct.size).astype(np.float64)
-    targets = np.bincount(inverse, weights=labels, minlength=distinct.size)
+    n_tar = scores.target_scores.size  # targets come first in ``pooled``
+    targets = np.bincount(inverse[:n_tar], minlength=distinct.size).astype(np.float64)
     return inverse, trials, targets
 
 

@@ -275,12 +275,12 @@ def cosine_score(a, b) -> float:
     return float(cosine_scores(a, _as_vector(b)[None, :])[0])
 
 
-def cosine_scores(source, members, norms=None) -> np.ndarray:
+def cosine_scores(source, members) -> np.ndarray:
     """Cosine similarity in [-1, 1] of ``source`` with each row of ``members``.
 
-    One ``ddot`` per row (see the module docstring), so each value equals
-    :func:`cosine_score` of that row. ``norms``, the Euclidean norm of each
-    row, may be passed in when the same rows are scored many times.
+    One ``ddot`` per row, for the row's norm and for its dot product with
+    ``source`` (see the module docstring), so each value equals
+    :func:`cosine_score` of that row.
     """
     s = _as_vector(source)
     m = np.asarray(members, dtype=np.float64)
@@ -290,8 +290,7 @@ def cosine_scores(source, members, norms=None) -> np.ndarray:
         raise DimensionMismatchError(
             f"cosine of vectors with dimensions {s.size} and {m.shape[1]}"
         )
-    if norms is None:
-        norms = np.sqrt(np.vecdot(m, m))
+    norms = np.sqrt(np.vecdot(m, m))
     norm = float(np.linalg.norm(s))
     if norm == 0.0 or np.any(norms == 0.0):
         raise ZeroVectorError("cosine similarity of an all-zero vector is undefined")

@@ -263,8 +263,7 @@ class _RankView:
 
     id_rank: np.ndarray          # position of each row's id in sorted id order
     by_id: dict[str, PoolSpeaker]
-    vectors: np.ndarray          # PLDA: projected latents; cosine: raw members
-    norms: np.ndarray | None     # cosine only: Euclidean norm of each row
+    vectors: np.ndarray          # PLDA: projected latents; cosine: raw members (norms taken per call)
 
 
 def _rank_view(pool_subset: SpeakerPool, cfg: SelectionConfig) -> _RankView:
@@ -273,13 +272,10 @@ def _rank_view(pool_subset: SpeakerPool, cfg: SelectionConfig) -> _RankView:
         ids = [s.speaker_id for s in speakers]
         id_rank = np.empty(len(ids), dtype=np.intp)
         id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-        members = np.stack([s.mean_embedding for s in speakers])
+        vectors = np.stack([s.mean_embedding for s in speakers])
         if cfg.scorer is Scorer.PLDA:
-            vectors = project_many(pool_subset.plda, members, length_norm=cfg.length_norm)
-            norms = None
-        else:
-            vectors, norms = members, np.sqrt(np.vecdot(members, members))
-        return _RankView(id_rank, dict(zip(ids, speakers)), vectors, norms)
+            vectors = project_many(pool_subset.plda, vectors, length_norm=cfg.length_norm)
+        return _RankView(id_rank, dict(zip(ids, speakers)), vectors)
 
     return pool_subset._cached(("rank", cfg.scorer, cfg.length_norm), build)
 
@@ -294,8 +290,7 @@ def _scores_against_source(
         src = project(model, source_xvector, length_norm=cfg.length_norm)
         latents = _rank_view(pool_subset, cfg).vectors
         return plda_score_matrix(model, src[None, :], latents)[0]
-    view = _rank_view(pool_subset, cfg)
-    return cosine_scores(source_xvector, view.vectors, view.norms)
+    return cosine_scores(source_xvector, _rank_view(pool_subset, cfg).vectors)
 
 
 def rank_furthest(

@@ -173,13 +173,18 @@ class Cohort:
 
 @dataclass(eq=False)
 class ScenarioResult:
-    scores: TrialScoreSet
     report: EvalReport
     enroll_ids: list[str]  # speaker id of each matrix row, cohort order
     utt_ids: list[str]  # trial utterance id of each matrix column, cohort order
     score_matrix: np.ndarray  # (enroll, utt) attacker scores, F0 term fused in
     label_matrix: np.ndarray  # (enroll, utt) bool: the utterance is the enrolled speaker's
     f0_weight_used: float | None
+
+    @property
+    def scores(self) -> TrialScoreSet:
+        """The target and nontarget scores ``report`` was computed from, split
+        from the grid on each access."""
+        return TrialScoreSet(self.score_matrix[self.label_matrix], self.score_matrix[~self.label_matrix])
 
 
 def _contour(rng: np.random.Generator, utt_id: str, spec: CohortSpec, log_mean: float) -> F0Contour:
@@ -299,10 +304,8 @@ def _score_trials(
     enroll_ids = [u.speaker_id for u in enroll_utts]
     utt_ids = [u.utterance_id for u in trial_utts]
     labels = np.array(enroll_ids)[:, None] == np.array([u.speaker_id for u in trial_utts])
-    score_set = TrialScoreSet(scores[labels], scores[~labels])
-    return ScenarioResult(
-        score_set, evaluate(score_set), enroll_ids, utt_ids, scores, labels, weight_used
-    )
+    report = evaluate(TrialScoreSet(scores[labels], scores[~labels]))
+    return ScenarioResult(report, enroll_ids, utt_ids, scores, labels, weight_used)
 
 
 def run_baseline(

@@ -13,10 +13,11 @@ import oracles
 from pseudovox import cli, formats
 from pseudovox.cli import main
 from pseudovox.errors import InvalidValueError
-from pseudovox.f0 import F0Contour, LogF0Stats, compute_log_f0_stats
-from pseudovox.metrics import TrialScoreSet, evaluate
+from pseudovox.f0 import F0Contour, F0Mode, LogF0Stats, compute_log_f0_stats
+from pseudovox.metrics import TrialScoreSet, det_points, evaluate
 from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding, plda_score, project
-from pseudovox.selection import PoolSpeaker, SelectionConfig
+from pseudovox.selection import PoolSpeaker, Scorer, SelectionConfig
+from pseudovox.simulate import AttackerModel, AttackModel, CohortSpec, ScenarioConfig, generate_cohort, run_scenario
 
 
 @pytest.fixture
@@ -596,6 +597,27 @@ def test_simulate_writes_scores_and_trials_from_the_grid(tmp_path, runner, monke
     assert calls == []
 
 
+@pytest.mark.parametrize("scorer", ["plda", "cosine"])
+def test_simulate_det_out_is_the_library_det(tmp_path, runner, scorer):
+    det = tmp_path / "det.txt"
+    result = runner.invoke(
+        main,
+        ["--seed", "3", "--det-out", str(det), "simulate", "--out-dir", str(tmp_path / "out"),
+         "--scorer", scorer] + SIM_ARGS,
+    )
+    assert result.exit_code == 0, result.output
+    cohort = generate_cohort(
+        CohortSpec(n_speakers_per_gender=6, utts_per_speaker=3, embed_dim=8, frames_per_utt=40, seed=3)
+    )
+    scenario = ScenarioConfig(
+        attack=AttackModel.ANONYMIZED_TO_ANONYMIZED, f0_mode=F0Mode.MODIFIED, enroll_seed=11,
+        trial_seed=12, attacker=AttackerModel.EMBEDDING_PLUS_F0,
+    )
+    sel = SelectionConfig(k_far=5, k_sel=3, scorer=Scorer(scorer), length_norm=False)
+    expected = formats.serialize_det(det_points(run_scenario(cohort, scenario, sel).scores))
+    assert det.read_text() == expected
+
+
 def test_simulate_one_utterance_per_speaker_is_refused(tmp_path, runner):
     out = tmp_path / "out"
     result = runner.invoke(main, ["simulate", "--out-dir", str(out), "--utts-per-speaker", "1"])
@@ -707,6 +729,49 @@ def test_failed_write_keeps_directories_that_hold_other_files(tmp_path, runner):
     )
     assert result.exit_code == 1
     assert sorted(p.name for p in out.parent.iterdir()) == ["keep.txt"]
+
+
+def tree(path):
+    """Every file and directory under ``path``: a file's bytes, a directory's None."""
+    return {p: p.read_bytes() if p.is_file() else None for p in path.rglob("*")}
+
+
+def input_as_output_case(command, tmp_path):
+    """(args, the input that is also an output) of one run."""
+    if command == "stats":
+        contours = write(tmp_path / "c.txt", "u1 100.0 0.0 400.0\n")
+        return ["stats", contours, contours], contours
+    if command == "anonymize":
+        paths = build_anonymize_inputs(tmp_path)
+        anon = tmp_path / "anon"
+        anon.mkdir()
+        paths["contours"] = str(Path(paths["contours"]).rename(anon / "contours_anon.txt"))
+        return anonymize_args(paths, anon), paths["contours"]
+    if command == "score":
+        inputs = build_score_inputs(tmp_path)
+        args = ["score", inputs["plda"], inputs["enroll"], inputs["trials_emb"], inputs["key"], inputs["key"]]
+        return args, inputs["key"]
+    if command.startswith("eval"):
+        scores = write(tmp_path / "s.txt", "e1 u1 2.0\ne1 u2 -1.0\n")
+        key = write(tmp_path / "k.txt", "e1 u1 target\ne1 u2 nontarget\n")
+        if command == "eval-out":
+            return ["eval", scores, key, "--out", key], key
+        return ["--det-out", scores, "eval", scores, key], scores
+    cfg = write(tmp_path / "cfg.txt", "n_speakers_per_gender 6\nutts_per_speaker 3\nembed_dim 8\n"
+                "frames_per_utt 40\nk_far 5\nk_sel 3\n")
+    return ["--config", cfg, "--det-out", cfg, "simulate", "--out-dir", str(tmp_path / "sim")], cfg
+
+
+@pytest.mark.parametrize("command", ["stats", "anonymize", "score", "eval-out", "eval-det-out", "simulate"])
+def test_an_output_may_not_replace_an_input(command, tmp_path, runner):
+    args, victim = input_as_output_case(command, tmp_path)
+    before = tree(tmp_path)
+    data = Path(victim).read_bytes()
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr == f"error: cannot write {victim}: it is an input of this command\n"
+    assert Path(victim).read_bytes() == data
+    assert tree(tmp_path) == before  # no temp file, no new directory, nothing replaced
 
 
 # --- global flags ----------------------------------------------------------------------
