@@ -35,6 +35,7 @@ from .errors import (
     NoVoicedFramesError,
     PoolTooSmallError,
     PseudovoxError,
+    ZeroVectorError,
 )
 from . import formats
 from .f0 import F0Mode, compute_log_f0_stats
@@ -356,8 +357,8 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
                 pseudo, anon_contours = pseudonymize_speaker(
                     pool, speaker_id, embs[0].gender, [e.vector for e in embs], contours, sel, mode
                 )
-            except PoolTooSmallError as exc:
-                raise PoolTooSmallError(f"speaker {speaker_id!r}: {exc}") from None
+            except (PoolTooSmallError, InvalidValueError, ZeroVectorError) as exc:
+                raise type(exc)(f"speaker {speaker_id!r}: {exc}") from None
             for contour in contours:
                 if mode is F0Mode.MODIFIED and not contour.voiced_mask.any():
                     click.echo(
@@ -421,22 +422,27 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
             if test_id not in test_row:
                 _fail(f"trial utterance {test_id!r} missing from {trial_embeddings}")
 
-        enroll_latents: dict[str, list[np.ndarray]] = {}
-        for emb in enroll:
-            enroll_latents.setdefault(emb.speaker_id, []).append(
-                project(model, emb, length_norm=length_norm)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
+            enroll_latents: dict[str, list[np.ndarray]] = {}
+            for emb in enroll:
+                enroll_latents.setdefault(emb.speaker_id, []).append(
+                    project(model, emb, length_norm=length_norm)
+                )
+            trial_latents = {
+                emb.utterance_id: project(model, emb, length_norm=length_norm)
+                for emb in trials_emb
+            }
+            llrs = plda_score_pairs(
+                model,
+                _rows([np.mean(latents, axis=0) for latents in enroll_latents.values()], model.dim),
+                _rows(list(trial_latents.values()), model.dim),
+                np.array([enroll_row[e] for e, _, _ in key_rows], dtype=np.intp),
+                np.array([test_row[t] for _, t, _ in key_rows], dtype=np.intp),
             )
-        trial_latents = {
-            emb.utterance_id: project(model, emb, length_norm=length_norm)
-            for emb in trials_emb
-        }
-        llrs = plda_score_pairs(
-            model,
-            _rows([np.mean(latents, axis=0) for latents in enroll_latents.values()], model.dim),
-            _rows(list(trial_latents.values()), model.dim),
-            np.array([enroll_row[e] for e, _, _ in key_rows], dtype=np.intp),
-            np.array([test_row[t] for _, t, _ in key_rows], dtype=np.intp),
-        )
+        non_finite = np.flatnonzero(~np.isfinite(llrs))
+        if non_finite.size:
+            enroll_id, test_id, _ = key_rows[non_finite[0]]
+            raise InvalidValueError(f"score of trial ({enroll_id!r}, {test_id!r}) is not finite")
         rows = [(e, t, llr) for (e, t, _), llr in zip(key_rows, llrs.tolist())]
 
         entries["n_trials"] = str(len(rows))

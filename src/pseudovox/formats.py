@@ -3,9 +3,23 @@
 All formats share one set of rules: UTF-8 with LF line endings, ``#``-prefixed
 comment lines and blank lines are skipped, fields are whitespace-separated on
 input and single-space separated on output, reals are written in shortest
-round-trip decimal, and records are emitted sorted by primary id with a
-trailing newline. Unknown trailing fields are a parse error. Every parse
-error names the first offending (1-based) line.
+round-trip decimal, and every output line ends in LF. Unknown trailing fields
+are a parse error.
+
+Every format with a record key follows three record rules, each written once:
+
+- a key appears on one line only (``_records`` reads every keyed format);
+- a parse error names the first bad (1-based) line;
+- output is sorted by key, and each distinct id is checked once
+  (``_sorted_text``; ``_pair_rows`` for scores and trials).
+
+The keys: contours the utterance id, stats the stats id, embeddings
+(speaker, utterance), pool the pool speaker id, scores and trials (enroll,
+test), mapping the source speaker, keyvalues (configs, manifests) and report
+the key. Within a line the checks run in one order: shape, ids, duplicate
+key, values, constructor. A report is written in its fixed key order, and its
+values are read in that order after its last line. PLDA and DET files have no
+key.
 
 Lines end at LF only: every other character that ``str.splitlines`` breaks at
 (CR, form feed, U+2028, ...) is whitespace inside a line, so a CRLF file
@@ -19,8 +33,8 @@ between digits and inf/nan, which these checks reject). A score or trial file
 is checked as a whole with one regex pass over its lines, one set of its
 (enroll, test) pairs and one finiteness check. Whatever these checks do not
 accept goes through the per-token code, which accepts the same records and
-raises the first error with its line number. Serializers check each distinct
-id once and write reals as ``repr`` of Python floats. The grid writers
+raises the first error with its line number. Serializers write reals as
+``repr`` of Python floats. The grid writers
 (``serialize_score_grid``, ``serialize_trial_grid``) write the all-pairs rows
 of an (enroll, utt) matrix without building them: they sort each id list once,
 reorder the matrix to match and write each enrollment row from precomputed
@@ -47,7 +61,7 @@ import hashlib
 import math
 import re
 from itertools import chain, count
-from operator import add, eq, getitem, itemgetter, lt
+from operator import add, attrgetter, eq, getitem, itemgetter, lt
 
 import numpy as np
 
@@ -222,190 +236,104 @@ def _with_line(exc: PseudovoxError, line: int) -> PseudovoxError:
 
 
 def parse_contours(text: str) -> list[F0Contour]:
-    records = []
-    seen: set[str] = set()
-    for lineno, tokens in _data_lines(text):
-        utt_id = _parse_id(tokens[0], lineno)
-        if utt_id in seen:
-            raise InvalidValueError(f"duplicate utterance id {utt_id!r}", lineno)
-        seen.add(utt_id)
-        values = _parse_reals(tokens[1:], lineno)
-        try:
-            records.append(F0Contour(utt_id, values))
-        except PseudovoxError as exc:
-            raise InvalidValueError(str(exc), lineno) from None
-    return records
+    return _records(text, "duplicate utterance id", lambda tokens, line: _parse_id(tokens[0], line),
+                    lambda tokens, utt_id, line: F0Contour(utt_id, _parse_reals(tokens[1:], line)))
 
 
 def serialize_contours(records: list[F0Contour]) -> str:
-    _require_unique(r.utterance_id for r in records)
-    lines = []
-    for rec in sorted(records, key=lambda r: r.utterance_id):
-        fields = [_check_out_id(rec.utterance_id), *_real_fields(rec.values)]
-        lines.append(" ".join(fields))
-    return _joined(lines)
+    return _sorted_text(records, attrgetter("utterance_id"), lambda r: (r.utterance_id,),
+                        lambda r: " ".join([r.utterance_id, *_real_fields(r.values)]))
 
 
 # --- stats ------------------------------------------------------------------
 
 
+def _stats_key(tokens: list[str], line: int) -> str:
+    if len(tokens) != 4:
+        raise LineSyntaxError(f"stats line needs 4 fields, got {len(tokens)}", line)
+    return _parse_id(tokens[0], line)
+
+
 def parse_stats(text: str) -> list[tuple[str, LogF0Stats]]:
-    records = []
-    seen: set[str] = set()
-    for lineno, tokens in _data_lines(text):
-        if len(tokens) != 4:
-            raise LineSyntaxError(
-                f"stats line needs 4 fields, got {len(tokens)}", lineno
-            )
-        rec_id = _parse_id(tokens[0], lineno)
-        if rec_id in seen:
-            raise InvalidValueError(f"duplicate stats id {rec_id!r}", lineno)
-        seen.add(rec_id)
-        mean = _parse_float(tokens[1], lineno)
-        std = _parse_float(tokens[2], lineno)
-        count = _parse_uint(tokens[3], lineno)
-        if count < 1:
-            raise InvalidValueError("voiced_count must be >= 1", lineno)
-        try:
-            records.append((rec_id, LogF0Stats(mean, std, count)))
-        except PseudovoxError as exc:
-            raise InvalidValueError(str(exc), lineno) from None
-    return records
+    return _records(text, "duplicate stats id", _stats_key,
+                    lambda tokens, rec_id, line: (rec_id, _log_f0_stats(tokens[1:], line)))
 
 
 def serialize_stats(records: list[tuple[str, LogF0Stats]]) -> str:
-    _require_unique(r[0] for r in records)
-    lines = []
-    for rec_id, stats in sorted(records, key=lambda r: r[0]):
-        lines.append(
-            " ".join(
-                [
-                    _check_out_id(rec_id),
-                    format_float(stats.mean),
-                    format_float(stats.std),
-                    str(stats.voiced_frame_count),
-                ]
-            )
-        )
-    return _joined(lines)
+    return _sorted_text(records, itemgetter(0), lambda r: (r[0],),
+                        lambda r: " ".join([r[0], *_stats_fields(r[1])]))
+
+
+def _log_f0_stats(tokens: list[str], line: int) -> LogF0Stats:
+    """The stats of ``<mean> <std> <voiced_count>`` (a stats or pool line)."""
+    mean, std = _parse_reals(tokens[:2], line).tolist()
+    count = _parse_uint(tokens[2], line)
+    if count < 1:
+        raise InvalidValueError("voiced_count must be >= 1", line)
+    return LogF0Stats(mean, std, count)
+
+
+def _stats_fields(stats: LogF0Stats) -> list[str]:
+    return [format_float(stats.mean), format_float(stats.std), str(stats.voiced_frame_count)]
 
 
 # --- embeddings -------------------------------------------------------------
 
 
+def _embedding_key(tokens: list[str], line: int) -> tuple[str, str]:
+    if len(tokens) < 4:
+        raise LineSyntaxError("embedding line needs id, utt, gender, values", line)
+    return _two_ids(tokens, line)
+
+
 def parse_embeddings(text: str) -> list[SpeakerEmbedding]:
-    records = []
-    seen: set[tuple[str, str]] = set()
     gender_of: dict[str, Gender] = {}
-    dim: int | None = None
-    for lineno, tokens in _data_lines(text):
-        if len(tokens) < 4:
-            raise LineSyntaxError("embedding line needs id, utt, gender, values", lineno)
-        speaker_id = _parse_id(tokens[0], lineno)
-        utt_id = _parse_id(tokens[1], lineno)
-        gender_token = tokens[2]
-        if (speaker_id, utt_id) in seen:
-            raise InvalidValueError(
-                f"duplicate embedding for ({speaker_id!r}, {utt_id!r})", lineno
-            )
-        seen.add((speaker_id, utt_id))
-        try:
-            gender = Gender.parse(gender_token)
-        except PseudovoxError as exc:
-            raise _with_line(exc, lineno) from None
-        if gender_of.setdefault(speaker_id, gender) is not gender:
-            raise InvalidValueError(
-                f"conflicting gender for speaker {speaker_id!r}", lineno
-            )
-        values = _parse_reals(tokens[3:], lineno)
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise DimensionMismatchError(
-                f"expected {dim} embedding values, got {len(values)}", lineno
-            )
-        try:
-            records.append(SpeakerEmbedding(speaker_id, gender, values, utt_id))
-        except PseudovoxError as exc:
-            raise _with_line(exc, lineno) from None
-    return records
+    vector = _one_dim_reals()
+
+    def build(tokens: list[str], key: tuple[str, str], line: int) -> SpeakerEmbedding:
+        gender = Gender.parse(tokens[2])
+        if gender_of.setdefault(key[0], gender) is not gender:
+            raise InvalidValueError(f"conflicting gender for speaker {key[0]!r}", line)
+        return SpeakerEmbedding(key[0], gender, vector(tokens[3:], line), key[1])
+
+    return _records(text, "duplicate embedding for", _embedding_key, build)
 
 
 def serialize_embeddings(records: list[SpeakerEmbedding]) -> str:
-    keys = []
     for rec in records:
         if rec.utterance_id is None:
             raise InvalidValueError(
                 f"embedding for {rec.speaker_id!r} needs an utterance_id to serialize"
             )
-        keys.append((rec.speaker_id, rec.utterance_id))
-    _require_unique(keys)
-    rows = sorted(records, key=lambda r: (r.speaker_id, r.utterance_id))
-    _check_out_ids(chain.from_iterable((r.speaker_id, r.utterance_id) for r in rows))
-    lines = []
-    for rec in rows:
-        fields = [rec.speaker_id, rec.utterance_id, rec.gender.value, *_real_fields(rec.vector)]
-        lines.append(" ".join(fields))
-    return _joined(lines)
+    key = attrgetter("speaker_id", "utterance_id")
+    return _sorted_text(records, key, key, lambda r: " ".join(
+        [r.speaker_id, r.utterance_id, r.gender.value, *_real_fields(r.vector)]))
 
 
 # --- pool manifest ----------------------------------------------------------
 
 
+def _pool_key(tokens: list[str], line: int) -> str:
+    if len(tokens) < 7:
+        raise LineSyntaxError("pool line needs id, gender, embedding, '|', three stats", line)
+    if tokens[-4] != "|":
+        raise LineSyntaxError("pool line needs a '|' before the F0 stats", line)
+    return _parse_id(tokens[0], line)
+
+
 def parse_pool(text: str) -> list[PoolSpeaker]:
-    records = []
-    seen: set[str] = set()
-    dim: int | None = None
-    for lineno, tokens in _data_lines(text):
-        if len(tokens) < 7:
-            raise LineSyntaxError(
-                "pool line needs id, gender, embedding, '|', three stats", lineno
-            )
-        if tokens[-4] != "|":
-            raise LineSyntaxError("pool line needs a '|' before the F0 stats", lineno)
-        speaker_id = _parse_id(tokens[0], lineno)
-        if speaker_id in seen:
-            raise InvalidValueError(f"duplicate pool speaker {speaker_id!r}", lineno)
-        seen.add(speaker_id)
-        try:
-            gender = Gender.parse(tokens[1])
-        except PseudovoxError as exc:
-            raise _with_line(exc, lineno) from None
-        values = _parse_reals(tokens[2:-4], lineno)
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise DimensionMismatchError(
-                f"expected {dim} embedding values, got {len(values)}", lineno
-            )
-        mean, std = _parse_reals(tokens[-3:-1], lineno).tolist()
-        count = _parse_uint(tokens[-1], lineno)
-        if count < 1:
-            raise InvalidValueError("voiced_count must be >= 1", lineno)
-        try:
-            records.append(
-                PoolSpeaker(speaker_id, gender, values, LogF0Stats(mean, std, count))
-            )
-        except PseudovoxError as exc:
-            raise _with_line(exc, lineno) from None
-    return records
+    vector = _one_dim_reals()
+
+    def build(tokens: list[str], speaker_id: str, line: int) -> PoolSpeaker:
+        gender = Gender.parse(tokens[1])
+        return PoolSpeaker(speaker_id, gender, vector(tokens[2:-4], line), _log_f0_stats(tokens[-3:], line))
+
+    return _records(text, "duplicate pool speaker", _pool_key, build)
 
 
 def serialize_pool(records: list[PoolSpeaker]) -> str:
-    _require_unique(r.speaker_id for r in records)
-    lines = []
-    for rec in sorted(records, key=lambda r: r.speaker_id):
-        fields = [
-            _check_out_id(rec.speaker_id),
-            rec.gender.value,
-            *_real_fields(rec.mean_embedding),
-            "|",
-            format_float(rec.f0_stats.mean),
-            format_float(rec.f0_stats.std),
-            str(rec.f0_stats.voiced_frame_count),
-        ]
-        lines.append(" ".join(fields))
-    return _joined(lines)
+    return _sorted_text(records, attrgetter("speaker_id"), lambda r: (r.speaker_id,), lambda r: " ".join(
+        [r.speaker_id, r.gender.value, *_real_fields(r.mean_embedding), "|", *_stats_fields(r.f0_stats)]))
 
 
 # --- PLDA model -------------------------------------------------------------
@@ -466,27 +394,18 @@ def parse_scores(text: str) -> list[tuple[str, str, float]]:
         del fields
         if np.isfinite(scores).all() and len(set(zip(enroll, test))) == len(enroll):
             return list(zip(enroll, test, scores))
-    return _parse_score_lines(text)
+    return _records(text, "duplicate trial", _score_key,
+                    lambda tokens, pair, line: (*pair, _parse_float(tokens[2], line)))
 
 
-def _parse_score_lines(text: str) -> list[tuple[str, str, float]]:
-    records = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, tokens in _data_lines(text):
-        if len(tokens) != 3:
-            raise LineSyntaxError("score line needs enroll, test, score", lineno)
-        key = (_parse_id(tokens[0], lineno), _parse_id(tokens[1], lineno))
-        if key in seen:
-            raise InvalidValueError(f"duplicate trial {key!r}", lineno)
-        seen.add(key)
-        records.append((key[0], key[1], _parse_float(tokens[2], lineno)))
-    return records
+def _score_key(tokens: list[str], line: int) -> tuple[str, str]:
+    if len(tokens) != 3:
+        raise LineSyntaxError("score line needs enroll, test, score", line)
+    return _two_ids(tokens, line)
 
 
 def serialize_scores(records: list[tuple[str, str, float]]) -> str:
-    rows = records if _strictly_by_pair(records) else _sorted_by_pair(records)
-    _check_out_ids(chain.from_iterable(map(_pair, rows)))
-    return _joined([f"{e} {t} {float(s)!r}" for e, t, s in rows])
+    return _joined([f"{e} {t} {float(s)!r}" for e, t, s in _pair_rows(records)])
 
 
 def parse_trials(text: str) -> list[tuple[str, str, bool]]:
@@ -497,31 +416,22 @@ def parse_trials(text: str) -> list[tuple[str, str, bool]]:
         del fields
         if len(set(zip(enroll, test))) == len(enroll):
             return list(zip(enroll, test, labels))
-    return _parse_trial_lines(text)
+    return _records(text, "duplicate trial", _trial_key,
+                    lambda tokens, pair, line: (*pair, tokens[2] == "target"))
 
 
-def _parse_trial_lines(text: str) -> list[tuple[str, str, bool]]:
-    records = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, tokens in _data_lines(text):
-        if len(tokens) != 3:
-            raise LineSyntaxError("trial line needs enroll, test, label", lineno)
-        if tokens[2] not in ("target", "nontarget"):
-            raise InvalidValueError(
-                f"label must be 'target' or 'nontarget', got {tokens[2]!r}", lineno
-            )
-        key = (_parse_id(tokens[0], lineno), _parse_id(tokens[1], lineno))
-        if key in seen:
-            raise InvalidValueError(f"duplicate trial {key!r}", lineno)
-        seen.add(key)
-        records.append((key[0], key[1], tokens[2] == "target"))
-    return records
+def _trial_key(tokens: list[str], line: int) -> tuple[str, str]:
+    if len(tokens) != 3:
+        raise LineSyntaxError("trial line needs enroll, test, label", line)
+    if tokens[2] not in ("target", "nontarget"):
+        raise InvalidValueError(
+            f"label must be 'target' or 'nontarget', got {tokens[2]!r}", line
+        )
+    return _two_ids(tokens, line)
 
 
 def serialize_trials(records: list[tuple[str, str, bool]]) -> str:
-    rows = _sorted_by_pair(records)
-    _check_out_ids(chain.from_iterable(map(_pair, rows)))
-    return _joined([f"{e} {t} {'target' if is_tar else 'nontarget'}" for e, t, is_tar in rows])
+    return _joined([f"{e} {t} {'target' if is_tar else 'nontarget'}" for e, t, is_tar in _pair_rows(records)])
 
 
 def serialize_score_grid(enroll_ids: list[str], utt_ids: list[str], scores) -> str:
@@ -541,29 +451,27 @@ def serialize_trial_grid(enroll_ids: list[str], utt_ids: list[str], labels) -> s
 # --- pseudo-speaker mapping -------------------------------------------------
 
 
+def _mapping_key(tokens: list[str], line: int) -> str:
+    if len(tokens) < 3:
+        raise LineSyntaxError("mapping line needs source, seed, members", line)
+    return _parse_id(tokens[0], line)
+
+
+def _mapping_record(tokens: list[str], source: str, line: int) -> tuple[str, int, tuple[str, ...]]:
+    seed = _parse_uint(tokens[1], line)
+    members = tuple(_parse_id(t, line) for t in tokens[2:])
+    if len(set(members)) != len(members):
+        raise InvalidValueError("mapping members must be unique", line)
+    return source, seed, members
+
+
 def parse_mapping(text: str) -> list[tuple[str, int, tuple[str, ...]]]:
-    records = []
-    seen: set[str] = set()
-    for lineno, tokens in _data_lines(text):
-        if len(tokens) < 3:
-            raise LineSyntaxError("mapping line needs source, seed, members", lineno)
-        source = _parse_id(tokens[0], lineno)
-        if source in seen:
-            raise InvalidValueError(f"duplicate mapping for {source!r}", lineno)
-        seen.add(source)
-        seed = _parse_uint(tokens[1], lineno)
-        members = tuple(_parse_id(t, lineno) for t in tokens[2:])
-        if len(set(members)) != len(members):
-            raise InvalidValueError("mapping members must be unique", lineno)
-        records.append((source, seed, members))
-    return records
+    return _records(text, "duplicate mapping for", _mapping_key, _mapping_record)
 
 
 def serialize_mapping(records: list[tuple[str, int, tuple[str, ...]]]) -> str:
-    _require_unique(r[0] for r in records)
-    rows = sorted(records, key=lambda r: r[0])
-    _check_out_ids(chain.from_iterable((source, *members) for source, _, members in rows))
-    return _joined([" ".join([source, str(seed), *members]) for source, seed, members in rows])
+    return _sorted_text(records, itemgetter(0), lambda r: (r[0], *r[2]),
+                        lambda r: " ".join([r[0], str(r[1]), *r[2]]))
 
 
 # --- DET export -------------------------------------------------------------
@@ -597,17 +505,17 @@ _REPORT_KEYS = (
 )
 
 
+def _report_key(tokens: list[str], line: int) -> str:
+    if len(tokens) != 2:
+        raise LineSyntaxError("report line needs 'key value'", line)
+    if tokens[0] not in _REPORT_KEYS:
+        raise InvalidValueError(f"unknown report key {tokens[0]!r}", line)
+    return tokens[0]
+
+
 def parse_report(text: str) -> EvalReport:
-    values: dict[str, tuple[str, int]] = {}
-    for lineno, tokens in _data_lines(text):
-        if len(tokens) != 2:
-            raise LineSyntaxError("report line needs 'key value'", lineno)
-        key, value = tokens
-        if key not in _REPORT_KEYS:
-            raise InvalidValueError(f"unknown report key {key!r}", lineno)
-        if key in values:
-            raise InvalidValueError(f"duplicate report key {key!r}", lineno)
-        values[key] = (value, lineno)
+    values = dict(_records(text, "duplicate report key", _report_key,
+                           lambda tokens, key, line: (key, (tokens[1], line))))
     missing = [k for k in _REPORT_KEYS if k not in values]
     if missing:
         raise LineSyntaxError(f"report is missing keys: {', '.join(missing)}", 1)
@@ -634,24 +542,84 @@ def serialize_report(report: EvalReport) -> str:
 # --- generic key/value files (configs, run manifests) -----------------------
 
 
+def _keyvalue_key(tokens: list[str], line: int) -> str:
+    if len(tokens) != 2:
+        raise LineSyntaxError("expected 'key value'", line)
+    return _two_ids(tokens, line)[0]
+
+
 def parse_keyvalues(text: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, tokens in _data_lines(text):
-        if len(tokens) != 2:
-            raise LineSyntaxError("expected 'key value'", lineno)
-        key, value = _parse_id(tokens[0], lineno), _parse_id(tokens[1], lineno)
-        if key in values:
-            raise InvalidValueError(f"duplicate key {key!r}", lineno)
-        values[key] = value
-    return values
+    return dict(_records(text, "duplicate key", _keyvalue_key, lambda tokens, key, line: (key, tokens[1])))
 
 
 def serialize_keyvalues(values: dict[str, str]) -> str:
-    lines = [f"{_check_out_id(k)} {_check_out_id(str(v))}" for k, v in sorted(values.items())]
-    return _joined(lines)
+    return _sorted_text(values.items(), itemgetter(0), lambda kv: (kv[0], str(kv[1])),
+                        lambda kv: f"{kv[0]} {kv[1]!s}")
 
 
 # --- shared helpers ---------------------------------------------------------
+
+
+def _records(text: str, duplicate: str, key, build) -> list:
+    """``build(tokens, k, line)`` of each data line of ``text``, in order.
+
+    ``key(tokens, line)`` checks the line's shape and ids and returns its
+    record key ``k``; a key that an earlier line had raises ``duplicate``
+    followed by the key's ``repr``. ``build`` checks the values and makes the
+    record. An error raised without a line number gets this line's through
+    ``_with_line``; one that has a line passes through unchanged.
+    """
+    records = []
+    seen = set()
+    try:
+        for line, tokens in _data_lines(text):
+            k = key(tokens, line)
+            if k in seen:
+                raise InvalidValueError(f"{duplicate} {k!r}", line)
+            seen.add(k)
+            records.append(build(tokens, k, line))
+    except PseudovoxError as exc:
+        if getattr(exc, "line", None) is None:
+            raise _with_line(exc, line) from None
+        raise
+    return records
+
+
+def _two_ids(tokens: list[str], line: int) -> tuple[str, str]:
+    return _parse_id(tokens[0], line), _parse_id(tokens[1], line)
+
+
+def _one_dim_reals():
+    """``(tokens, line) -> reals`` that requires as many reals as its first call read."""
+    dims: list[int] = []
+
+    def reals(tokens: list[str], line: int) -> np.ndarray:
+        values = _parse_reals(tokens, line)
+        if not dims:
+            dims.append(len(values))
+        elif len(values) != dims[0]:
+            raise DimensionMismatchError(f"expected {dims[0]} embedding values, got {len(values)}", line)
+        return values
+
+    return reals
+
+
+def _sorted_text(records, key, ids, line) -> str:
+    """``line(record)`` of each record, sorted by ``key``: a repeated key
+    raises ``_require_unique``'s error for the first repeat in input order,
+    then each distinct id of ``ids(record)`` is checked once, in written order."""
+    _require_unique(map(key, records))
+    rows = sorted(records, key=key)
+    _check_out_ids(chain.from_iterable(map(ids, rows)))
+    return _joined(list(map(line, rows)))
+
+
+def _pair_rows(records: list[tuple]) -> list[tuple]:
+    """Score or trial records in (enroll, test) order, not sorted again when
+    they already are, after each distinct id has been checked once."""
+    rows = records if _strictly_by_pair(records) else _sorted_by_pair(records)
+    _check_out_ids(chain.from_iterable(map(_pair, rows)))
+    return rows
 
 
 def _joined(lines: list[str]) -> str:

@@ -146,6 +146,9 @@ class PldaModel:
         )
 
 
+_NORM_OVERFLOWS = "the norm of a vector overflows float64"
+
+
 def _as_vector(e) -> np.ndarray:
     if isinstance(e, SpeakerEmbedding):
         return e.vector
@@ -158,9 +161,12 @@ def _as_vector(e) -> np.ndarray:
 def length_normalize(vector: np.ndarray) -> np.ndarray:
     """Scale a vector to Euclidean norm sqrt(d)."""
     v = _as_vector(vector)
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ZeroVectorError("cannot length-normalize an all-zero vector")
+    if norm == np.inf:
+        raise InvalidValueError(_NORM_OVERFLOWS)
     return v * (np.sqrt(v.size) / norm)
 
 
@@ -188,9 +194,12 @@ def project_many(model: PldaModel, vectors: np.ndarray, length_norm: bool = True
             f"expected an (n, {model.dim}) matrix, got shape {m.shape}"
         )
     if length_norm:
-        norms = np.linalg.norm(m, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(m, axis=1)
         if np.any(norms == 0.0):
             raise ZeroVectorError("cannot length-normalize an all-zero vector")
+        if np.any(norms == np.inf):
+            raise InvalidValueError(_NORM_OVERFLOWS)
         m = m * (np.sqrt(model.dim) / norms)[:, None]
     return (m - model.mean) @ model.transform.T
 
@@ -290,8 +299,11 @@ def cosine_scores(source, members) -> np.ndarray:
         raise DimensionMismatchError(
             f"cosine of vectors with dimensions {s.size} and {m.shape[1]}"
         )
-    norms = np.sqrt(np.vecdot(m, m))
-    norm = float(np.linalg.norm(s))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(m, m))
+        norm = float(np.linalg.norm(s))
     if norm == 0.0 or np.any(norms == 0.0):
         raise ZeroVectorError("cosine similarity of an all-zero vector is undefined")
+    if norm == np.inf or np.any(norms == np.inf):
+        raise InvalidValueError(_NORM_OVERFLOWS)
     return np.clip(np.vecdot(s, m) / (norm * norms), -1.0, 1.0)

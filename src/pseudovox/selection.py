@@ -273,6 +273,10 @@ def _rank_view(pool_subset: SpeakerPool, cfg: SelectionConfig) -> _RankView:
         id_rank = np.empty(len(ids), dtype=np.intp)
         id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
         vectors = np.stack([s.mean_embedding for s in speakers])
+        with np.errstate(over="ignore"):
+            overflows = np.linalg.norm(vectors, axis=1) == np.inf
+        if overflows.any():
+            raise InvalidValueError(f"the x-vector norm of pool speaker {ids[overflows.argmax()]!r} overflows float64")
         if cfg.scorer is Scorer.PLDA:
             vectors = project_many(pool_subset.plda, vectors, length_norm=cfg.length_norm)
         return _RankView(id_rank, dict(zip(ids, speakers)), vectors)
@@ -327,7 +331,11 @@ def derive_pseudo_speaker(
     by_id = _rank_view(subset, cfg).by_id
     members = [by_id[m] for m in member_ids]
     xvector = np.mean([m.mean_embedding for m in members], axis=0)
-    stats = aggregate_target_stats([m.f0_stats for m in members])
+    try:
+        with np.errstate(over="ignore"):
+            stats = aggregate_target_stats([m.f0_stats for m in members])
+    except InvalidValueError:
+        raise InvalidValueError("the mean of its pool members' log-F0 statistics is not finite") from None
     return PseudoSpeaker(source.speaker_id, xvector, stats, member_ids, seed)
 
 
@@ -338,7 +346,11 @@ def pseudonymize_speaker(
     """The pseudo-speaker derived from the mean of ``vectors``, and ``contours``
     in order, renormalized toward its F0 statistics under ``F0Mode.MODIFIED``.
     A contour with no voiced frames, or any under ``ORIGINAL``, is returned as is."""
-    source = SpeakerEmbedding(speaker_id, gender, np.mean(vectors, axis=0))
+    with np.errstate(over="ignore"):
+        mean = np.mean(vectors, axis=0)
+    if not np.isfinite(mean).all():
+        raise InvalidValueError("the mean of its utterance x-vectors is not finite")
+    source = SpeakerEmbedding(speaker_id, gender, mean)
     pseudo = derive_pseudo_speaker(pool, source, cfg)
     return pseudo, [
         transform_contour(c, compute_log_f0_stats(c), pseudo.f0_stats)

@@ -274,6 +274,28 @@ def serialize_contours(records):
     return _joined(lines)
 
 
+def parse_stats(text):
+    records = []
+    seen = set()
+    for lineno, tokens in _data_lines(text):
+        if len(tokens) != 4:
+            raise errors.LineSyntaxError(f"stats line needs 4 fields, got {len(tokens)}", lineno)
+        rec_id = _parse_id(tokens[0], lineno)
+        if rec_id in seen:
+            raise errors.InvalidValueError(f"duplicate stats id {rec_id!r}", lineno)
+        seen.add(rec_id)
+        mean = _parse_float(tokens[1], lineno)
+        std = _parse_float(tokens[2], lineno)
+        count = _parse_uint(tokens[3], lineno)
+        if count < 1:
+            raise errors.InvalidValueError("voiced_count must be >= 1", lineno)
+        try:
+            records.append((rec_id, LogF0Stats(mean, std, count)))
+        except errors.PseudovoxError as exc:
+            raise errors.InvalidValueError(str(exc), lineno) from None
+    return records
+
+
 def serialize_stats(records):
     _require_unique(r[0] for r in records)
     lines = []
@@ -495,6 +517,24 @@ def serialize_trials(records):
     return _joined(lines)
 
 
+def parse_mapping(text):
+    records = []
+    seen = set()
+    for lineno, tokens in _data_lines(text):
+        if len(tokens) < 3:
+            raise errors.LineSyntaxError("mapping line needs source, seed, members", lineno)
+        source = _parse_id(tokens[0], lineno)
+        if source in seen:
+            raise errors.InvalidValueError(f"duplicate mapping for {source!r}", lineno)
+        seen.add(source)
+        seed = _parse_uint(tokens[1], lineno)
+        members = tuple(_parse_id(t, lineno) for t in tokens[2:])
+        if len(set(members)) != len(members):
+            raise errors.InvalidValueError("mapping members must be unique", lineno)
+        records.append((source, seed, members))
+    return records
+
+
 def serialize_mapping(records):
     _require_unique(r[0] for r in records)
     lines = []
@@ -509,6 +549,32 @@ def serialize_det(points):
     return _joined([f"{_format_float(x)} {_format_float(y)}" for x, y in points])
 
 
+REPORT_KEYS = ("eer_pct", "cllr_bits", "min_cllr_bits", "n_target_trials", "n_nontarget_trials")
+
+
+def parse_report(text):
+    values = {}
+    for lineno, tokens in _data_lines(text):
+        if len(tokens) != 2:
+            raise errors.LineSyntaxError("report line needs 'key value'", lineno)
+        key, value = tokens
+        if key not in REPORT_KEYS:
+            raise errors.InvalidValueError(f"unknown report key {key!r}", lineno)
+        if key in values:
+            raise errors.InvalidValueError(f"duplicate report key {key!r}", lineno)
+        values[key] = (value, lineno)
+    missing = [k for k in REPORT_KEYS if k not in values]
+    if missing:
+        raise errors.LineSyntaxError(f"report is missing keys: {', '.join(missing)}", 1)
+    return EvalReport(
+        eer_pct=_parse_float(*values["eer_pct"]),
+        cllr_bits=_parse_float(*values["cllr_bits"]),
+        min_cllr_bits=_parse_float(*values["min_cllr_bits"]),
+        n_target_trials=_parse_uint(*values["n_target_trials"]),
+        n_nontarget_trials=_parse_uint(*values["n_nontarget_trials"]),
+    )
+
+
 def serialize_report(report):
     lines = [
         f"eer_pct {_format_float(report.eer_pct)}",
@@ -518,6 +584,18 @@ def serialize_report(report):
         f"n_nontarget_trials {report.n_nontarget_trials}",
     ]
     return _joined(lines)
+
+
+def parse_keyvalues(text):
+    values = {}
+    for lineno, tokens in _data_lines(text):
+        if len(tokens) != 2:
+            raise errors.LineSyntaxError("expected 'key value'", lineno)
+        key, value = _parse_id(tokens[0], lineno), _parse_id(tokens[1], lineno)
+        if key in values:
+            raise errors.InvalidValueError(f"duplicate key {key!r}", lineno)
+        values[key] = value
+    return values
 
 
 def serialize_keyvalues(values):

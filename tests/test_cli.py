@@ -333,6 +333,49 @@ def test_anonymize_degenerate_contour_names_its_utterance(tmp_path, runner):
     assert not out.exists()
 
 
+def _pool_edit(edit):
+    def apply(paths, tmp_path):
+        pool = [edit(p) for p in formats.parse_pool(Path(paths["pool"]).read_text())]
+        write(tmp_path / "pool.txt", formats.serialize_pool(pool))
+    return apply
+
+
+def _source_edit(value):
+    def apply(paths, tmp_path):
+        embeddings = formats.parse_embeddings(Path(paths["embeddings"]).read_text())
+        for emb in embeddings:
+            if emb.speaker_id == "src0":
+                emb.vector[:] = value
+        write(tmp_path / "embeddings.txt", formats.serialize_embeddings(embeddings))
+    return apply
+
+
+POOL_NORM_OVERFLOWS = "speaker 'src0': the x-vector norm of pool speaker 'poolm00' overflows float64"
+
+
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning fails the run
+@pytest.mark.parametrize("edit, extra, message", [
+    (_pool_edit(lambda p: PoolSpeaker(p.speaker_id, p.gender, np.sign(p.mean_embedding) * 1e200, p.f0_stats)),
+     ["--scorer", "cosine"], POOL_NORM_OVERFLOWS),
+    (_pool_edit(lambda p: PoolSpeaker(p.speaker_id, p.gender, np.full(4, 1e308), p.f0_stats)), [], POOL_NORM_OVERFLOWS),
+    (_pool_edit(lambda p: PoolSpeaker(p.speaker_id, p.gender, p.mean_embedding, LogF0Stats(1e308, 0.2, 50))), [],
+     "speaker 'src0': the mean of its pool members' log-F0 statistics is not finite"),
+    (_source_edit(0.0), ["--scorer", "cosine"], "speaker 'src0': cosine similarity of an all-zero vector is undefined"),
+    (_source_edit(1e308), [], "speaker 'src0': the mean of its utterance x-vectors is not finite"),
+], ids=["cosine-pool-1e200", "pool-1e308", "pool-log-f0-1e308", "cosine-zero-source", "source-1e308"])
+def test_anonymize_error_names_the_source_speaker_and_the_pool(tmp_path, runner, edit, extra, message):
+    """Finite inputs whose norms or means overflow, and an all-zero source
+    under cosine, end in one error line that names the source speaker and,
+    when the pool is at fault, the pool speaker or the pool members."""
+    paths = build_anonymize_inputs(tmp_path)
+    edit(paths, tmp_path)
+    out = tmp_path / "anon"
+    result = runner.invoke(main, anonymize_args(paths, out, extra))
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
 # --- score ---------------------------------------------------------------------
 
 
@@ -443,6 +486,25 @@ def test_score_embedding_dimension_error_names_the_file(tmp_path, runner, which)
     )
     assert result.exit_code == 1
     assert result.stderr == f"error: {inputs[which]}: embedding dimension 3 != model dimension 4\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning fails the run
+@pytest.mark.parametrize("extra, message", [
+    ([], "the norm of a vector overflows float64"),
+    (["--no-length-norm"], "score of trial ('e1', 't1-u1') is not finite"),
+], ids=["length-norm", "no-length-norm"])
+def test_score_refuses_vectors_whose_products_overflow(tmp_path, runner, extra, message):
+    inputs = build_score_inputs(tmp_path)
+    trials = [SpeakerEmbedding("t1", Gender.MALE, [1e200, -1e200, 1e200], "t1-u1"),
+              SpeakerEmbedding("t2", Gender.FEMALE, [1e200, 1e200, 1e200], "t2-u1")]
+    write(tmp_path / "trials_emb.txt", formats.serialize_embeddings(trials))
+    out = tmp_path / "scores.txt"
+    result = runner.invoke(
+        main, ["score", inputs["plda"], inputs["enroll"], inputs["trials_emb"], inputs["key"], str(out), *extra]
+    )
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {message}\n"
     assert not out.exists()
 
 

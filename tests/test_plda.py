@@ -53,6 +53,20 @@ def test_length_normalize_zero_vector():
         length_normalize(np.zeros(3))
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is refused, not warned about
+@pytest.mark.parametrize("normalize", [
+    length_normalize,
+    lambda v: project_many(identity_model(3, 1.0), np.stack([np.ones(3), v])),
+    lambda v: cosine_score(v, np.ones(3)),
+    lambda v: cosine_score(np.ones(3), v),
+], ids=["length_normalize", "project_many", "cosine-source", "cosine-member"])
+def test_a_norm_that_overflows_is_refused(normalize):
+    """Finite components whose norm overflows would otherwise scale to zeros
+    or to a cosine of 0."""
+    with pytest.raises(InvalidValueError, match="^the norm of a vector overflows float64$"):
+        normalize(np.array([1e200, -1e200, 1.0]))
+
+
 def test_score_zero_psi_is_exactly_zero():
     model = identity_model(5, 0.0)
     rng = np.random.default_rng(1)

@@ -36,12 +36,16 @@ GENDERS = st.sampled_from(["M", "F", "M", "F", "X"])
 SEPARATORS = st.sampled_from([" "] * 6 + ["\t", "  ", "\x0c", "\x0b", "\x1c", " ", "\x85"])
 
 
+def texts(line_tokens):
+    return laid_out(st.lists(line_tokens, max_size=6))
+
+
 @st.composite
-def texts(draw, line_tokens):
-    """Lines of ``line_tokens`` lists. A canonical file (single spaces, LF
-    endings, no comments or blank lines) takes the fast paths; any other
-    adds tabs, form feeds, CRLF, comments, blank lines and padding."""
-    rows = draw(st.lists(line_tokens, max_size=6))
+def laid_out(draw, token_rows):
+    """Lines of the token lists ``token_rows`` draws. A canonical file (single
+    spaces, LF endings, no comments or blank lines) takes the fast paths; any
+    other adds tabs, form feeds, CRLF, comments, blank lines and padding."""
+    rows = draw(token_rows)
     if draw(st.booleans()):
         return "".join(" ".join(tokens) + "\n" for tokens in rows)
     out = []
@@ -96,6 +100,48 @@ def trial_line(draw):
     return tokens
 
 
+def wrong_count(draw, tokens, keep):
+    """``tokens``, one time in ten cut to fewer than ``keep`` fields or given an extra one."""
+    if draw(st.integers(0, 9)) == 0:
+        return tokens[: draw(st.integers(0, keep - 1))] or tokens + ["extra"]
+    return tokens
+
+
+@st.composite
+def stats_line(draw):
+    return wrong_count(draw, [draw(IDS), draw(REALS), draw(NONNEG_REALS), draw(UINTS)], 4)
+
+
+SEEDS = st.sampled_from(["0", "7", "18446744073709551615"] * 3 + ["18446744073709551616", "١٢", "-1", "x"])
+
+
+@st.composite
+def mapping_line(draw):
+    return wrong_count(draw, [draw(IDS), draw(SEEDS), *draw(st.lists(IDS, min_size=1, max_size=3))], 3)
+
+
+@st.composite
+def keyvalue_line(draw):
+    return wrong_count(draw, [draw(IDS), draw(IDS)], 2)
+
+
+@st.composite
+def report_rows(draw):
+    """The five report keys in any order, each with a count or a real; at
+    times one is dropped, repeated, unknown or given the wrong field count."""
+    rows = [[key, draw(UINTS if key.startswith("n_") else REALS)] for key in draw(st.permutations(oracles.REPORT_KEYS))]
+    edit, i = draw(st.integers(0, 7)), draw(st.integers(0, len(rows) - 1))
+    if edit == 0:
+        del rows[i]
+    elif edit == 1:
+        rows.insert(draw(st.integers(0, len(rows))), [rows[i][0], draw(REALS)])
+    elif edit == 2:
+        rows.insert(i, [draw(st.sampled_from(["eer", "#c", "EER_PCT"])), "1.0"])
+    elif edit == 3:
+        rows[i] = rows[i][:1] + draw(st.sampled_from([[], ["1.0", "2.0"]]))
+    return rows
+
+
 @st.composite
 def plda_text(draw):
     dim = draw(st.integers(1, 2))
@@ -132,6 +178,10 @@ PARSERS = {
     "plda": (plda_text(), formats.parse_plda, oracles.parse_plda),
     "scores": (texts(score_line()), formats.parse_scores, oracles.parse_scores),
     "trials": (texts(trial_line()), formats.parse_trials, oracles.parse_trials),
+    "stats": (texts(stats_line()), formats.parse_stats, oracles.parse_stats),
+    "mapping": (texts(mapping_line()), formats.parse_mapping, oracles.parse_mapping),
+    "keyvalues": (texts(keyvalue_line()), formats.parse_keyvalues, oracles.parse_keyvalues),
+    "report": (laid_out(report_rows()), formats.parse_report, oracles.parse_report),
 }
 
 
@@ -179,6 +229,28 @@ EDGE_TEXTS = {
     "trials": [
         "a b target\na b nontarget\n", "a #b target\n", "a b maybe\n", "a b target\r\n",
         "a b target", "é b target\n", "a b\n",
+    ],
+    "stats": [
+        "a 5.0 0.5 4\nb 5.0 0.5 4\na 5.0 0.5 4\n", "#a 5.0 0.5 4\n", "a 5.0 0.5\n", "a 5.0 0.5 4 1\n",
+        "a 5.0 0.5 ١٢\n", "a 5.0 0.5 0\n", "a 5.0 -0.5 4\n", "a nan 0.5 4\n", "a 5.0 0.5 18446744073709551616\n",
+        "a\t5.0 0.5 4\r\n", "a 5.0 0.5 1.0\n",
+    ],
+    "mapping": [
+        "s 1 a b\ns 2 c\n", "#s 1 a\n", "s 1 #a\n", "s 1\n", "s ١٢ a\n", "s 0 a\n", "s 1 a b a\n",
+        "s 18446744073709551616 a\n", "s -1 a\n", "s\t3 a  b\r\n",
+    ],
+    "keyvalues": [
+        "a b\nc d\na e\n", "#a b\n", "a #b\n", "a\n", "a b c\n", "a ١٢\n", "a 0\n", "a b\na #b\n",
+        "a\tb\r\n",
+    ],
+    "report": [
+        "eer_pct 1.0\ncllr_bits 0.5\nmin_cllr_bits 0.25\nn_target_trials 0\nn_nontarget_trials 7\n",
+        "eer_pct 1.0\ncllr_bits 0.5\nmin_cllr_bits 0.25\nn_target_trials ١٢\nn_nontarget_trials 7\n",
+        "eer_pct 1.0\ncllr_bits 0.5\nbogus 1\nn_target_trials 1\nn_nontarget_trials 7\n",
+        "eer_pct 1.0\ncllr_bits 0.5\nmin_cllr_bits 0.25\nn_target_trials 1\neer_pct 2.0\n",
+        "eer_pct 1.0\ncllr_bits 0.5\nn_target_trials 1\nn_nontarget_trials 7\n",
+        "n_target_trials x\neer_pct nan\ncllr_bits 0.5\nmin_cllr_bits 0.25\nn_nontarget_trials 7\n",
+        "eer_pct 1.0 2.0\n", "",
     ],
 }
 
@@ -268,11 +340,43 @@ def test_round_trip_is_exact_and_writes_the_per_token_bytes(name, data):
     assert serialize(parsed) == text  # also keeps the sign of every zero
 
 
-@pytest.mark.parametrize("name", ["scores", "trials"])
+WRITER_IDS = st.sampled_from(["a", "b", "#c", "d e", ""])
+F0_STATS = LogF0Stats(5.0, 0.2, 4)
+
+
+def with_ids(record, **ids):
+    """``record`` with these id fields, set past the constructor, which refuses ``""``."""
+    for field, value in ids.items():
+        object.__setattr__(record, field, value)
+    return record
+
+
+WRITER_RECORDS = {
+    "contours": st.builds(lambda i: with_ids(F0Contour("x", [1.0]), utterance_id=i), WRITER_IDS),
+    "stats": st.tuples(WRITER_IDS, st.just(F0_STATS)),
+    "embeddings": st.builds(
+        lambda s, u: with_ids(SpeakerEmbedding("x", Gender.MALE, [1.0]), speaker_id=s, utterance_id=u),
+        WRITER_IDS, st.none() | WRITER_IDS,
+    ),
+    "pool": st.builds(lambda i: with_ids(PoolSpeaker("x", Gender.FEMALE, [1.0], F0_STATS), speaker_id=i), WRITER_IDS),
+    "mapping": st.tuples(WRITER_IDS, st.integers(0, 9), st.lists(WRITER_IDS, min_size=1, max_size=3).map(tuple)),
+    "scores": st.tuples(WRITER_IDS, st.sampled_from(["a", "b", "#c"]), st.booleans()),
+    "trials": st.tuples(WRITER_IDS, st.sampled_from(["a", "b", "#c"]), st.booleans()),
+}
+
+
+@pytest.mark.parametrize("name", sorted([*WRITER_RECORDS, "keyvalues"]))
 @PROPERTY
-@given(rows=st.lists(st.tuples(st.sampled_from(["a", "b", "#c", "d e", ""]), st.sampled_from(["a", "b", "#c"]), st.booleans())))
-def test_pair_serializers_raise_the_per_token_error(name, rows):
-    assert outcome(getattr(formats, f"serialize_{name}"), rows) == outcome(getattr(oracles, f"serialize_{name}"), rows)
+@given(data=st.data())
+def test_pair_serializers_raise_the_per_token_error(name, data):
+    """Every writer with a record key, not only the pair writers: for
+    repeated keys and unserializable ids the bytes or the error are those of
+    the per-record code."""
+    if name == "keyvalues":
+        records = data.draw(st.dictionaries(WRITER_IDS, WRITER_IDS))
+    else:
+        records = data.draw(st.lists(WRITER_RECORDS[name]))
+    assert outcome(getattr(formats, f"serialize_{name}"), records) == outcome(getattr(oracles, f"serialize_{name}"), records)
 
 
 # --- no fallback on canonical files -------------------------------------------
@@ -360,32 +464,41 @@ SCORE_ROWS = st.lists(
 )
 
 
+def as_rows(name, rows):
+    """Score rows as ``name`` records: trials take the sign of each score as the label."""
+    return rows if name == "scores" else [(e, t, s > 0) for e, t, s in rows]
+
+
+@pytest.mark.parametrize("name", ["scores", "trials"])
 @PROPERTY
 @given(rows=SCORE_ROWS, data=st.data())
-def test_serialize_scores_in_pair_order_equals_the_sorting_path(rows, data):
+def test_pair_serializers_in_pair_order_equal_the_sorting_path(name, rows, data):
     """Rows already strictly in (enroll, test) order skip ``_sorted_by_pair``;
     for sorted, shuffled and duplicated rows the bytes and errors are those
     of the path that always sorts."""
-    rows = data.draw(
+    rows = as_rows(name, data.draw(
         st.sampled_from([
             sorted(rows, key=lambda r: r[:2]),
             data.draw(st.permutations(rows)),
             sorted(rows + rows[:1], key=lambda r: r[:2]),
         ])
-    )
+    ))
+    serialize = getattr(formats, f"serialize_{name}")
     with mock.patch.object(formats, "_strictly_by_pair", return_value=False):
-        sorting = outcome(formats.serialize_scores, rows)
-    assert outcome(formats.serialize_scores, rows) == sorting
+        sorting = outcome(serialize, rows)
+    assert outcome(serialize, rows) == sorting
 
 
-def test_serialize_scores_does_not_sort_sorted_rows(monkeypatch):
+@pytest.mark.parametrize("name", ["scores", "trials"])
+def test_pair_serializers_do_not_sort_sorted_rows(monkeypatch, name):
     calls = []
     real = formats._sorted_by_pair
     monkeypatch.setattr(formats, "_sorted_by_pair", lambda rows: calls.append(len(rows)) or real(rows))
-    rows = [(f"spk{e}", f"utt{t:02d}", float(e - t)) for e in range(10) for t in range(40)]
-    text = formats.serialize_scores(rows)
+    rows = as_rows(name, [(f"spk{e}", f"utt{t:02d}", float(e - t)) for e in range(10) for t in range(40)])
+    serialize = getattr(formats, f"serialize_{name}")
+    text = serialize(rows)
     assert calls == []
-    assert text == formats.serialize_scores(rows[::-1])
+    assert text == serialize(rows[::-1])
     assert calls == [len(rows)]
 
 
