@@ -13,13 +13,19 @@ and a command refuses ``--det-out`` or ``--config`` when it would ignore it.
 Configuration files are ``key value`` lines whose keys mirror the flag names;
 flags win when both are given. Diagnostics go to stderr; the exit code is 0
 iff the run produced every requested output.
+
+Every failure ends the run in one place: the command group turns any
+``PseudovoxError`` a command raises into one ``error:`` line on stderr and
+exit code 1, so no command catches one to end the run itself.
 """
 
 from __future__ import annotations
 
+import enum
 import errno
 import os
 import sys
+from dataclasses import asdict, fields
 from operator import eq, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -40,7 +46,7 @@ from .errors import (
 from . import formats
 from .f0 import F0Mode, compute_log_f0_stats
 from .metrics import TrialScoreSet, det_points, evaluate
-from .plda import Gender, SpeakerEmbedding, plda_score_pairs, project
+from .plda import SpeakerEmbedding, plda_score_pairs, project
 from .selection import (
     GenderPolicy,
     Scorer,
@@ -238,6 +244,26 @@ def _convert(key: str, raw: str, kind):
         raise InvalidValueError(f"bad value {raw!r} for key {key!r}") from None
 
 
+def _build(cls, resolved: dict, **defaults):
+    """A ``cls`` from the resolved settings named after its fields, over ``defaults``."""
+    names = {field.name for field in fields(cls)}
+    return cls(**{**defaults, **{key: value for key, value in resolved.items() if key in names}})
+
+
+def _recorded(settings: dict) -> dict[str, str]:
+    """Each setting as its manifest text."""
+    def text(value) -> str:
+        if isinstance(value, enum.Enum):
+            return value.value
+        if isinstance(value, bool):  # before int: a bool is an int
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return formats.format_float(value)
+        return "none" if value is None else str(value)
+
+    return {key: text(value) for key, value in settings.items()}
+
+
 def _det_output(obj, score_set: TrialScoreSet) -> list[tuple[Path, str]]:
     """The ``--det-out`` file and its text, if the flag was given."""
     if obj.det_out is None:
@@ -245,7 +271,17 @@ def _det_output(obj, score_set: TrialScoreSet) -> list[tuple[Path, str]]:
     return [(Path(obj.det_out), formats.serialize_det(det_points(score_set)))]
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, and the one failure boundary of every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PseudovoxError as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 @click.option("--seed", type=int, default=None,
               help="Global selection/cohort seed override; no effect on stats, score and eval.")
@@ -271,22 +307,19 @@ def main(ctx, seed, config, det_out):
 @click.argument("out_stats_file", type=click.Path())
 def stats(contours_file, out_stats_file):
     """Per-utterance voiced log-F0 statistics."""
-    try:
-        entries: dict[str, str] = {}
-        contours = _read(contours_file, "contours", entries, formats.parse_contours)
-        records = []
-        for contour in contours:
-            try:
-                records.append((contour.utterance_id, compute_log_f0_stats(contour)))
-            except NoVoicedFramesError:
-                click.echo(
-                    f"warning: {contour.utterance_id} has no voiced frames, skipped",
-                    err=True,
-                )
-        entries["n_utterances"] = str(len(records))
-        _write_with_manifest(out_stats_file, formats.serialize_stats(records), "stats", entries, [])
-    except PseudovoxError as exc:
-        _fail(str(exc))
+    entries: dict[str, str] = {}
+    contours = _read(contours_file, "contours", entries, formats.parse_contours)
+    records = []
+    for contour in contours:
+        try:
+            records.append((contour.utterance_id, compute_log_f0_stats(contour)))
+        except NoVoicedFramesError:
+            click.echo(
+                f"warning: {contour.utterance_id} has no voiced frames, skipped",
+                err=True,
+            )
+    entries["n_utterances"] = str(len(records))
+    _write_with_manifest(out_stats_file, formats.serialize_stats(records), "stats", entries, [])
 
 
 # --- anonymize ----------------------------------------------------------------
@@ -317,79 +350,67 @@ _ANON_CONFIG_KEYS = {
 @click.pass_obj
 def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir, **flags):
     """Derive one pseudo-speaker per source speaker; transform F0 on request."""
-    try:
-        entries: dict[str, str] = {}
-        resolved = _settings(
-            obj.config, _ANON_CONFIG_KEYS, "anonymize", {**flags, "global_seed": obj.seed}, entries
-        )
-        mode = resolved.pop("f0_mode", F0Mode.ORIGINAL)
-        sel = SelectionConfig(**resolved)
+    entries: dict[str, str] = {}
+    resolved = _settings(
+        obj.config, _ANON_CONFIG_KEYS, "anonymize", {**flags, "global_seed": obj.seed}, entries
+    )
+    mode = resolved.get("f0_mode", F0Mode.ORIGINAL)
+    sel = _build(SelectionConfig, resolved)
 
-        plda_model = None
-        if plda_file is not None:
-            plda_model = _read(plda_file, "plda", entries, formats.parse_plda)
-        pool = _read(pool_file, "pool", entries,
-                     lambda text: SpeakerPool(formats.parse_pool(text), plda_model))
-        pool_dim = pool.speakers[0].mean_embedding.size if len(pool) else None
-        embeddings = _read(embeddings_file, "embeddings", entries,
-                           _of_dim(_parse_utterances, pool_dim, "pool"))
-        contours = _read(contours_file, "contours", entries, formats.parse_contours)
+    plda_model = None
+    if plda_file is not None:
+        plda_model = _read(plda_file, "plda", entries, formats.parse_plda)
+    pool = _read(pool_file, "pool", entries,
+                 lambda text: SpeakerPool(formats.parse_pool(text), plda_model))
+    pool_dim = pool.speakers[0].mean_embedding.size if len(pool) else None
+    embeddings = _read(embeddings_file, "embeddings", entries,
+                       _of_dim(_parse_utterances, pool_dim, "pool"))
+    contours = _read(contours_file, "contours", entries, formats.parse_contours)
 
-        contour_by_utt = {c.utterance_id: c for c in contours}
-        utt_ids = {e.utterance_id for e in embeddings}
-        if utt_ids != set(contour_by_utt):
-            odd = sorted(utt_ids.symmetric_difference(contour_by_utt))[0]
-            _fail(f"embeddings and contours disagree on utterance {odd!r}")
+    contour_by_utt = {c.utterance_id: c for c in contours}
+    utt_ids = {e.utterance_id for e in embeddings}
+    if utt_ids != set(contour_by_utt):
+        odd = sorted(utt_ids.symmetric_difference(contour_by_utt))[0]
+        raise InvalidValueError(f"embeddings and contours disagree on utterance {odd!r}")
 
-        by_speaker: dict[str, list[SpeakerEmbedding]] = {}
-        for emb in embeddings:
-            by_speaker.setdefault(emb.speaker_id, []).append(emb)
-        speakers = sorted(by_speaker)
+    by_speaker: dict[str, list[SpeakerEmbedding]] = {}
+    for emb in embeddings:
+        by_speaker.setdefault(emb.speaker_id, []).append(emb)
+    speakers = sorted(by_speaker)
 
-        mapping_rows = []
-        xvector_rows = []
-        stats_rows = []
-        contour_rows = []
-        for speaker_id in speakers:
-            embs = by_speaker[speaker_id]
-            contours = [contour_by_utt[e.utterance_id] for e in embs]
-            try:
-                pseudo, anon_contours = pseudonymize_speaker(
-                    pool, speaker_id, embs[0].gender, [e.vector for e in embs], contours, sel, mode
+    mapping_rows = []
+    xvector_rows = []
+    stats_rows = []
+    contour_rows = []
+    for speaker_id in speakers:
+        embs = by_speaker[speaker_id]
+        contours = [contour_by_utt[e.utterance_id] for e in embs]
+        try:
+            pseudo, anon_contours = pseudonymize_speaker(
+                pool, speaker_id, embs[0].gender, [e.vector for e in embs], contours, sel, mode
+            )
+        except (PoolTooSmallError, InvalidValueError, ZeroVectorError) as exc:
+            raise type(exc)(f"speaker {speaker_id!r}: {exc}") from None
+        for contour in contours:
+            if mode is F0Mode.MODIFIED and not contour.voiced_mask.any():
+                click.echo(
+                    f"warning: {contour.utterance_id} has no voiced frames, copied unchanged",
+                    err=True,
                 )
-            except (PoolTooSmallError, InvalidValueError, ZeroVectorError) as exc:
-                raise type(exc)(f"speaker {speaker_id!r}: {exc}") from None
-            for contour in contours:
-                if mode is F0Mode.MODIFIED and not contour.voiced_mask.any():
-                    click.echo(
-                        f"warning: {contour.utterance_id} has no voiced frames, copied unchanged",
-                        err=True,
-                    )
-            mapping_rows.append((speaker_id, pseudo.seed_used, tuple(pseudo.member_ids)))
-            xvector_rows.append(SpeakerEmbedding(speaker_id, embs[0].gender, pseudo.xvector, "pseudo"))
-            stats_rows.append((speaker_id, pseudo.f0_stats))
-            contour_rows.extend(anon_contours)
-        del pool  # free its cached latents before the outputs are serialized
+        mapping_rows.append((speaker_id, pseudo.seed_used, tuple(pseudo.member_ids)))
+        xvector_rows.append(SpeakerEmbedding(speaker_id, embs[0].gender, pseudo.xvector, "pseudo"))
+        stats_rows.append((speaker_id, pseudo.f0_stats))
+        contour_rows.extend(anon_contours)
+    del pool  # free its cached latents before the outputs are serialized
 
-        data_outputs = {
-            "mapping.txt": formats.serialize_mapping(mapping_rows),
-            "pseudo_xvectors.txt": formats.serialize_embeddings(xvector_rows),
-            "pseudo_f0_stats.txt": formats.serialize_stats(stats_rows),
-            "contours_anon.txt": formats.serialize_contours(contour_rows),
-        }
-        entries.update({
-            "global_seed": str(sel.global_seed),
-            "k_far": str(sel.k_far),
-            "k_sel": str(sel.k_sel),
-            "gender_policy": sel.gender_policy.value,
-            "scorer": sel.scorer.value,
-            "length_norm": "true" if sel.length_norm else "false",
-            "f0_mode": mode.value,
-            "n_source_speakers": str(len(speakers)),
-        })
-        _write_out_dir(out_dir, data_outputs, "anonymize", entries, [])
-    except PseudovoxError as exc:
-        _fail(str(exc))
+    data_outputs = {
+        "mapping.txt": formats.serialize_mapping(mapping_rows),
+        "pseudo_xvectors.txt": formats.serialize_embeddings(xvector_rows),
+        "pseudo_f0_stats.txt": formats.serialize_stats(stats_rows),
+        "contours_anon.txt": formats.serialize_contours(contour_rows),
+    }
+    entries.update(_recorded({**asdict(sel), "f0_mode": mode, "n_source_speakers": len(speakers)}))
+    _write_out_dir(out_dir, data_outputs, "anonymize", entries, [])
 
 
 # --- score --------------------------------------------------------------------
@@ -404,51 +425,51 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
 @click.option("--length-norm/--no-length-norm", "length_norm", default=True, show_default=True)
 def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, length_norm):
     """PLDA-score every trial in the key against enrollment speakers."""
-    try:
-        entries = {"length_norm": "true" if length_norm else "false"}
-        model = _read(plda_file, "plda", entries, formats.parse_plda)
-        enroll = _read(enroll_file, "enroll", entries,
-                       _of_dim(formats.parse_embeddings, model.dim, "model"))
-        trials_emb = _read(trial_embeddings, "trial_embeddings", entries,
-                           _of_dim(_parse_utterances, model.dim, "model"))
-        key_rows = _read(trial_key, "trial_key", entries, formats.parse_trials)
+    entries = _recorded({"length_norm": length_norm})
+    model = _read(plda_file, "plda", entries, formats.parse_plda)
+    enroll = _read(enroll_file, "enroll", entries,
+                   _of_dim(formats.parse_embeddings, model.dim, "model"))
+    trials_emb = _read(trial_embeddings, "trial_embeddings", entries,
+                       _of_dim(_parse_utterances, model.dim, "model"))
+    key_rows = _read(trial_key, "trial_key", entries, formats.parse_trials)
 
-        # row of each id in the stacked latents below: first-appearance order
-        enroll_row = {sid: row for row, sid in enumerate(dict.fromkeys(e.speaker_id for e in enroll))}
-        test_row = {uid: row for row, uid in enumerate(dict.fromkeys(e.utterance_id for e in trials_emb))}
-        for enroll_id, test_id, _ in key_rows:
-            if enroll_id not in enroll_row:
-                _fail(f"enrollment speaker {enroll_id!r} missing from {enroll_file}")
-            if test_id not in test_row:
-                _fail(f"trial utterance {test_id!r} missing from {trial_embeddings}")
+    # row of each id in the stacked latents below: first-appearance order
+    enroll_row = {sid: row for row, sid in enumerate(dict.fromkeys(e.speaker_id for e in enroll))}
+    test_row = {e.utterance_id: row for row, e in enumerate(trials_emb)}  # the ids are unique
+    for enroll_id, test_id, _ in key_rows:
+        if enroll_id not in enroll_row:
+            raise InvalidValueError(f"enrollment speaker {enroll_id!r} missing from {enroll_file}")
+        if test_id not in test_row:
+            raise InvalidValueError(f"trial utterance {test_id!r} missing from {trial_embeddings}")
 
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
-            enroll_latents: dict[str, list[np.ndarray]] = {}
-            for emb in enroll:
-                enroll_latents.setdefault(emb.speaker_id, []).append(
-                    project(model, emb, length_norm=length_norm)
-                )
-            trial_latents = {
-                emb.utterance_id: project(model, emb, length_norm=length_norm)
-                for emb in trials_emb
-            }
-            llrs = plda_score_pairs(
-                model,
-                _rows([np.mean(latents, axis=0) for latents in enroll_latents.values()], model.dim),
-                _rows(list(trial_latents.values()), model.dim),
-                np.array([enroll_row[e] for e, _, _ in key_rows], dtype=np.intp),
-                np.array([test_row[t] for _, t, _ in key_rows], dtype=np.intp),
-            )
-        non_finite = np.flatnonzero(~np.isfinite(llrs))
-        if non_finite.size:
-            enroll_id, test_id, _ = key_rows[non_finite[0]]
-            raise InvalidValueError(f"score of trial ({enroll_id!r}, {test_id!r}) is not finite")
-        rows = [(e, t, llr) for (e, t, _), llr in zip(key_rows, llrs.tolist())]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
+        enroll_latents: dict[str, list[np.ndarray]] = {}
+        for emb, latent in zip(enroll, _projected(model, enroll, enroll_file, length_norm)):
+            enroll_latents.setdefault(emb.speaker_id, []).append(latent)
+        llrs = plda_score_pairs(
+            model,
+            _rows([np.mean(latents, axis=0) for latents in enroll_latents.values()], model.dim),
+            _rows(list(_projected(model, trials_emb, trial_embeddings, length_norm)), model.dim),
+            np.array([enroll_row[e] for e, _, _ in key_rows], dtype=np.intp),
+            np.array([test_row[t] for _, t, _ in key_rows], dtype=np.intp),
+        )
+    non_finite = np.flatnonzero(~np.isfinite(llrs))
+    if non_finite.size:
+        enroll_id, test_id, _ = key_rows[non_finite[0]]
+        raise InvalidValueError(f"score of trial ({enroll_id!r}, {test_id!r}) is not finite")
+    rows = [(e, t, llr) for (e, t, _), llr in zip(key_rows, llrs.tolist())]
 
-        entries["n_trials"] = str(len(rows))
-        _write_with_manifest(out_scores, formats.serialize_scores(rows), "score", entries, [])
-    except PseudovoxError as exc:
-        _fail(str(exc))
+    entries["n_trials"] = str(len(rows))
+    _write_with_manifest(out_scores, formats.serialize_scores(rows), "score", entries, [])
+
+
+def _projected(model, embeddings, path: str, length_norm: bool) -> Iterable[np.ndarray]:
+    """The latent of each embedding read from ``path``; an error names the file and the utterance."""
+    for emb in embeddings:
+        try:
+            yield project(model, emb, length_norm=length_norm)
+        except (InvalidValueError, ZeroVectorError) as exc:
+            raise type(exc)(f"{path}: utterance {emb.utterance_id!r}: {exc}") from None
 
 
 def _rows(vectors: list[np.ndarray], dim: int) -> np.ndarray:
@@ -466,19 +487,16 @@ def _rows(vectors: list[np.ndarray], dim: int) -> np.ndarray:
 @click.pass_obj
 def eval_cmd(obj, score_file, trial_key, out_file):
     """EER / Cllr / min-Cllr report from a score file and its trial key."""
-    try:
-        entries: dict[str, str] = {}
-        score_set = _key_scores(_read(score_file, "scores", entries, formats.parse_scores),
-                                _read(trial_key, "trial_key", entries, formats.parse_trials))
-        report_text = formats.serialize_report(evaluate(score_set))
-        click.echo(report_text, nl=False)
-        det = _det_output(obj, score_set)
-        if out_file is not None:
-            _write_with_manifest(out_file, report_text, "eval", entries, det)
-        elif det:
-            _write_outputs(_encoded(det))
-    except PseudovoxError as exc:
-        _fail(str(exc))
+    entries: dict[str, str] = {}
+    score_set = _key_scores(_read(score_file, "scores", entries, formats.parse_scores),
+                            _read(trial_key, "trial_key", entries, formats.parse_trials))
+    report_text = formats.serialize_report(evaluate(score_set))
+    click.echo(report_text, nl=False)
+    det = _det_output(obj, score_set)
+    if out_file is not None:
+        _write_with_manifest(out_file, report_text, "eval", entries, det)
+    elif det:
+        _write_outputs(_encoded(det))
 
 
 _PAIR = itemgetter(0, 1)
@@ -537,29 +555,6 @@ _SIM_CONFIG_KEYS = {
     "length_norm": bool,
 }
 
-_SIM_SEL_DEFAULTS = {"k_far": 12, "k_sel": 6, "length_norm": False}
-
-
-def _build_simulation(resolved: dict) -> tuple[CohortSpec, ScenarioConfig, SelectionConfig]:
-    def given(*keys: str) -> dict:
-        return {key: resolved[key] for key in keys if key in resolved}
-
-    cohort_kwargs = given("n_speakers_per_gender", "utts_per_speaker", "embed_dim", "between_var",
-                          "within_var", "f0_between_std", "f0_within_std", "frames_per_utt", "seed")
-    if "f0_mean_male" in resolved or "f0_mean_female" in resolved:
-        defaults = CohortSpec().f0_gender_means
-        cohort_kwargs["f0_gender_means"] = {
-            Gender.MALE: resolved.get("f0_mean_male", defaults[Gender.MALE]),
-            Gender.FEMALE: resolved.get("f0_mean_female", defaults[Gender.FEMALE]),
-        }
-    scenario_kwargs = {
-        "attack": AttackModel.ORIGINAL_TO_ANONYMIZED,
-        **given("attack", "f0_mode", "gender_policy", "enroll_seed", "trial_seed", "attacker", "f0_weight"),
-    }
-    sel_kwargs = {**_SIM_SEL_DEFAULTS, **given("k_far", "k_sel", "scorer", "length_norm")}
-    return CohortSpec(**cohort_kwargs), ScenarioConfig(**scenario_kwargs), SelectionConfig(**sel_kwargs)
-
-
 @main.command()
 @click.option("--out-dir", type=click.Path(), required=True)
 @click.option("--attack", type=click.Choice(["o-a", "a-a"]), default=None)
@@ -585,67 +580,45 @@ def _build_simulation(resolved: dict) -> tuple[CohortSpec, ScenarioConfig, Selec
 @click.pass_obj
 def simulate(obj, out_dir, **flags):
     """Generate a synthetic cohort and run one attack scenario over it."""
-    try:
-        entries: dict[str, str] = {}
-        resolved = _settings(
-            obj.config, _SIM_CONFIG_KEYS, "simulate", {**flags, "seed": obj.seed}, entries
-        )
-        spec, scenario, sel = _build_simulation(resolved)
+    entries: dict[str, str] = {}
+    resolved = _settings(
+        obj.config, _SIM_CONFIG_KEYS, "simulate", {**flags, "seed": obj.seed}, entries
+    )
+    means = {gender: resolved.get(f"f0_mean_{gender.name.lower()}", mean)
+             for gender, mean in CohortSpec().f0_gender_means.items()}
+    spec = _build(CohortSpec, resolved, f0_gender_means=means)
+    scenario = _build(ScenarioConfig, resolved, attack=AttackModel.ORIGINAL_TO_ANONYMIZED)
+    sel = _build(SelectionConfig, resolved, k_far=12, k_sel=6, length_norm=False)
 
-        cohort = generate_cohort(spec)
-        result = run_scenario(cohort, scenario, sel)
+    cohort = generate_cohort(spec)
+    result = run_scenario(cohort, scenario, sel)
 
-        user_embeddings = [
-            SpeakerEmbedding(u.speaker_id, u.gender, u.embedding, u.utterance_id)
-            for speaker in cohort.users
-            for u in speaker.utterances
-        ]
-        user_contours = [u.contour for speaker in cohort.users for u in speaker.utterances]
+    user_embeddings = [
+        SpeakerEmbedding(u.speaker_id, u.gender, u.embedding, u.utterance_id)
+        for speaker in cohort.users
+        for u in speaker.utterances
+    ]
+    user_contours = [u.contour for speaker in cohort.users for u in speaker.utterances]
 
-        entries.update({
-            "cohort_seed": str(spec.seed),
-            "enroll_seed": str(scenario.enroll_seed),
-            "trial_seed": str(scenario.trial_seed),
-            "attack": scenario.attack.value,
-            "f0_mode": scenario.f0_mode.value,
-            "gender_policy": scenario.gender_policy.value,
-            "attacker": scenario.attacker.value,
-            "f0_weight_used": (
-                "none" if result.f0_weight_used is None
-                else formats.format_float(result.f0_weight_used)
-            ),
-            "k_far": str(sel.k_far),
-            "k_sel": str(sel.k_sel),
-            "scorer": sel.scorer.value,
-            "length_norm": "true" if sel.length_norm else "false",
-            "n_speakers_per_gender": str(spec.n_speakers_per_gender),
-            "utts_per_speaker": str(spec.utts_per_speaker),
-            "embed_dim": str(spec.embed_dim),
-            "between_var": formats.format_float(spec.between_var),
-            "within_var": formats.format_float(spec.within_var),
-            "f0_mean_male": formats.format_float(spec.f0_gender_means[Gender.MALE]),
-            "f0_mean_female": formats.format_float(spec.f0_gender_means[Gender.FEMALE]),
-            "f0_between_std": formats.format_float(spec.f0_between_std),
-            "f0_within_std": formats.format_float(spec.f0_within_std),
-            "frames_per_utt": str(spec.frames_per_utt),
-            "n_trials": str(result.score_matrix.size),
-        })
-        data_outputs = {
-            "pool.txt": formats.serialize_pool(cohort.pool.speakers),
-            "user_embeddings.txt": formats.serialize_embeddings(user_embeddings),
-            "user_contours.txt": formats.serialize_contours(user_contours),
-            "plda.txt": formats.serialize_plda(cohort.plda),
-            "scores.txt": formats.serialize_score_grid(
-                result.enroll_ids, result.utt_ids, result.score_matrix
-            ),
-            "trials.txt": formats.serialize_trial_grid(
-                result.enroll_ids, result.utt_ids, result.label_matrix
-            ),
-            "report.txt": formats.serialize_report(result.report),
-        }
-        _write_out_dir(out_dir, data_outputs, "simulate", entries, _det_output(obj, result.scores))
-    except PseudovoxError as exc:
-        _fail(str(exc))
+    settings = {**asdict(sel), **asdict(spec), **asdict(scenario)}  # the gender policy run_scenario uses
+    del settings["global_seed"], settings["f0_gender_means"], settings["f0_weight"]
+    settings.update({
+        "cohort_seed": settings.pop("seed"),
+        **{f"f0_mean_{gender.name.lower()}": mean for gender, mean in spec.f0_gender_means.items()},
+        "f0_weight_used": result.f0_weight_used,
+        "n_trials": result.score_matrix.size,
+    })
+    entries.update(_recorded(settings))
+    data_outputs = {
+        "pool.txt": formats.serialize_pool(cohort.pool.speakers),
+        "user_embeddings.txt": formats.serialize_embeddings(user_embeddings),
+        "user_contours.txt": formats.serialize_contours(user_contours),
+        "plda.txt": formats.serialize_plda(cohort.plda),
+        "scores.txt": formats.serialize_score_grid(result.enroll_ids, result.utt_ids, result.score_matrix),
+        "trials.txt": formats.serialize_trial_grid(result.enroll_ids, result.utt_ids, result.label_matrix),
+        "report.txt": formats.serialize_report(result.report),
+    }
+    _write_out_dir(out_dir, data_outputs, "simulate", entries, _det_output(obj, result.scores))
 
 
 if __name__ == "__main__":

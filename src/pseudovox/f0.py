@@ -135,6 +135,8 @@ def transform_contour(
     ------
     DegenerateSourceStatsError
         If source.std == 0 while target.std > 0; the scale ratio is undefined.
+    InvalidValueError
+        If a transformed frame is not finite, as when exp(m_t) overflows.
     """
     if source.std == 0.0 and target.std > 0.0:
         raise DegenerateSourceStatsError(
@@ -144,8 +146,12 @@ def transform_contour(
     ratio = 0.0 if source.std == 0.0 else target.std / source.std
     out = contour.values.copy()
     mask = contour.voiced_mask
-    out[mask] = np.exp(target.mean + ratio * (np.log(contour.values[mask]) - source.mean))
-    return F0Contour(contour.utterance_id, out)
+    with np.errstate(over="ignore", invalid="ignore"):  # a frame that is not finite is refused below
+        out[mask] = np.exp(target.mean + ratio * (np.log(contour.values[mask]) - source.mean))
+    try:
+        return F0Contour(contour.utterance_id, out)
+    except InvalidValueError:
+        raise InvalidValueError(f"utterance {contour.utterance_id!r}: its transformed F0 is not finite") from None
 
 
 def aggregate_target_stats(per_speaker_stats: list[LogF0Stats]) -> LogF0Stats:

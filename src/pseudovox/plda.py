@@ -146,7 +146,18 @@ class PldaModel:
         )
 
 
-_NORM_OVERFLOWS = "the norm of a vector overflows float64"
+def _check_norms(norms, vectors: np.ndarray, zero_message: str) -> None:
+    """Refuse a computed norm of 0 or inf: ``norms`` is the norm of
+    ``vectors`` (one vector and a float, or the rows of a matrix). A norm
+    of 0 is ``zero_message`` only for an all-zero vector: the squares of a
+    nonzero one can underflow to 0."""
+    zero = norms == 0.0
+    if np.any(zero):
+        if not np.all(vectors[zero].any(axis=-1)):
+            raise ZeroVectorError(zero_message)
+        raise InvalidValueError("the norm of a vector underflows float64")
+    if np.any(norms == np.inf):
+        raise InvalidValueError("the norm of a vector overflows float64")
 
 
 def _as_vector(e) -> np.ndarray:
@@ -163,10 +174,7 @@ def length_normalize(vector: np.ndarray) -> np.ndarray:
     v = _as_vector(vector)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ZeroVectorError("cannot length-normalize an all-zero vector")
-    if norm == np.inf:
-        raise InvalidValueError(_NORM_OVERFLOWS)
+    _check_norms(norm, v, "cannot length-normalize an all-zero vector")
     return v * (np.sqrt(v.size) / norm)
 
 
@@ -196,10 +204,7 @@ def project_many(model: PldaModel, vectors: np.ndarray, length_norm: bool = True
     if length_norm:
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(m, axis=1)
-        if np.any(norms == 0.0):
-            raise ZeroVectorError("cannot length-normalize an all-zero vector")
-        if np.any(norms == np.inf):
-            raise InvalidValueError(_NORM_OVERFLOWS)
+        _check_norms(norms, m, "cannot length-normalize an all-zero vector")
         m = m * (np.sqrt(model.dim) / norms)[:, None]
     return (m - model.mean) @ model.transform.T
 
@@ -302,8 +307,6 @@ def cosine_scores(source, members) -> np.ndarray:
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.vecdot(m, m))
         norm = float(np.linalg.norm(s))
-    if norm == 0.0 or np.any(norms == 0.0):
-        raise ZeroVectorError("cosine similarity of an all-zero vector is undefined")
-    if norm == np.inf or np.any(norms == np.inf):
-        raise InvalidValueError(_NORM_OVERFLOWS)
+    for n, vectors in ((norm, s), (norms, m)):
+        _check_norms(n, vectors, "cosine similarity of an all-zero vector is undefined")
     return np.clip(np.vecdot(s, m) / (norm * norms), -1.0, 1.0)

@@ -291,9 +291,14 @@ def _scores_against_source(
         model = pool_subset.plda
         if model is None:
             raise InvalidSpecError("scorer 'plda' requires a PLDA model on the pool")
-        src = project(model, source_xvector, length_norm=cfg.length_norm)
-        latents = _rank_view(pool_subset, cfg).vectors
-        return plda_score_matrix(model, src[None, :], latents)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
+            src = project(model, source_xvector, length_norm=cfg.length_norm)
+            scores = plda_score_matrix(model, src[None, :], _rank_view(pool_subset, cfg).vectors)[0]
+        non_finite = np.flatnonzero(~np.isfinite(scores))
+        if non_finite.size:
+            pool_id = pool_subset.speakers[non_finite[0]].speaker_id
+            raise InvalidValueError(f"its PLDA score against pool speaker {pool_id!r} is not finite")
+        return scores
     return cosine_scores(source_xvector, _rank_view(pool_subset, cfg).vectors)
 
 

@@ -1,15 +1,18 @@
 import hashlib
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import click
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import pseudovox
 from pseudovox import cli, formats
 from pseudovox.cli import main
 from pseudovox.errors import InvalidValueError
@@ -350,6 +353,13 @@ def _source_edit(value):
     return apply
 
 
+def _plda_edit(old, new):
+    def apply(paths, tmp_path):
+        write(tmp_path / "plda.txt", Path(paths["plda"]).read_text().replace(old, new, 1))
+    return apply
+
+
+PLDA_SCORE_NOT_FINITE = "speaker 'src0': its PLDA score against pool speaker 'poolm00' is not finite"
 POOL_NORM_OVERFLOWS = "speaker 'src0': the x-vector norm of pool speaker 'poolm00' overflows float64"
 
 
@@ -362,7 +372,12 @@ POOL_NORM_OVERFLOWS = "speaker 'src0': the x-vector norm of pool speaker 'poolm0
      "speaker 'src0': the mean of its pool members' log-F0 statistics is not finite"),
     (_source_edit(0.0), ["--scorer", "cosine"], "speaker 'src0': cosine similarity of an all-zero vector is undefined"),
     (_source_edit(1e308), [], "speaker 'src0': the mean of its utterance x-vectors is not finite"),
-], ids=["cosine-pool-1e200", "pool-1e308", "pool-log-f0-1e308", "cosine-zero-source", "source-1e308"])
+    (_pool_edit(lambda p: PoolSpeaker(p.speaker_id, p.gender, p.mean_embedding, LogF0Stats(1e307, 0.2, 50))),
+     ["--f0", "modified"], "speaker 'src0': utterance 'src0-u0': its transformed F0 is not finite"),
+    (_plda_edit("mean 0.0", "mean 1e308"), [], PLDA_SCORE_NOT_FINITE),
+    (_plda_edit("transform 1.0", "transform 1e308"), [], PLDA_SCORE_NOT_FINITE),
+], ids=["cosine-pool-1e200", "pool-1e308", "pool-log-f0-1e308", "cosine-zero-source", "source-1e308",
+        "pool-log-f0-1e307", "plda-mean-1e308", "plda-transform-1e308"])
 def test_anonymize_error_names_the_source_speaker_and_the_pool(tmp_path, runner, edit, extra, message):
     """Finite inputs whose norms or means overflow, and an all-zero source
     under cosine, end in one error line that names the source speaker and,
@@ -491,7 +506,7 @@ def test_score_embedding_dimension_error_names_the_file(tmp_path, runner, which)
 
 @pytest.mark.filterwarnings("error")  # a RuntimeWarning fails the run
 @pytest.mark.parametrize("extra, message", [
-    ([], "the norm of a vector overflows float64"),
+    ([], "{trials}: utterance 't1-u1': the norm of a vector overflows float64"),
     (["--no-length-norm"], "score of trial ('e1', 't1-u1') is not finite"),
 ], ids=["length-norm", "no-length-norm"])
 def test_score_refuses_vectors_whose_products_overflow(tmp_path, runner, extra, message):
@@ -504,7 +519,31 @@ def test_score_refuses_vectors_whose_products_overflow(tmp_path, runner, extra, 
         main, ["score", inputs["plda"], inputs["enroll"], inputs["trials_emb"], inputs["key"], str(out), *extra]
     )
     assert result.exit_code == 1
-    assert result.stderr == f"error: {message}\n"
+    assert result.stderr == f"error: {message.format(trials=inputs['trials_emb'])}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("which, utterance, value, reason", [
+    ("enroll", "e1-u2", 0.0, "cannot length-normalize an all-zero vector"),
+    ("enroll", "e2-u1", 1e-200, "the norm of a vector underflows float64"),
+    ("trials_emb", "t2-u1", 0.0, "cannot length-normalize an all-zero vector"),
+    ("trials_emb", "t2-u1", 1e-200, "the norm of a vector underflows float64"),
+], ids=["zero-enrollment", "underflowing-enrollment", "zero-trial", "underflowing-trial"])
+def test_score_projection_error_names_the_file_and_the_utterance(tmp_path, runner, which, utterance, value,
+                                                                 reason):
+    inputs = build_score_inputs(tmp_path)
+    records = inputs["enroll_records" if which == "enroll" else "trial_records"]
+    for emb in records:
+        if emb.utterance_id == utterance:
+            emb.vector[:] = value
+    write(Path(inputs[which]), formats.serialize_embeddings(records))
+    out = tmp_path / "scores.txt"
+    result = runner.invoke(
+        main, ["score", inputs["plda"], inputs["enroll"], inputs["trials_emb"], inputs["key"], str(out)]
+    )
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {inputs[which]}: utterance {utterance!r}: {reason}\n"
     assert not out.exists()
 
 
@@ -978,3 +1017,242 @@ def test_manifest_hashes_the_files_it_names(command, tmp_path, runner, monkeypat
     assert output_keys == {f"output_sha256_{p.stem}" for p in data_files}
     for path in data_files:
         assert manifest[f"output_sha256_{path.stem}"] == sha256_file(path)
+
+
+# --- settings (anonymize, simulate) -------------------------------------------------
+
+MANIFEST_BASE = {"format_version", "package_version", "command"}
+ANON_SETTINGS = {"global_seed", "k_far", "k_sel", "gender_policy", "scorer", "length_norm", "f0_mode",
+                 "n_source_speakers"}
+SIM_SETTINGS = {
+    "cohort_seed", "enroll_seed", "trial_seed", "attack", "f0_mode", "gender_policy", "attacker",
+    "f0_weight_used", "k_far", "k_sel", "scorer", "length_norm", "n_speakers_per_gender",
+    "utts_per_speaker", "embed_dim", "between_var", "within_var", "f0_mean_male", "f0_mean_female",
+    "f0_between_std", "f0_within_std", "frames_per_utt", "n_trials",
+}
+
+
+def settings_of(manifest):
+    return {k: v for k, v in manifest.items() if not k.startswith(("input_sha256_", "output_sha256_"))}
+
+
+@pytest.mark.parametrize("command", ["anonymize", "simulate"])
+def test_manifest_records_exactly_the_resolved_settings(command, tmp_path, runner):
+    args, manifest_path, _, _ = manifest_case(command, tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    manifest = formats.parse_keyvalues(manifest_path.read_text())
+    assert set(settings_of(manifest)) == MANIFEST_BASE | (ANON_SETTINGS if command == "anonymize" else SIM_SETTINGS)
+
+
+# every simulate flag, each away from its default; the flag text is the recorded text
+SIM_FLAGS = {
+    "attack": "a-a", "f0_mode": "modified", "gender_policy": "opposite", "enroll_seed": "5",
+    "trial_seed": "9", "attacker": "embedding_plus_f0", "f0_weight": "0.5", "k_far": "7", "k_sel": "4",
+    "scorer": "cosine", "n_speakers_per_gender": "8", "utts_per_speaker": "3", "embed_dim": "6",
+    "between_var": "1.5", "within_var": "0.125", "f0_mean_male": "4.75", "f0_mean_female": "5.25",
+    "f0_between_std": "0.2", "f0_within_std": "0.3", "frames_per_utt": "30",
+}
+
+
+def test_simulate_manifest_records_each_flag_value(tmp_path, runner):
+    out = tmp_path / "sim"
+    flags = [text for key, value in SIM_FLAGS.items() for text in (f"--{key.replace('_', '-')}", value)]
+    result = runner.invoke(main, ["--seed", "7", "simulate", "--out-dir", str(out), *flags])
+    assert result.exit_code == 0, result.output
+    manifest = settings_of(formats.parse_keyvalues((out / "manifest.txt").read_text()))
+    recorded = {"f0_weight" if k == "f0_weight_used" else k: v for k, v in manifest.items()}
+    assert recorded == {
+        **SIM_FLAGS, "cohort_seed": "7", "length_norm": "false",
+        "n_trials": str(16 * 32),  # 16 enrolled users x 32 trial utterances
+        "format_version": cli.FORMAT_VERSION, "package_version": pseudovox.__version__, "command": "simulate",
+    }
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("anonymize", cli._ANON_CONFIG_KEYS), ("simulate", cli._SIM_CONFIG_KEYS),
+], ids=["anonymize", "simulate"])
+def test_every_setting_option_names_a_config_key(command, keys):
+    """A config file's keys mirror the flag names: each option that is not a
+    path sets the config key of its parameter's name."""
+    options = [p for p in main.commands[command].params if isinstance(p, click.Option)]
+    names = {p.name for p in options if not isinstance(p.type, click.Path)}
+    assert names and names <= set(keys)
+
+
+# --- the failure contract (every command) ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """{command: {input name: bytes}} of one small valid run each; each input
+    is written as ``<name>.txt``."""
+    anon = build_anonymize_inputs(tmp_path_factory.mktemp("anonymize"))
+    score = build_score_inputs(tmp_path_factory.mktemp("score"))
+    files = {
+        "stats": {"contours": "u1 100.0 0.0 400.0\nu2 120.0 130.0\n"},
+        "anonymize": {name: Path(anon[name]).read_text() for name in ("pool", "embeddings", "contours", "plda")},
+        "score": {"plda": Path(score["plda"]).read_text(), "enroll": Path(score["enroll"]).read_text(),
+                  "trial_embeddings": Path(score["trials_emb"]).read_text(),
+                  "trial_key": Path(score["key"]).read_text()},
+        "eval": {"scores": "e1 u1 2.0\ne1 u2 -1.0\ne2 u1 0.5\ne2 u2 1.5\n",
+                 "trial_key": "e1 u1 target\ne1 u2 nontarget\ne2 u1 nontarget\ne2 u2 target\n"},
+        "simulate": {"config": "n_speakers_per_gender 4\nutts_per_speaker 2\nembed_dim 4\n"
+                               "frames_per_utt 20\nk_far 3\nk_sel 2\nattack a-a\n"},
+    }
+    return {command: {name: text.encode() for name, text in inputs.items()} for command, inputs in files.items()}
+
+
+# output slots of each command: a file's parser, or None for an --out-dir
+CONTRACT_OUTPUTS = {
+    "stats": {"stats.txt": formats.parse_stats},
+    "anonymize": {"anon": None},
+    "score": {"scores.txt": formats.parse_scores},
+    "eval": {"report.txt": formats.parse_report, "det.txt": formats.parse_det},
+    "simulate": {"sim": None, "det.txt": formats.parse_det},
+}
+DIR_PARSERS = {
+    "mapping.txt": formats.parse_mapping, "pseudo_xvectors.txt": formats.parse_embeddings,
+    "pseudo_f0_stats.txt": formats.parse_stats, "contours_anon.txt": formats.parse_contours,
+    "pool.txt": formats.parse_pool, "user_embeddings.txt": formats.parse_embeddings,
+    "user_contours.txt": formats.parse_contours, "plda.txt": formats.parse_plda,
+    "scores.txt": formats.parse_scores, "trials.txt": formats.parse_trials, "report.txt": formats.parse_report,
+}
+DIR_FILES = {"anon": {"mapping.txt", "pseudo_xvectors.txt", "pseudo_f0_stats.txt", "contours_anon.txt"},
+             "sim": {"pool.txt", "user_embeddings.txt", "user_contours.txt", "plda.txt", "scores.txt",
+                     "trials.txt", "report.txt"}}
+
+
+def contract_args(command, inp, out):
+    """The command line of ``command`` with input paths ``inp`` and output paths ``out``."""
+    if command == "stats":
+        return ["stats", inp["contours"], out["stats.txt"]]
+    if command == "anonymize":
+        return ["anonymize", "--pool", inp["pool"], "--embeddings", inp["embeddings"], "--contours",
+                inp["contours"], "--plda", inp["plda"], "--out-dir", out["anon"], "--k-far", "8", "--k-sel", "4",
+                "--f0", "modified"]
+    if command == "score":
+        return ["score", *inp.values(), out["scores.txt"]]
+    if command == "eval":
+        return ["--det-out", out["det.txt"], "eval", inp["scores"], inp["trial_key"], "--out", out["report.txt"]]
+    return ["--config", inp["config"], "--det-out", out["det.txt"], "simulate", "--out-dir", out["sim"]]
+
+
+NON_ASCII = ["é", "١", "\u00a0", "\u2028", "\ufeff", "𝟙", "ß"]  # letters, digits of other scripts, spaces, a BOM
+
+
+@st.composite
+def content_edits(draw, data: bytes) -> bytes:
+    """``data`` with one edit: a byte, a cut, CRLF, non-ASCII text, an extreme
+    number, a duplicate line or a line of another dimension."""
+    kind = draw(st.sampled_from(["byte", "truncate", "crlf", "non-ascii", "number", "duplicate", "dimension"]))
+    at = draw(st.integers(0, max(len(data) - 1, 0)))
+    lines = data.splitlines(keepends=True)
+    line = draw(st.integers(0, len(lines) - 1))
+    if kind == "byte":
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    if kind == "truncate":
+        return data[:at]
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "non-ascii":
+        return data[:at] + draw(st.sampled_from(NON_ASCII)).encode() + data[at:]
+    if kind == "duplicate":
+        return b"".join(lines[:line + 1] + lines[line:])
+    tokens = lines[line].split()
+    if kind == "dimension":
+        tokens = tokens[:-1] if draw(st.booleans()) else tokens + [b"0.5"]
+    else:
+        numeric = [i for i, token in enumerate(tokens) if token.replace(b".", b"").lstrip(b"-").isdigit()]
+        if numeric:
+            tokens[draw(st.sampled_from(numeric))] = draw(st.sampled_from([b"1e308", b"-1e308", b"1e-320"]))
+    lines[line] = b" ".join(tokens) + b"\n"
+    return b"".join(lines)
+
+
+def file_tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def check_manifest(manifest_path, inp, out_dir=None):
+    manifest = formats.parse_keyvalues(manifest_path.read_text())
+    hashes = {k.removeprefix("input_sha256_"): v for k, v in manifest.items() if k.startswith("input_sha256_")}
+    assert hashes == {name: sha256_file(Path(path)) for name, path in inp.items()}
+    if out_dir is not None:
+        for path in out_dir.iterdir():
+            if path.name != "manifest.txt":
+                assert manifest[f"output_sha256_{path.stem}"] == sha256_file(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(CONTRACT_OUTPUTS)), data=st.data())
+def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, command, data):
+    """Small valid inputs, changed: edited bytes, swapped files, outputs that
+    collide with an input, with each other or with existing files. Either the
+    run exits 0 and every output parses and its manifest hashes hold, or it
+    exits 1 with one ``error:`` line, no traceback, and the tree as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        contents = dict(contract_inputs[command])
+        inp = {name: str(root / f"{name}.txt") for name in contents}
+        out = {slot: str(root / slot) for slot in CONTRACT_OUTPUTS[command]}
+        (root / "other.txt").write_bytes(b"bystander\n")
+        (root / "empty").mkdir()
+        kinds = ["edit", "earlier", "to-input", "to-existing"]
+        if len(inp) > 1:
+            kinds.append("swap")
+        if len(out) > 1:
+            kinds.append("to-output")
+        for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2, unique=True)):
+            if kind == "edit":
+                name = data.draw(st.sampled_from(sorted(contents)))
+                contents[name] = data.draw(content_edits(contents[name]))
+            elif kind == "swap":
+                a, b = data.draw(st.permutations(sorted(inp)))[:2]
+                inp[a], inp[b] = inp[b], inp[a]
+            else:
+                slot = data.draw(st.sampled_from(sorted(out)))
+                if kind == "earlier":  # an earlier run's outputs in place
+                    if CONTRACT_OUTPUTS[command][slot] is None:
+                        (root / slot).mkdir(exist_ok=True)
+                        for name in DIR_FILES[slot] | {"manifest.txt"}:
+                            (root / slot / name).write_bytes(b"earlier\n")
+                    else:
+                        for name in (slot, f"{slot}.manifest"):
+                            (root / name).write_bytes(b"earlier\n")
+                elif kind == "to-input":
+                    out[slot] = data.draw(st.sampled_from(sorted(inp.values())))
+                elif kind == "to-existing":
+                    out[slot] = str(root / data.draw(st.sampled_from(["other.txt", "empty"])))
+                else:
+                    other = data.draw(st.sampled_from(sorted(set(out) - {slot})))
+                    target = out[other]
+                    if CONTRACT_OUTPUTS[command][other] is None:
+                        target = str(Path(target) / data.draw(st.sampled_from(sorted(DIR_FILES[other]))))
+                    out[slot] = target
+        for name, path in inp.items():
+            Path(path).write_bytes(contents[name])
+        before = file_tree(root)
+
+        result = CliRunner().invoke(main, contract_args(command, inp, out))
+
+        event(f"{command}: exit {result.exit_code}")
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+        if result.exit_code == 0:
+            for slot, parse in CONTRACT_OUTPUTS[command].items():
+                path = Path(out[slot])
+                if parse is None:
+                    assert {p.name for p in path.iterdir()} >= DIR_FILES[slot] | {"manifest.txt"}
+                    for name in DIR_FILES[slot]:
+                        DIR_PARSERS[name]((path / name).read_text(encoding="utf-8"))
+                    check_manifest(path / "manifest.txt", inp, path)
+                else:
+                    parse(path.read_text(encoding="utf-8"))
+                    if slot != "det.txt":
+                        check_manifest(Path(f"{path}.manifest"), inp)
+            assert not [p for p in root.rglob("*.tmp")]
+        else:
+            assert result.exit_code == 1
+            *warnings, error = result.stderr.splitlines()
+            assert error.startswith("error: ") and all(w.startswith("warning: ") for w in warnings), result.stderr
+            assert file_tree(root) == before

@@ -137,6 +137,15 @@ def test_transform_degenerate_source_stats():
     assert out.values == pytest.approx([200.0, 200.0], rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is refused, not warned about
+@pytest.mark.parametrize("target", [LogF0Stats(1e307, 0.2, 2), LogF0Stats(5.0, 1e308, 2)],
+                         ids=["mean", "spread"])
+def test_transform_refuses_frames_that_are_not_finite(target):
+    contour = F0Contour("u", [100.0, 0.0, 400.0])
+    with pytest.raises(InvalidValueError, match="^utterance 'u': its transformed F0 is not finite$"):
+        transform_contour(contour, LogF0Stats(5.0, 1e-300, 2), target)
+
+
 def test_aggregate_examples():
     a = LogF0Stats(5.0, 0.2, 10)
     b = LogF0Stats(6.0, 0.4, 30)

@@ -53,18 +53,42 @@ def test_length_normalize_zero_vector():
         length_normalize(np.zeros(3))
 
 
-@pytest.mark.filterwarnings("error")  # the overflow is refused, not warned about
-@pytest.mark.parametrize("normalize", [
+NORMALIZERS = pytest.mark.parametrize("normalize", [
     length_normalize,
     lambda v: project_many(identity_model(3, 1.0), np.stack([np.ones(3), v])),
     lambda v: cosine_score(v, np.ones(3)),
     lambda v: cosine_score(np.ones(3), v),
 ], ids=["length_normalize", "project_many", "cosine-source", "cosine-member"])
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is refused, not warned about
+@NORMALIZERS
 def test_a_norm_that_overflows_is_refused(normalize):
     """Finite components whose norm overflows would otherwise scale to zeros
     or to a cosine of 0."""
     with pytest.raises(InvalidValueError, match="^the norm of a vector overflows float64$"):
         normalize(np.array([1e200, -1e200, 1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@NORMALIZERS
+def test_a_norm_that_underflows_is_not_called_all_zero(normalize):
+    """Nonzero components whose squares underflow give a norm of 0, but the
+    vector is not all zero."""
+    with pytest.raises(InvalidValueError, match="^the norm of a vector underflows float64$"):
+        normalize(np.array([1e-200, -1e-200, 0.0]))
+
+
+@NORMALIZERS
+def test_an_all_zero_vector_is_called_all_zero(normalize):
+    with pytest.raises(ZeroVectorError):
+        normalize(np.zeros(3))
+
+
+def test_an_all_zero_row_is_named_before_an_underflowing_one():
+    rows = np.array([[1e-200, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ZeroVectorError, match="^cannot length-normalize an all-zero vector$"):
+        project_many(identity_model(3, 1.0), rows)
 
 
 def test_score_zero_psi_is_exactly_zero():
