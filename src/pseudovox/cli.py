@@ -16,7 +16,9 @@ iff the run produced every requested output.
 
 Every failure ends the run in one place: the command group turns any
 ``PseudovoxError`` a command raises into one ``error:`` line on stderr and
-exit code 1, so no command catches one to end the run itself.
+exit code 1, so no command catches one to end the run itself. Every command
+writes in one ``_write`` call, which builds each output text when its turn
+comes and writes the manifest last.
 """
 
 from __future__ import annotations
@@ -178,42 +180,35 @@ def _make_dirs(directory: Path, created: list[Path]) -> None:
         created.append(directory)
 
 
-def _encoded(outputs: Iterable[tuple[Path, str]]) -> Iterable[tuple[Path, bytes]]:
-    return ((path, text.encode("utf-8")) for path, text in outputs)
+_Output = tuple[Path, Callable[[], str], bool]  # path, builder of its text, hashed in the manifest
 
 
-def _manifest(command: str, entries: dict[str, str]) -> str:
-    base = {
-        "format_version": FORMAT_VERSION,
-        "package_version": __version__,
-        "command": command,
-    }
-    return formats.serialize_keyvalues({**base, **entries})
+def _write(command: str, entries: dict[str, str], outputs: list[_Output], manifest: Path | None) -> None:
+    """Write ``outputs`` in order, then the manifest at ``manifest`` unless it
+    is None, all in one ``_write_outputs`` call.
+
+    Each output is its path, the builder of its text, and whether the
+    manifest records its ``output_sha256_<stem>``. Each text is built when
+    its turn comes, so the run holds one output text at a time.
+    """
+    def encoded():
+        for path, build, hashed in outputs:
+            data = build().encode("utf-8")
+            if hashed:
+                entries[f"output_sha256_{path.stem}"] = formats.sha256_hex(data)
+            yield path, data
+            del data  # hold one encoded output at a time
+        if manifest is not None:
+            base = {"format_version": FORMAT_VERSION, "package_version": __version__, "command": command}
+            yield manifest, formats.serialize_keyvalues({**base, **entries}).encode("utf-8")
+
+    _write_outputs(encoded())
 
 
-def _write_with_manifest(out_file: str, text: str, command: str, entries: dict[str, str],
-                         extra: list[tuple[Path, str]]) -> None:
-    """Write ``out_file``, then ``extra``, then the manifest ``<out_file>.manifest``."""
+def _one_file(out_file: str, build: Callable[[], str]) -> tuple[list[_Output], Path]:
+    """The output of a one-file command, unhashed, and its manifest ``<out_file>.manifest``."""
     out = Path(out_file)
-    manifest = out.with_name(out.name + ".manifest")
-    _write_outputs(_encoded([(out, text), *extra, (manifest, _manifest(command, entries))]))
-
-
-def _write_out_dir(out_dir: str, data: dict[str, str], command: str, entries: dict[str, str],
-                   extra: list[tuple[Path, str]]) -> None:
-    """Write ``data`` into ``out_dir``, then ``extra``, then ``manifest.txt``
-    with an ``output_sha256_<name>`` entry for each ``data`` file."""
-    out = Path(out_dir)
-
-    def outputs():
-        for name, text in data.items():
-            raw = text.encode("utf-8")
-            entries[f"output_sha256_{name.removesuffix('.txt')}"] = formats.sha256_hex(raw)
-            yield out / name, raw
-            del raw
-        yield from _encoded([*extra, (out / "manifest.txt", _manifest(command, entries))])
-
-    _write_outputs(outputs())
+    return [(out, build, False)], out.with_name(out.name + ".manifest")
 
 
 def _settings(config: str | None, keys: dict[str, type], command: str, flags: dict,
@@ -264,11 +259,11 @@ def _recorded(settings: dict) -> dict[str, str]:
     return {key: text(value) for key, value in settings.items()}
 
 
-def _det_output(obj, score_set: TrialScoreSet) -> list[tuple[Path, str]]:
-    """The ``--det-out`` file and its text, if the flag was given."""
+def _det_output(obj, scores: Callable[[], TrialScoreSet]) -> list[_Output]:
+    """The ``--det-out`` output, if the flag was given."""
     if obj.det_out is None:
         return []
-    return [(Path(obj.det_out), formats.serialize_det(det_points(score_set)))]
+    return [(Path(obj.det_out), lambda: formats.serialize_det(det_points(scores())), False)]
 
 
 class _Main(click.Group):
@@ -319,7 +314,7 @@ def stats(contours_file, out_stats_file):
                 err=True,
             )
     entries["n_utterances"] = str(len(records))
-    _write_with_manifest(out_stats_file, formats.serialize_stats(records), "stats", entries, [])
+    _write("stats", entries, *_one_file(out_stats_file, lambda: formats.serialize_stats(records)))
 
 
 # --- anonymize ----------------------------------------------------------------
@@ -403,14 +398,14 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
         contour_rows.extend(anon_contours)
     del pool  # free its cached latents before the outputs are serialized
 
-    data_outputs = {
-        "mapping.txt": formats.serialize_mapping(mapping_rows),
-        "pseudo_xvectors.txt": formats.serialize_embeddings(xvector_rows),
-        "pseudo_f0_stats.txt": formats.serialize_stats(stats_rows),
-        "contours_anon.txt": formats.serialize_contours(contour_rows),
-    }
     entries.update(_recorded({**asdict(sel), "f0_mode": mode, "n_source_speakers": len(speakers)}))
-    _write_out_dir(out_dir, data_outputs, "anonymize", entries, [])
+    out = Path(out_dir)
+    _write("anonymize", entries, [
+        (out / "mapping.txt", lambda: formats.serialize_mapping(mapping_rows), True),
+        (out / "pseudo_xvectors.txt", lambda: formats.serialize_embeddings(xvector_rows), True),
+        (out / "pseudo_f0_stats.txt", lambda: formats.serialize_stats(stats_rows), True),
+        (out / "contours_anon.txt", lambda: formats.serialize_contours(contour_rows), True),
+    ], out / "manifest.txt")
 
 
 # --- score --------------------------------------------------------------------
@@ -460,7 +455,7 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
     rows = [(e, t, llr) for (e, t, _), llr in zip(key_rows, llrs.tolist())]
 
     entries["n_trials"] = str(len(rows))
-    _write_with_manifest(out_scores, formats.serialize_scores(rows), "score", entries, [])
+    _write("score", entries, *_one_file(out_scores, lambda: formats.serialize_scores(rows)))
 
 
 def _projected(model, embeddings, path: str, length_norm: bool) -> Iterable[np.ndarray]:
@@ -492,11 +487,8 @@ def eval_cmd(obj, score_file, trial_key, out_file):
                             _read(trial_key, "trial_key", entries, formats.parse_trials))
     report_text = formats.serialize_report(evaluate(score_set))
     click.echo(report_text, nl=False)
-    det = _det_output(obj, score_set)
-    if out_file is not None:
-        _write_with_manifest(out_file, report_text, "eval", entries, det)
-    elif det:
-        _write_outputs(_encoded(det))
+    outputs, manifest = ([], None) if out_file is None else _one_file(out_file, lambda: report_text)
+    _write("eval", entries, outputs + _det_output(obj, lambda: score_set), manifest)
 
 
 _PAIR = itemgetter(0, 1)
@@ -593,13 +585,6 @@ def simulate(obj, out_dir, **flags):
     cohort = generate_cohort(spec)
     result = run_scenario(cohort, scenario, sel)
 
-    user_embeddings = [
-        SpeakerEmbedding(u.speaker_id, u.gender, u.embedding, u.utterance_id)
-        for speaker in cohort.users
-        for u in speaker.utterances
-    ]
-    user_contours = [u.contour for speaker in cohort.users for u in speaker.utterances]
-
     settings = {**asdict(sel), **asdict(spec), **asdict(scenario)}  # the gender policy run_scenario uses
     del settings["global_seed"], settings["f0_gender_means"], settings["f0_weight"]
     settings.update({
@@ -609,16 +594,20 @@ def simulate(obj, out_dir, **flags):
         "n_trials": result.score_matrix.size,
     })
     entries.update(_recorded(settings))
-    data_outputs = {
-        "pool.txt": formats.serialize_pool(cohort.pool.speakers),
-        "user_embeddings.txt": formats.serialize_embeddings(user_embeddings),
-        "user_contours.txt": formats.serialize_contours(user_contours),
-        "plda.txt": formats.serialize_plda(cohort.plda),
-        "scores.txt": formats.serialize_score_grid(result.enroll_ids, result.utt_ids, result.score_matrix),
-        "trials.txt": formats.serialize_trial_grid(result.enroll_ids, result.utt_ids, result.label_matrix),
-        "report.txt": formats.serialize_report(result.report),
-    }
-    _write_out_dir(out_dir, data_outputs, "simulate", entries, _det_output(obj, result.scores))
+    out = Path(out_dir)
+    utterances = [u for speaker in cohort.users for u in speaker.utterances]
+    grid_ids = (result.enroll_ids, result.utt_ids)
+    _write("simulate", entries, [
+        (out / "pool.txt", lambda: formats.serialize_pool(cohort.pool.speakers), True),
+        (out / "user_embeddings.txt", lambda: formats.serialize_embeddings(
+            [SpeakerEmbedding(u.speaker_id, u.gender, u.embedding, u.utterance_id) for u in utterances]), True),
+        (out / "user_contours.txt", lambda: formats.serialize_contours([u.contour for u in utterances]), True),
+        (out / "plda.txt", lambda: formats.serialize_plda(cohort.plda), True),
+        (out / "scores.txt", lambda: formats.serialize_score_grid(*grid_ids, result.score_matrix), True),
+        (out / "trials.txt", lambda: formats.serialize_trial_grid(*grid_ids, result.label_matrix), True),
+        (out / "report.txt", lambda: formats.serialize_report(result.report), True),
+        *_det_output(obj, lambda: result.scores),
+    ], out / "manifest.txt")
 
 
 if __name__ == "__main__":

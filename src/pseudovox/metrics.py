@@ -145,9 +145,13 @@ def _eer(blocks) -> float:
 def cllr(scores: TrialScoreSet) -> float:
     """Cost of log-likelihood ratio in bits, reading scores as natural-log LLRs."""
     _require_populations(scores)
-    c_tar = float(np.mean(np.logaddexp(0.0, -scores.target_scores)))
-    c_non = float(np.mean(np.logaddexp(0.0, scores.nontarget_scores)))
-    return 0.5 * (c_tar + c_non) / _LN2
+    with np.errstate(over="ignore"):  # each term is finite, a sum may not be: refused below
+        c_tar = float(np.mean(np.logaddexp(0.0, -scores.target_scores)))
+        c_non = float(np.mean(np.logaddexp(0.0, scores.nontarget_scores)))
+    bits = 0.5 * (c_tar + c_non) / _LN2
+    if not np.isfinite(bits):
+        raise InvalidValueError("Cllr overflows float64")
+    return bits
 
 
 def min_cllr(scores: TrialScoreSet) -> float:

@@ -189,7 +189,8 @@ class ScenarioResult:
 
 def _contour(rng: np.random.Generator, utt_id: str, spec: CohortSpec, log_mean: float) -> F0Contour:
     log_f0 = rng.normal(log_mean, spec.f0_within_std, spec.frames_per_utt)
-    values = np.exp(log_f0)
+    with np.errstate(over="ignore"):  # F0Contour refuses an overflowed value
+        values = np.exp(log_f0)
     values[::UNVOICED_STRIDE] = 0.0
     return F0Contour(utt_id, values)
 
@@ -300,7 +301,10 @@ def _score_trials(
             weight_used = float(scores.std()) / spread if spread > 1e-12 else 0.0
         else:
             weight_used = float(f0_weight)
-        scores = scores + weight_used * f0_term
+        with np.errstate(over="ignore"):  # an overflowed fused score is refused below
+            scores = scores + weight_used * f0_term
+        if not np.isfinite(scores).all():
+            raise InvalidSpecError(f"f0_weight {weight_used!r} makes a fused score overflow float64")
     enroll_ids = [u.speaker_id for u in enroll_utts]
     utt_ids = [u.utterance_id for u in trial_utts]
     labels = np.array(enroll_ids)[:, None] == np.array([u.speaker_id for u in trial_utts])

@@ -277,6 +277,26 @@ def test_anonymize_failed_write_keeps_earlier_outputs(tmp_path, runner):
     assert sorted(p.name for p in out.iterdir()) == sorted(earlier)  # no temp file left
 
 
+def test_anonymize_failed_builder_leaves_the_tree_as_it_was(tmp_path, runner, monkeypatch):
+    """An output is built inside the write: its failure after earlier outputs
+    are staged replaces nothing and leaves no temp file or new directory."""
+    paths = build_anonymize_inputs(tmp_path)
+    out = tmp_path / "anon1"
+    first = runner.invoke(main, anonymize_args(paths, out))
+    assert first.exit_code == 0, first.output
+    before = tree(tmp_path)
+
+    def refuse(records):
+        raise InvalidValueError("contours refused")
+
+    monkeypatch.setattr(formats, "serialize_contours", refuse)
+    for target in (out, tmp_path / "fresh" / "deeper"):
+        result = runner.invoke(main, ["--seed", "8"] + anonymize_args(paths, target, ["--f0", "modified"]))
+        assert result.exit_code == 1
+        assert result.stderr == "error: contours refused\n"
+        assert tree(tmp_path) == before
+
+
 def test_anonymize_out_dir_is_a_file(tmp_path, runner):
     paths = build_anonymize_inputs(tmp_path)
     out = tmp_path / "taken"
@@ -605,6 +625,31 @@ def test_eval_det_out_naming_another_output_fails(tmp_path, runner, det_name):
     assert read_dir(tmp_path) == before  # no output replaced, no temp file left
 
 
+def test_eval_det_out_without_out_writes_only_the_det_file(tmp_path, runner):
+    score_file = write(tmp_path / "s.txt", "e1 u1 2.0\ne1 u2 -1.0\ne2 u1 0.5\ne2 u2 1.5\n")
+    key_file = write(tmp_path / "k.txt", "e1 u1 target\ne1 u2 nontarget\ne2 u1 nontarget\ne2 u2 target\n")
+    before = read_dir(tmp_path)
+    result = runner.invoke(main, ["eval", score_file, key_file])
+    assert result.exit_code == 0, result.output
+    assert read_dir(tmp_path) == before  # neither --out nor --det-out: no file
+    result = runner.invoke(main, ["--det-out", str(tmp_path / "d.txt"), "eval", score_file, key_file])
+    assert result.exit_code == 0, result.output
+    det = formats.serialize_det(det_points(TrialScoreSet(np.array([2.0, 1.5]), np.array([-1.0, 0.5]))))
+    assert read_dir(tmp_path) == {**before, "d.txt": det.encode()}  # and no manifest
+
+
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning fails the run
+def test_eval_refuses_a_cllr_that_overflows(tmp_path, runner):
+    score_file = write(tmp_path / "s.txt", "e1 u1 -1e308\ne1 u2 0.0\ne2 u1 0.0\ne2 u2 -1e308\n")
+    key_file = write(tmp_path / "k.txt", "e1 u1 target\ne1 u2 nontarget\ne2 u1 nontarget\ne2 u2 target\n")
+    before = read_dir(tmp_path)
+    result = runner.invoke(main, ["eval", score_file, key_file, "--out", str(tmp_path / "r.txt")])
+    assert result.exit_code == 1
+    assert result.stderr == "error: Cllr overflows float64\n"
+    assert result.stdout == ""
+    assert read_dir(tmp_path) == before
+
+
 def _join_outcome(join, scores, key_rows):
     try:
         score_set = join(scores, key_rows)
@@ -804,6 +849,22 @@ def test_simulate_rejects_a_non_finite_cohort_value(tmp_path, runner, flag, name
     assert result.exit_code == 1
     assert result.stderr == f"error: {name} must be finite\n"
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning fails the run
+@pytest.mark.parametrize("extra, message", [
+    (["--f0-weight", "-1e308"], "error: Cllr overflows float64"),
+    (["--f0-within-std", "1e308"], "has non-finite values"),
+    (["--f0-mean-female", "1e308"], "has non-finite values"),
+    (["--f0-weight", "1e308", "--f0-mean-female", "9"], "error: f0_weight 1e+308 makes a fused score overflow"),
+])
+def test_simulate_float_setting_that_overflows_is_refused(tmp_path, runner, extra, message):
+    result = runner.invoke(main, ["simulate", "--out-dir", str(tmp_path / "sim")] + SIM_ARGS + extra)
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], result.stderr
+    assert "RuntimeWarning" not in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_removes_the_directories_it_made(tmp_path, runner):
@@ -1188,7 +1249,8 @@ def check_manifest(manifest_path, inp, out_dir=None):
 @given(command=st.sampled_from(sorted(CONTRACT_OUTPUTS)), data=st.data())
 def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, command, data):
     """Small valid inputs, changed: edited bytes, swapped files, outputs that
-    collide with an input, with each other or with existing files. Either the
+    collide with an input, with each other or with existing files, and
+    ``simulate`` float settings at the ends of float64. Either the
     run exits 0 and every output parses and its manifest hashes hold, or it
     exits 1 with one ``error:`` line, no traceback, and the tree as it was."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -1198,6 +1260,12 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
         out = {slot: str(root / slot) for slot in CONTRACT_OUTPUTS[command]}
         (root / "other.txt").write_bytes(b"bystander\n")
         (root / "empty").mkdir()
+        if command == "simulate":  # float settings at the ends of float64
+            extremes = data.draw(st.dictionaries(st.sampled_from(["f0_within_std", "f0_mean_female", "f0_weight"]),
+                                                 st.sampled_from(["1e308", "-1e308", "1e-320"])))
+            if "f0_weight" in extremes:
+                extremes["attacker"] = "embedding_plus_f0"
+            contents["config"] += "".join(f"{key} {value}\n" for key, value in extremes.items()).encode()
         kinds = ["edit", "earlier", "to-input", "to-existing"]
         if len(inp) > 1:
             kinds.append("swap")

@@ -81,6 +81,17 @@ def test_cllr_direct_formula_example():
     assert got == pytest.approx(cllr_direct([-2.0], [1.0]), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning fails the test
+def test_cllr_whose_sum_overflows_is_refused():
+    """Each term is finite but their sum is not: refused, with no warning."""
+    overflowing = scores([-1e308, -1e308], [0.0, 0.0])
+    for metric in (cllr, evaluate):
+        with pytest.raises(InvalidValueError, match="Cllr overflows float64"):
+            metric(overflowing)
+    largest = cllr(scores([-1e308], [0.0]))  # one such term still fits
+    assert largest == 0.5 * (1e308 + math.log(2.0)) / math.log(2.0)
+
+
 def test_cllr_not_invariant_under_scaling():
     s = scores([0.5, 1.5], [-1.0, 0.2])
     doubled = scores([1.0, 3.0], [-2.0, 0.4])
