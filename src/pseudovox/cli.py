@@ -10,9 +10,13 @@ Every command runs on one thread; ``--threads`` is accepted for compatibility
 and has no effect. ``--seed`` has none on ``stats``, ``score`` and ``eval``,
 and a command refuses ``--det-out`` or ``--config`` when it would ignore it.
 
-Configuration files are ``key value`` lines whose keys mirror the flag names;
-flags win when both are given. Diagnostics go to stderr; the exit code is 0
-iff the run produced every requested output.
+Configuration files are ``key value`` lines. A key is a field name of the
+command's config objects, and so is each setting flag's name with ``-`` for
+``_``, except that ``anonymize --gender`` sets ``gender_policy`` and ``--f0``
+sets ``f0_mode``, the global ``--seed`` sets ``global_seed`` in ``anonymize``
+and the cohort's ``seed`` in ``simulate``, and ``simulate`` has no
+``--length-norm`` flag. Flags win when both are given. Diagnostics go to
+stderr; the exit code is 0 iff the run produced every requested output.
 
 Every failure ends the run in one place: the command group turns any
 ``PseudovoxError`` a command raises into one ``error:`` line on stderr and
@@ -31,7 +35,7 @@ from dataclasses import asdict, fields
 from operator import eq, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, NoReturn, TypeVar
+from typing import Callable, Iterable, NoReturn, TypeVar, get_args, get_type_hints
 
 import click
 import numpy as np
@@ -49,15 +53,8 @@ from . import formats
 from .f0 import F0Mode, compute_log_f0_stats
 from .metrics import TrialScoreSet, det_points, evaluate
 from .plda import SpeakerEmbedding, plda_score_pairs, project
-from .selection import (
-    GenderPolicy,
-    Scorer,
-    SelectionConfig,
-    SpeakerPool,
-    pseudonymize_speaker,
-)
+from .selection import SelectionConfig, SpeakerPool, pseudonymize_speaker
 from .simulate import (
-    AttackerModel,
     AttackModel,
     CohortSpec,
     ScenarioConfig,
@@ -136,6 +133,8 @@ def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
     written = False
     try:
         for path, data in outputs:
+            if not path.name:  # ".", "/": a directory, with no name to stage a temp file beside
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             _make_dirs(path.parent, created)
             target = os.path.realpath(path)
             if target in inputs:
@@ -208,7 +207,14 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
 def _one_file(out_file: str, build: Callable[[], str]) -> tuple[list[_Output], Path]:
     """The output of a one-file command, unhashed, and its manifest ``<out_file>.manifest``."""
     out = Path(out_file)
-    return [(out, build, False)], out.with_name(out.name + ".manifest")
+    return [(out, build, False)], Path(f"{out}.manifest")
+
+
+def _config_keys(*classes, without: tuple[str, ...] = ()) -> dict[str, type]:
+    """Each field of ``classes`` but ``without`` as a config key, with the type
+    its text converts to: ``float`` for ``float | None``."""
+    return {name: next((kind for kind in get_args(hint) if kind is not type(None)), hint)
+            for cls in classes for name, hint in get_type_hints(cls).items() if name not in without}
 
 
 def _settings(config: str | None, keys: dict[str, type], command: str, flags: dict,
@@ -319,15 +325,7 @@ def stats(contours_file, out_stats_file):
 
 # --- anonymize ----------------------------------------------------------------
 
-_ANON_CONFIG_KEYS = {
-    "k_far": int,
-    "k_sel": int,
-    "gender_policy": GenderPolicy,
-    "scorer": Scorer,
-    "length_norm": bool,
-    "global_seed": int,
-    "f0_mode": F0Mode,
-}
+_ANON_CONFIG_KEYS = {**_config_keys(SelectionConfig), "f0_mode": F0Mode}
 
 
 @main.command()
@@ -522,30 +520,8 @@ def _key_scores(scores: list[tuple[str, str, float]],
 
 # --- simulate -------------------------------------------------------------------
 
-_SIM_CONFIG_KEYS = {
-    "n_speakers_per_gender": int,
-    "utts_per_speaker": int,
-    "embed_dim": int,
-    "between_var": float,
-    "within_var": float,
-    "f0_mean_male": float,
-    "f0_mean_female": float,
-    "f0_between_std": float,
-    "f0_within_std": float,
-    "frames_per_utt": int,
-    "seed": int,
-    "attack": AttackModel,
-    "f0_mode": F0Mode,
-    "gender_policy": GenderPolicy,
-    "enroll_seed": int,
-    "trial_seed": int,
-    "attacker": AttackerModel,
-    "f0_weight": float,
-    "k_far": int,
-    "k_sel": int,
-    "scorer": Scorer,
-    "length_norm": bool,
-}
+_SIM_CONFIG_KEYS = _config_keys(CohortSpec, ScenarioConfig, SelectionConfig, without=("global_seed",))
+
 
 @main.command()
 @click.option("--out-dir", type=click.Path(), required=True)
@@ -576,20 +552,17 @@ def simulate(obj, out_dir, **flags):
     resolved = _settings(
         obj.config, _SIM_CONFIG_KEYS, "simulate", {**flags, "seed": obj.seed}, entries
     )
-    means = {gender: resolved.get(f"f0_mean_{gender.name.lower()}", mean)
-             for gender, mean in CohortSpec().f0_gender_means.items()}
-    spec = _build(CohortSpec, resolved, f0_gender_means=means)
+    spec = _build(CohortSpec, resolved)
     scenario = _build(ScenarioConfig, resolved, attack=AttackModel.ORIGINAL_TO_ANONYMIZED)
     sel = _build(SelectionConfig, resolved, k_far=12, k_sel=6, length_norm=False)
 
     cohort = generate_cohort(spec)
     result = run_scenario(cohort, scenario, sel)
 
-    settings = {**asdict(sel), **asdict(spec), **asdict(scenario)}  # the gender policy run_scenario uses
-    del settings["global_seed"], settings["f0_gender_means"], settings["f0_weight"]
+    settings = {**asdict(sel), **asdict(spec), **asdict(scenario)}
+    del settings["global_seed"], settings["f0_weight"]
     settings.update({
         "cohort_seed": settings.pop("seed"),
-        **{f"f0_mean_{gender.name.lower()}": mean for gender, mean in spec.f0_gender_means.items()},
         "f0_weight_used": result.f0_weight_used,
         "n_trials": result.score_matrix.size,
     })

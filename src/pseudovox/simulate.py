@@ -23,8 +23,7 @@ which exploits exactly the leak that keeping original F0 creates.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .f0 import F0Contour, F0Mode, LogF0Stats, compute_log_f0_stats
 from .metrics import EvalReport, TrialScoreSet, evaluate
 from .plda import Gender, PldaModel, plda_score_matrix, project_many
 from .selection import (
-    GenderPolicy,
     PoolSpeaker,
     SelectionConfig,
     SpeakerPool,
@@ -78,19 +76,14 @@ class CohortSpec:
     embed_dim: int = 32
     between_var: float = 1.0
     within_var: float = 0.05
-    f0_gender_means: Mapping[Gender, float] = field(
-        default_factory=lambda: {
-            Gender.MALE: float(np.log(120.0)),
-            Gender.FEMALE: float(np.log(210.0)),
-        }
-    )
+    f0_mean_male: float = float(np.log(120.0))
+    f0_mean_female: float = float(np.log(210.0))
     f0_between_std: float = 0.15
     f0_within_std: float = 0.25
     frames_per_utt: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "f0_gender_means", dict(self.f0_gender_means))
         for name in ("between_var", "within_var", "f0_between_std", "f0_within_std"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidSpecError(f"{name} must be finite")
@@ -106,12 +99,10 @@ class CohortSpec:
             raise InvalidSpecError("between_var and within_var must be positive")
         if not (self.f0_between_std > 0 and self.f0_within_std > 0):
             raise InvalidSpecError("F0 spread parameters must be positive")
-        if set(self.f0_gender_means) != {Gender.MALE, Gender.FEMALE}:
-            raise InvalidSpecError("f0_gender_means must cover both genders")
-        for gender, mean in self.f0_gender_means.items():
-            if not np.isfinite(mean):
-                raise InvalidSpecError(f"f0_mean_{gender.name.lower()} must be finite")
-        if not self.f0_gender_means[Gender.FEMALE] > self.f0_gender_means[Gender.MALE]:
+        for name in ("f0_mean_male", "f0_mean_female"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be finite")
+        if not self.f0_mean_female > self.f0_mean_male:
             raise InvalidSpecError("female mean log-F0 must exceed the male mean")
         if not 0 <= int(self.seed) < (1 << 64):
             raise InvalidSpecError("seed must fit in 64 unsigned bits")
@@ -123,7 +114,6 @@ class ScenarioConfig:
 
     attack: AttackModel
     f0_mode: F0Mode = F0Mode.ORIGINAL
-    gender_policy: GenderPolicy = GenderPolicy.SAME
     enroll_seed: int = 1
     trial_seed: int = 2
     attacker: AttackerModel = AttackerModel.EMBEDDING_ONLY
@@ -195,6 +185,16 @@ def _contour(rng: np.random.Generator, utt_id: str, spec: CohortSpec, log_mean: 
     return F0Contour(utt_id, values)
 
 
+def _draw_speaker(
+    spec: CohortSpec, sid: str, gender_mean: float
+) -> tuple[np.random.Generator, np.ndarray, float]:
+    """Speaker ``sid``'s generator, after it drew the identity vector and
+    then the log-F0 mean."""
+    rng = np.random.default_rng(seed_for_speaker(spec.seed, sid))
+    identity = rng.normal(0.0, np.sqrt(spec.between_var), spec.embed_dim)
+    return rng, identity, rng.normal(gender_mean, spec.f0_between_std)
+
+
 def generate_cohort(spec: CohortSpec) -> Cohort:
     """Sample pool, users and the matching true PLDA model, deterministically.
 
@@ -203,35 +203,19 @@ def generate_cohort(spec: CohortSpec) -> Cohort:
     speakers expose their identity vector as the pool mean embedding and
     their true per-speaker F0 statistics.
     """
+    voiced_per_utt = spec.frames_per_utt - len(range(0, spec.frames_per_utt, UNVOICED_STRIDE))
     pool_speakers = []
     users = []
-    for gender, tag in ((Gender.MALE, "m"), (Gender.FEMALE, "f")):
-        gender_mean = spec.f0_gender_means[gender]
+    for gender, tag, gender_mean in ((Gender.MALE, "m", spec.f0_mean_male),
+                                     (Gender.FEMALE, "f", spec.f0_mean_female)):
         for i in range(spec.n_speakers_per_gender):
             sid = f"pool-{tag}{i:03d}"
-            rng = np.random.default_rng(seed_for_speaker(spec.seed, sid))
-            identity = rng.normal(0.0, np.sqrt(spec.between_var), spec.embed_dim)
-            log_mean = rng.normal(gender_mean, spec.f0_between_std)
-            voiced_per_utt = spec.frames_per_utt - len(
-                range(0, spec.frames_per_utt, UNVOICED_STRIDE)
-            )
-            pool_speakers.append(
-                PoolSpeaker(
-                    sid,
-                    gender,
-                    identity,
-                    LogF0Stats(
-                        log_mean,
-                        spec.f0_within_std,
-                        max(1, voiced_per_utt * spec.utts_per_speaker),
-                    ),
-                )
-            )
+            _, identity, log_mean = _draw_speaker(spec, sid, gender_mean)
+            stats = LogF0Stats(log_mean, spec.f0_within_std, voiced_per_utt * spec.utts_per_speaker)
+            pool_speakers.append(PoolSpeaker(sid, gender, identity, stats))
         for i in range(spec.n_speakers_per_gender):
             sid = f"user-{tag}{i:03d}"
-            rng = np.random.default_rng(seed_for_speaker(spec.seed, sid))
-            identity = rng.normal(0.0, np.sqrt(spec.between_var), spec.embed_dim)
-            log_mean = rng.normal(gender_mean, spec.f0_between_std)
+            rng, identity, log_mean = _draw_speaker(spec, sid, gender_mean)
             utterances = []
             for j in range(spec.utts_per_speaker):
                 utt_id = f"{sid}-utt{j:02d}"
@@ -260,7 +244,7 @@ def _anonymize_side(
     which: str,
 ) -> list[SimUtterance]:
     spec = cohort.spec
-    side_sel = replace(sel, global_seed=side_seed, gender_policy=cfg.gender_policy)
+    side_sel = replace(sel, global_seed=side_seed)
     out = []
     for user in cohort.users:
         utts = [user.enrollment] if which == "enroll" else user.trial_utterances

@@ -285,9 +285,9 @@ def test_criterion_07_perm_strategy(tmp_path=None):
 @criterion(8, "a-a ordering: modified F0 raises EER and min-Cllr (>=4/5 seeds)")
 def test_criterion_08_simulation_ordering():
     start = time.perf_counter()
-    sel = SelectionConfig(k_far=12, k_sel=6, length_norm=False)
     lines = []
     for policy in (GenderPolicy.SAME, GenderPolicy.OPPOSITE):
+        sel = SelectionConfig(k_far=12, k_sel=6, gender_policy=policy, length_norm=False)
         eer_wins = 0
         cllr_wins = 0
         for seed in range(1, 6):
@@ -297,7 +297,6 @@ def test_criterion_08_simulation_ordering():
                 cfg = ScenarioConfig(
                     attack=AttackModel.ANONYMIZED_TO_ANONYMIZED,
                     f0_mode=mode,
-                    gender_policy=policy,
                     enroll_seed=seed * 100 + 1,
                     trial_seed=seed * 100 + 2,
                     attacker=AttackerModel.EMBEDDING_PLUS_F0,

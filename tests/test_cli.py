@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import math
 import os
@@ -936,6 +937,31 @@ def test_an_output_may_not_replace_an_input(command, tmp_path, runner):
     assert tree(tmp_path) == before  # no temp file, no new directory, nothing replaced
 
 
+@pytest.mark.parametrize("command, path", [
+    ("stats", "."), ("stats", "/"), ("stats", ""), ("score", "."), ("eval-out", "."), ("eval-det-out", "."),
+    ("eval-det-out", ""),
+])
+def test_an_output_path_that_names_no_file_is_refused(command, path, tmp_path, runner, monkeypatch):
+    """``.``, ``/`` and ``""`` name a directory, so neither a temp file nor a
+    manifest can be named beside them: one error line, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    if command == "stats":
+        args = ["stats", write(tmp_path / "c.txt", "u1 100.0 0.0 400.0\n"), path]
+    elif command == "score":
+        inputs = build_score_inputs(tmp_path)
+        args = ["score", inputs["plda"], inputs["enroll"], inputs["trials_emb"], inputs["key"], path]
+    else:
+        scores = write(tmp_path / "s.txt", "e1 u1 2.0\ne1 u2 -1.0\n")
+        key = write(tmp_path / "k.txt", "e1 u1 target\ne1 u2 nontarget\n")
+        args = ["eval", scores, key, "--out", path] if command == "eval-out" else ["--det-out", path, "eval", scores, key]
+    before = tree(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    shown = str(Path(path))
+    assert result.stderr == f"error: cannot write {shown}: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{shown}'\n"
+    assert tree(tmp_path) == before
+
+
 # --- global flags ----------------------------------------------------------------------
 
 COMMAND_ARGS = {
@@ -1116,15 +1142,22 @@ SIM_FLAGS = {
 }
 
 
-def test_simulate_manifest_records_each_flag_value(tmp_path, runner):
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_simulate_manifest_records_each_flag_value(source, tmp_path, runner):
+    """The config case also sets the config-only ``seed`` and ``length_norm``."""
     out = tmp_path / "sim"
-    flags = [text for key, value in SIM_FLAGS.items() for text in (f"--{key.replace('_', '-')}", value)]
-    result = runner.invoke(main, ["--seed", "7", "simulate", "--out-dir", str(out), *flags])
+    if source == "flags":
+        flags = [text for key, value in SIM_FLAGS.items() for text in (f"--{key.replace('_', '-')}", value)]
+        args, length_norm = ["--seed", "7", "simulate", "--out-dir", str(out), *flags], "false"
+    else:
+        lines = "".join(f"{key} {value}\n" for key, value in {**SIM_FLAGS, "seed": "7", "length_norm": "true"}.items())
+        args, length_norm = ["--config", write(tmp_path / "sim.cfg", lines), "simulate", "--out-dir", str(out)], "true"
+    result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     manifest = settings_of(formats.parse_keyvalues((out / "manifest.txt").read_text()))
     recorded = {"f0_weight" if k == "f0_weight_used" else k: v for k, v in manifest.items()}
     assert recorded == {
-        **SIM_FLAGS, "cohort_seed": "7", "length_norm": "false",
+        **SIM_FLAGS, "cohort_seed": "7", "length_norm": length_norm,
         "n_trials": str(16 * 32),  # 16 enrolled users x 32 trial utterances
         "format_version": cli.FORMAT_VERSION, "package_version": pseudovox.__version__, "command": "simulate",
     }
@@ -1134,8 +1167,8 @@ def test_simulate_manifest_records_each_flag_value(tmp_path, runner):
     ("anonymize", cli._ANON_CONFIG_KEYS), ("simulate", cli._SIM_CONFIG_KEYS),
 ], ids=["anonymize", "simulate"])
 def test_every_setting_option_names_a_config_key(command, keys):
-    """A config file's keys mirror the flag names: each option that is not a
-    path sets the config key of its parameter's name."""
+    """Each option that is not a path sets the config key of its parameter's
+    name."""
     options = [p for p in main.commands[command].params if isinstance(p, click.Option)]
     names = {p.name for p in options if not isinstance(p.type, click.Path)}
     assert names and names <= set(keys)
@@ -1249,11 +1282,13 @@ def check_manifest(manifest_path, inp, out_dir=None):
 @given(command=st.sampled_from(sorted(CONTRACT_OUTPUTS)), data=st.data())
 def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, command, data):
     """Small valid inputs, changed: edited bytes, swapped files, outputs that
-    collide with an input, with each other or with existing files, and
-    ``simulate`` float settings at the ends of float64. Either the
+    collide with an input, with each other or with existing files, one-file
+    outputs that name no file (``.``, ``""``), and ``simulate`` float
+    settings at the ends of float64. Either the
     run exits 0 and every output parses and its manifest hashes hold, or it
     exits 1 with one ``error:`` line, no traceback, and the tree as it was."""
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)  # "." is the run's own directory
         root = Path(tmp)
         contents = dict(contract_inputs[command])
         inp = {name: str(root / f"{name}.txt") for name in contents}
@@ -1271,6 +1306,9 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
             kinds.append("swap")
         if len(out) > 1:
             kinds.append("to-output")
+        file_slots = sorted(slot for slot, parse in CONTRACT_OUTPUTS[command].items() if parse is not None)
+        if file_slots:
+            kinds.append("no-name")
         for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2, unique=True)):
             if kind == "edit":
                 name = data.draw(st.sampled_from(sorted(contents)))
@@ -1278,6 +1316,8 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
             elif kind == "swap":
                 a, b = data.draw(st.permutations(sorted(inp)))[:2]
                 inp[a], inp[b] = inp[b], inp[a]
+            elif kind == "no-name":
+                out[data.draw(st.sampled_from(file_slots))] = data.draw(st.sampled_from([".", ""]))
             else:
                 slot = data.draw(st.sampled_from(sorted(out)))
                 if kind == "earlier":  # an earlier run's outputs in place

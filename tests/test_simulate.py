@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_cohort_spec_validation():
     with pytest.raises(InvalidSpecError):
         CohortSpec(between_var=0.0)
     with pytest.raises(InvalidSpecError):
-        CohortSpec(f0_gender_means={Gender.MALE: 5.3, Gender.FEMALE: 4.8})
+        CohortSpec(f0_mean_male=5.3, f0_mean_female=4.8)
     with pytest.raises(InvalidSpecError):
         CohortSpec(frames_per_utt=1)
 
@@ -98,8 +99,8 @@ def test_cohort_needs_a_trial_utterance_per_speaker(utts):
         ({"within_var": math.nan}, "within_var"),
         ({"f0_between_std": math.inf}, "f0_between_std"),
         ({"f0_within_std": -math.inf}, "f0_within_std"),
-        ({"f0_gender_means": {Gender.MALE: -math.inf, Gender.FEMALE: 5.3}}, "f0_mean_male"),
-        ({"f0_gender_means": {Gender.MALE: 4.8, Gender.FEMALE: math.inf}}, "f0_mean_female"),
+        ({"f0_mean_male": -math.inf, "f0_mean_female": 5.3}, "f0_mean_male"),
+        ({"f0_mean_male": 4.8, "f0_mean_female": math.inf}, "f0_mean_female"),
     ],
 )
 def test_cohort_spec_rejects_non_finite_values(kwargs, name):
@@ -245,20 +246,11 @@ def test_f0_weight_override_is_used():
     assert only.f0_weight_used is None
 
 
-def test_gender_policy_flows_from_scenario_config():
+def test_gender_policy_flows_from_selection_config():
     cohort = generate_cohort(SMALL)
-    same = run_scenario(
-        cohort,
-        ScenarioConfig(attack=AttackModel.ORIGINAL_TO_ANONYMIZED,
-                       gender_policy=GenderPolicy.SAME, trial_seed=9),
-        SEL,
-    )
-    opposite = run_scenario(
-        cohort,
-        ScenarioConfig(attack=AttackModel.ORIGINAL_TO_ANONYMIZED,
-                       gender_policy=GenderPolicy.OPPOSITE, trial_seed=9),
-        SEL,
-    )
+    cfg = ScenarioConfig(attack=AttackModel.ORIGINAL_TO_ANONYMIZED, trial_seed=9)
+    same = run_scenario(cohort, cfg, replace(SEL, gender_policy=GenderPolicy.SAME))
+    opposite = run_scenario(cohort, cfg, replace(SEL, gender_policy=GenderPolicy.OPPOSITE))
     assert sorted_rows(same)[0] != sorted_rows(opposite)[0]
 
 
