@@ -236,6 +236,8 @@ def _settings(config: str | None, keys: dict[str, type], command: str, flags: di
 
 def _convert(key: str, raw: str, kind):
     try:
+        if kind in (int, float) and (not raw.isascii() or "_" in raw):
+            raise ValueError("numbers take ASCII digits and no '_'")
         if kind is bool:
             if raw not in ("true", "false"):
                 raise ValueError("expected true or false")
@@ -484,9 +486,9 @@ def eval_cmd(obj, score_file, trial_key, out_file):
     score_set = _key_scores(_read(score_file, "scores", entries, formats.parse_scores),
                             _read(trial_key, "trial_key", entries, formats.parse_trials))
     report_text = formats.serialize_report(evaluate(score_set))
-    click.echo(report_text, nl=False)
     outputs, manifest = ([], None) if out_file is None else _one_file(out_file, lambda: report_text)
     _write("eval", entries, outputs + _det_output(obj, lambda: score_set), manifest)
+    click.echo(report_text, nl=False)
 
 
 _PAIR = itemgetter(0, 1)

@@ -11,7 +11,7 @@ Every format with a record key follows three record rules, each written once:
 - a key appears on one line only (``_records`` reads every keyed format);
 - a parse error names the first bad (1-based) line;
 - output is sorted by key, and each distinct id is checked once
-  (``_sorted_text``; ``_pair_rows`` for scores and trials).
+  (``_sorted_text``; the grid writers sort two id lists, not rows).
 
 The keys: contours the utterance id, stats the stats id, embeddings
 (speaker, utterance), pool the pool speaker id, scores and trials (enroll,
@@ -61,7 +61,7 @@ import hashlib
 import math
 import re
 from itertools import chain, count
-from operator import add, attrgetter, eq, getitem, itemgetter, lt
+from operator import add, attrgetter, getitem, itemgetter, lt
 
 import numpy as np
 
@@ -241,8 +241,8 @@ def parse_contours(text: str) -> list[F0Contour]:
 
 
 def serialize_contours(records: list[F0Contour]) -> str:
-    return _sorted_text(records, attrgetter("utterance_id"), lambda r: (r.utterance_id,),
-                        lambda r: " ".join([r.utterance_id, *_real_fields(r.values)]))
+    return _sorted_text(records, attrgetter, ("utterance_id",), lambda r: (r.utterance_id,),
+                        lambda rows: [" ".join([r.utterance_id, *_real_fields(r.values)]) for r in rows])
 
 
 # --- stats ------------------------------------------------------------------
@@ -260,8 +260,8 @@ def parse_stats(text: str) -> list[tuple[str, LogF0Stats]]:
 
 
 def serialize_stats(records: list[tuple[str, LogF0Stats]]) -> str:
-    return _sorted_text(records, itemgetter(0), lambda r: (r[0],),
-                        lambda r: " ".join([r[0], *_stats_fields(r[1])]))
+    return _sorted_text(records, itemgetter, (0,), lambda r: (r[0],),
+                        lambda rows: [" ".join([r[0], *_stats_fields(r[1])]) for r in rows])
 
 
 def _log_f0_stats(tokens: list[str], line: int) -> LogF0Stats:
@@ -305,9 +305,9 @@ def serialize_embeddings(records: list[SpeakerEmbedding]) -> str:
             raise InvalidValueError(
                 f"embedding for {rec.speaker_id!r} needs an utterance_id to serialize"
             )
-    key = attrgetter("speaker_id", "utterance_id")
-    return _sorted_text(records, key, key, lambda r: " ".join(
-        [r.speaker_id, r.utterance_id, r.gender.value, *_real_fields(r.vector)]))
+    fields = ("speaker_id", "utterance_id")
+    return _sorted_text(records, attrgetter, fields, attrgetter(*fields), lambda rows: [" ".join(
+        [r.speaker_id, r.utterance_id, r.gender.value, *_real_fields(r.vector)]) for r in rows])
 
 
 # --- pool manifest ----------------------------------------------------------
@@ -332,8 +332,9 @@ def parse_pool(text: str) -> list[PoolSpeaker]:
 
 
 def serialize_pool(records: list[PoolSpeaker]) -> str:
-    return _sorted_text(records, attrgetter("speaker_id"), lambda r: (r.speaker_id,), lambda r: " ".join(
-        [r.speaker_id, r.gender.value, *_real_fields(r.mean_embedding), "|", *_stats_fields(r.f0_stats)]))
+    return _sorted_text(records, attrgetter, ("speaker_id",), lambda r: (r.speaker_id,), lambda rows: [
+        " ".join([r.speaker_id, r.gender.value, *_real_fields(r.mean_embedding), "|", *_stats_fields(r.f0_stats)])
+        for r in rows])
 
 
 # --- PLDA model -------------------------------------------------------------
@@ -405,7 +406,8 @@ def _score_key(tokens: list[str], line: int) -> tuple[str, str]:
 
 
 def serialize_scores(records: list[tuple[str, str, float]]) -> str:
-    return _joined([f"{e} {t} {float(s)!r}" for e, t, s in _pair_rows(records)])
+    return _sorted_text(records, itemgetter, (0, 1), _pair,
+                        lambda rows: [f"{e} {t} {float(s)!r}" for e, t, s in rows])
 
 
 def parse_trials(text: str) -> list[tuple[str, str, bool]]:
@@ -431,7 +433,8 @@ def _trial_key(tokens: list[str], line: int) -> tuple[str, str]:
 
 
 def serialize_trials(records: list[tuple[str, str, bool]]) -> str:
-    return _joined([f"{e} {t} {'target' if is_tar else 'nontarget'}" for e, t, is_tar in _pair_rows(records)])
+    return _sorted_text(records, itemgetter, (0, 1), _pair,
+                        lambda rows: [f"{e} {t} {'target' if is_tar else 'nontarget'}" for e, t, is_tar in rows])
 
 
 def serialize_score_grid(enroll_ids: list[str], utt_ids: list[str], scores) -> str:
@@ -470,8 +473,8 @@ def parse_mapping(text: str) -> list[tuple[str, int, tuple[str, ...]]]:
 
 
 def serialize_mapping(records: list[tuple[str, int, tuple[str, ...]]]) -> str:
-    return _sorted_text(records, itemgetter(0), lambda r: (r[0], *r[2]),
-                        lambda r: " ".join([r[0], str(r[1]), *r[2]]))
+    return _sorted_text(records, itemgetter, (0,), lambda r: (r[0], *r[2]),
+                        lambda rows: [" ".join([r[0], str(r[1]), *r[2]]) for r in rows])
 
 
 # --- DET export -------------------------------------------------------------
@@ -553,8 +556,8 @@ def parse_keyvalues(text: str) -> dict[str, str]:
 
 
 def serialize_keyvalues(values: dict[str, str]) -> str:
-    return _sorted_text(values.items(), itemgetter(0), lambda kv: (kv[0], str(kv[1])),
-                        lambda kv: f"{kv[0]} {kv[1]!s}")
+    return _sorted_text(values.items(), itemgetter, (0,), lambda kv: (kv[0], str(kv[1])),
+                        lambda rows: [f"{k} {v!s}" for k, v in rows])
 
 
 # --- shared helpers ---------------------------------------------------------
@@ -604,22 +607,35 @@ def _one_dim_reals():
     return reals
 
 
-def _sorted_text(records, key, ids, line) -> str:
-    """``line(record)`` of each record, sorted by ``key``: a repeated key
-    raises ``_require_unique``'s error for the first repeat in input order,
-    then each distinct id of ``ids(record)`` is checked once, in written order."""
-    _require_unique(map(key, records))
-    rows = sorted(records, key=key)
+def _sorted_text(records, get, fields, ids, lines) -> str:
+    """``lines(rows)`` of the records sorted by the key ``get(*fields)``
+    (``get`` is ``itemgetter`` or ``attrgetter``): a repeated key raises
+    ``_require_unique``'s error for the first repeat in input order, then each
+    distinct id of ``ids(record)`` is checked once, in written order.
+
+    Records whose keys already go strictly up are written as given. Others
+    get one stable sort per field, last field first: the key order at a
+    fraction of the cost of one sort on tuple keys, and after it a repeated
+    key sits next to its twin.
+    """
+    key = get(*fields)
+    rows = records
+    if not _strictly_up(records, key):
+        rows = list(records)
+        for field in reversed(fields):
+            rows.sort(key=get(field))
+        if not _strictly_up(rows, key):
+            _require_unique(map(key, records))
     _check_out_ids(chain.from_iterable(map(ids, rows)))
-    return _joined(list(map(line, rows)))
+    return _joined(lines(rows))
 
 
-def _pair_rows(records: list[tuple]) -> list[tuple]:
-    """Score or trial records in (enroll, test) order, not sorted again when
-    they already are, after each distinct id has been checked once."""
-    rows = records if _strictly_by_pair(records) else _sorted_by_pair(records)
-    _check_out_ids(chain.from_iterable(map(_pair, rows)))
-    return rows
+def _strictly_up(records, key) -> bool:
+    """Whether the keys of ``records`` go strictly up: then they are in key
+    order and none repeats."""
+    following = map(key, records)
+    next(following, None)
+    return all(map(lt, map(key, records), following))
 
 
 def _joined(lines: list[str]) -> str:
@@ -655,31 +671,6 @@ def _sorted_grid(enroll_ids, utt_ids, matrix, dtype) -> tuple[list[str], list[st
 def _grid_text(enroll: list[str], row_tails) -> str:
     """One line per (enroll id, tail): each row's tails joined by LF + its id."""
     return _joined([e + ("\n" + e).join(tails) for e, tails in zip(enroll, row_tails)])
-
-
-def _strictly_by_pair(records: list[tuple]) -> bool:
-    """Whether the (enroll, test) pairs of ``records`` go strictly up: then
-    they are in ``_sorted_by_pair``'s order and hold no repeated pair."""
-    following = map(_pair, records)
-    next(following, None)
-    return all(map(lt, map(_pair, records), following))
-
-
-def _sorted_by_pair(records: list[tuple]) -> list[tuple]:
-    """Records sorted by (enroll, test) id; a repeated pair raises
-    ``_require_unique``'s error for the first repeat in input order.
-
-    Two stable sorts on one id each give the (enroll, test) order at a
-    fraction of the cost of one sort on tuple keys, and after them a
-    repeated pair sits next to its twin.
-    """
-    rows = sorted(records, key=itemgetter(1))
-    rows.sort(key=itemgetter(0))
-    following = map(_pair, rows)
-    next(following, None)
-    if any(map(eq, map(_pair, rows), following)):
-        _require_unique(map(_pair, records))
-    return rows
 
 
 def _require_unique(keys) -> None:

@@ -734,9 +734,9 @@ def test_simulate_reproducible_and_complete(tmp_path, runner):
 
 
 def test_simulate_writes_scores_and_trials_from_the_grid(tmp_path, runner, monkeypatch):
-    """No per-trial rows: the row writers and their pair sort are never called."""
+    """No per-trial rows: the row writers are never called."""
     calls = []
-    for name in ("serialize_scores", "serialize_trials", "_sorted_by_pair"):
+    for name in ("serialize_scores", "serialize_trials"):
         real = getattr(formats, name)
         monkeypatch.setattr(formats, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
     result = runner.invoke(main, ["--seed", "3", "simulate", "--out-dir", str(tmp_path / "out")] + SIM_ARGS)
@@ -932,6 +932,7 @@ def test_an_output_may_not_replace_an_input(command, tmp_path, runner):
     data = Path(victim).read_bytes()
     result = runner.invoke(main, args)
     assert result.exit_code == 1
+    assert result.stdout == ""
     assert result.stderr == f"error: cannot write {victim}: it is an input of this command\n"
     assert Path(victim).read_bytes() == data
     assert tree(tmp_path) == before  # no temp file, no new directory, nothing replaced
@@ -1023,18 +1024,26 @@ def bad_input_case(command, tmp_path):
         bad.write_bytes(b"e1 u1 1.0\n\xff\n")
         key = write(tmp_path / "k.txt", "e1 u1 target\n")
         return ["eval", str(bad), key], bad, "input is not valid UTF-8: "
+    if command == "anonymize-digits":  # int() would read 10
+        bad.write_text("k_sel 1_0\n")
+        args = ["--config", str(bad)] + anonymize_args(build_anonymize_inputs(tmp_path), tmp_path / "anon")
+        return args, bad, "bad value '1_0' for key 'k_sel'"
     contents, message = {
         "simulate": ("k_far\n", "line 1: expected 'key value'"),
         "simulate-key": ("bogus 3\n", "unknown simulate config key 'bogus'"),
         "simulate-value": ("k_far many\n", "bad value 'many' for key 'k_far'"),
+        # int() and float() would read 12 and 15
+        "simulate-digits": ("k_far ١٢\n", "bad value '١٢' for key 'k_far'"),
+        "simulate-underscore": ("f0_weight 1_5\n", "bad value '1_5' for key 'f0_weight'"),
     }[command]
     bad.write_text(contents)
     return ["--config", str(bad), "simulate", "--out-dir", str(tmp_path / "sim")], bad, message
 
 
-@pytest.mark.parametrize(
-    "command", ["stats", "anonymize", "score", "eval", "simulate", "simulate-key", "simulate-value"]
-)
+@pytest.mark.parametrize("command", [
+    "stats", "anonymize", "anonymize-digits", "score", "eval", "simulate", "simulate-key", "simulate-value",
+    "simulate-digits", "simulate-underscore",
+])
 def test_input_error_names_its_file(command, tmp_path, runner):
     args, bad, message = bad_input_case(command, tmp_path)
     result = runner.invoke(main, args)
@@ -1361,6 +1370,7 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
             assert not [p for p in root.rglob("*.tmp")]
         else:
             assert result.exit_code == 1
+            assert result.stdout == ""
             *warnings, error = result.stderr.splitlines()
             assert error.startswith("error: ") and all(w.startswith("warning: ") for w in warnings), result.stderr
             assert file_tree(root) == before

@@ -4,6 +4,7 @@ canonical files never fall back to that per-token code."""
 
 import itertools
 import math
+from operator import attrgetter, itemgetter
 from unittest import mock
 
 import numpy as np
@@ -365,17 +366,34 @@ WRITER_RECORDS = {
 }
 
 
+WRITER_KEYS = {
+    "contours": attrgetter("utterance_id"),
+    "stats": itemgetter(0),
+    "embeddings": lambda r: (r.speaker_id, r.utterance_id or ""),
+    "pool": attrgetter("speaker_id"),
+    "mapping": itemgetter(0),
+    "scores": itemgetter(0, 1),
+    "trials": itemgetter(0, 1),
+}
+
+
 @pytest.mark.parametrize("name", sorted([*WRITER_RECORDS, "keyvalues"]))
 @PROPERTY
 @given(data=st.data())
 def test_pair_serializers_raise_the_per_token_error(name, data):
     """Every writer with a record key, not only the pair writers: for
     repeated keys and unserializable ids the bytes or the error are those of
-    the per-record code."""
+    the per-record code. Records come as drawn, sorted by key (the path that
+    writes them as given), or sorted by key with one adjacent repeat."""
+    order = data.draw(st.sampled_from(["drawn", "sorted", "repeat"]))
     if name == "keyvalues":
         records = data.draw(st.dictionaries(WRITER_IDS, WRITER_IDS))
+        if order != "drawn":
+            records = dict(sorted(records.items()))
     else:
         records = data.draw(st.lists(WRITER_RECORDS[name]))
+        if order != "drawn":
+            records = sorted(records + records[:1] if order == "repeat" else records, key=WRITER_KEYS[name])
     assert outcome(getattr(formats, f"serialize_{name}"), records) == outcome(getattr(oracles, f"serialize_{name}"), records)
 
 
@@ -473,9 +491,9 @@ def as_rows(name, rows):
 @PROPERTY
 @given(rows=SCORE_ROWS, data=st.data())
 def test_pair_serializers_in_pair_order_equal_the_sorting_path(name, rows, data):
-    """Rows already strictly in (enroll, test) order skip ``_sorted_by_pair``;
-    for sorted, shuffled and duplicated rows the bytes and errors are those
-    of the path that always sorts."""
+    """Rows already strictly in (enroll, test) order skip the sort; for
+    sorted, shuffled and duplicated rows the bytes and errors are those of
+    the path that always sorts."""
     rows = as_rows(name, data.draw(
         st.sampled_from([
             sorted(rows, key=lambda r: r[:2]),
@@ -484,22 +502,27 @@ def test_pair_serializers_in_pair_order_equal_the_sorting_path(name, rows, data)
         ])
     ))
     serialize = getattr(formats, f"serialize_{name}")
-    with mock.patch.object(formats, "_strictly_by_pair", return_value=False):
+    with mock.patch.object(formats, "_strictly_up", return_value=False):
         sorting = outcome(serialize, rows)
     assert outcome(serialize, rows) == sorting
 
 
 @pytest.mark.parametrize("name", ["scores", "trials"])
 def test_pair_serializers_do_not_sort_sorted_rows(monkeypatch, name):
-    calls = []
-    real = formats._sorted_by_pair
-    monkeypatch.setattr(formats, "_sorted_by_pair", lambda rows: calls.append(len(rows)) or real(rows))
+    """Sorted rows pass one strictly-up check and are written as given;
+    reversed rows fail it and pass it again only as a sorted copy."""
+    checked = []
+    real = formats._strictly_up
+    monkeypatch.setattr(formats, "_strictly_up",
+                        lambda records, key: checked.append((records, real(records, key))) or checked[-1][1])
     rows = as_rows(name, [(f"spk{e}", f"utt{t:02d}", float(e - t)) for e in range(10) for t in range(40)])
     serialize = getattr(formats, f"serialize_{name}")
     text = serialize(rows)
-    assert calls == []
-    assert text == serialize(rows[::-1])
-    assert calls == [len(rows)]
+    assert checked == [(rows, True)] and checked[0][0] is rows
+    checked.clear()
+    backwards = rows[::-1]
+    assert serialize(backwards) == text
+    assert checked == [(backwards, False), (rows, True)] and checked[1][0] is not backwards
 
 
 # --- grid writers ----------------------------------------------------------------
