@@ -21,21 +21,23 @@ stderr; the exit code is 0 iff the run produced every requested output.
 Every failure ends the run in one place: the command group turns any
 ``PseudovoxError`` a command raises into one ``error:`` line on stderr and
 exit code 1, so no command catches one to end the run itself. Every command
-writes in one ``_write`` call, which builds each output text when its turn
-comes and writes the manifest last.
+writes in one ``_write`` call, which builds each output when its turn comes,
+writes and hashes it one text chunk at a time (the score and trial grids of
+``simulate`` come one enrollment row per chunk), and writes the manifest last.
 """
 
 from __future__ import annotations
 
 import enum
 import errno
+import hashlib
 import os
 import sys
 from dataclasses import asdict, fields
 from operator import eq, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, NoReturn, TypeVar, get_args, get_type_hints
+from typing import Callable, Iterable, Iterator, NoReturn, TypeVar, get_args, get_type_hints
 
 import click
 import numpy as np
@@ -117,9 +119,10 @@ def _of_dim(parse: Callable[[str], list[SpeakerEmbedding]], dim: int | None, of:
     return checked
 
 
-def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
-    """Write each output to a hidden temp file beside its target, then rename
-    them all into place in the given order; callers put the manifest last.
+def _write_outputs(outputs: Iterable[tuple[Path, Iterable[bytes]]]) -> None:
+    """Write each output's chunks to a hidden temp file beside its target,
+    then rename them all into place in the given order; callers put the
+    manifest last.
 
     No target is touched unless every temp file was written, no target is
     a directory or an input read by ``_read``, and no two outputs resolve to
@@ -132,7 +135,7 @@ def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
     inputs = click.get_current_context().meta.get("inputs", ())
     written = False
     try:
-        for path, data in outputs:
+        for path, chunks in outputs:
             if not path.name:  # ".", "/": a directory, with no name to stage a temp file beside
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             _make_dirs(path.parent, created)
@@ -146,8 +149,7 @@ def _write_outputs(outputs: Iterable[tuple[Path, bytes]]) -> None:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((path, tmp))
             with open(fd, "wb") as handle:
-                handle.write(data)
-            del data  # hold one encoded output at a time
+                handle.writelines(chunks)  # one chunk at a time
         for path, _ in staged:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -179,7 +181,8 @@ def _make_dirs(directory: Path, created: list[Path]) -> None:
         created.append(directory)
 
 
-_Output = tuple[Path, Callable[[], str], bool]  # path, builder of its text, hashed in the manifest
+# path, builder of its text or its text chunks, hashed in the manifest
+_Output = tuple[Path, Callable[[], str | Iterable[str]], bool]
 
 
 def _write(command: str, entries: dict[str, str], outputs: list[_Output], manifest: Path | None) -> None:
@@ -187,19 +190,29 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
     is None, all in one ``_write_outputs`` call.
 
     Each output is its path, the builder of its text, and whether the
-    manifest records its ``output_sha256_<stem>``. Each text is built when
-    its turn comes, so the run holds one output text at a time.
+    manifest records its ``output_sha256_<stem>``. A builder returns one
+    text or an iterable of text chunks; it runs when its output's turn comes,
+    and each chunk is encoded, hashed and written before the next is made,
+    so the run holds one chunk at a time.
     """
+    def chunks(path: Path, build, hashed: bool) -> Iterator[bytes]:
+        text = build()
+        # one text is one chunk: hold its bytes, not the text as well
+        data = [text.encode("utf-8")] if isinstance(text, str) else (chunk.encode("utf-8") for chunk in text)
+        del text
+        digest = hashlib.sha256()
+        for chunk in data:
+            digest.update(chunk)
+            yield chunk
+        if hashed:
+            entries[f"output_sha256_{path.stem}"] = digest.hexdigest()
+
     def encoded():
         for path, build, hashed in outputs:
-            data = build().encode("utf-8")
-            if hashed:
-                entries[f"output_sha256_{path.stem}"] = formats.sha256_hex(data)
-            yield path, data
-            del data  # hold one encoded output at a time
+            yield path, chunks(path, build, hashed)
         if manifest is not None:
             base = {"format_version": FORMAT_VERSION, "package_version": __version__, "command": command}
-            yield manifest, formats.serialize_keyvalues({**base, **entries}).encode("utf-8")
+            yield manifest, [formats.serialize_keyvalues({**base, **entries}).encode("utf-8")]
 
     _write_outputs(encoded())
 
@@ -236,8 +249,8 @@ def _settings(config: str | None, keys: dict[str, type], command: str, flags: di
 
 def _convert(key: str, raw: str, kind):
     try:
-        if kind in (int, float) and (not raw.isascii() or "_" in raw):
-            raise ValueError("numbers take ASCII digits and no '_'")
+        if kind in (int, float):
+            return _number(raw, kind)
         if kind is bool:
             if raw not in ("true", "false"):
                 raise ValueError("expected true or false")
@@ -245,6 +258,32 @@ def _convert(key: str, raw: str, kind):
         return kind(raw)
     except (ValueError, PseudovoxError):
         raise InvalidValueError(f"bad value {raw!r} for key {key!r}") from None
+
+
+def _number(raw: str, kind: type):
+    """``kind(raw)`` for ``int`` or ``float``, refusing the non-ASCII digits
+    and the ``_`` that both accept."""
+    if not raw.isascii() or "_" in raw:
+        raise ValueError("numbers take ASCII digits and no '_'")
+    return kind(raw)
+
+
+class _Number(click.ParamType):
+    """An ``int`` or ``float`` flag, converted by ``_number`` as a config value
+    is; a bad value is a usage error."""
+
+    def __init__(self, kind: type):
+        self.kind = kind
+        self.name = "integer" if kind is int else "float"
+
+    def convert(self, value, param, ctx):
+        try:
+            return _number(str(value), self.kind)
+        except ValueError:
+            self.fail(f"{value!r} is not a valid {self.name}.", param, ctx)
+
+
+_INT, _FLOAT = _Number(int), _Number(float)
 
 
 def _build(cls, resolved: dict, **defaults):
@@ -286,7 +325,7 @@ class _Main(click.Group):
 
 @click.group(cls=_Main)
 @click.version_option(__version__)
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=_INT, default=None,
               help="Global selection/cohort seed override; no effect on stats, score and eval.")
 @click.option("--config", type=click.Path(), default=None, help="'key value' config file.")
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, expose_value=False,
@@ -338,8 +377,8 @@ _ANON_CONFIG_KEYS = {**_config_keys(SelectionConfig), "f0_mode": F0Mode}
 @click.option("--out-dir", type=click.Path(), required=True)
 @click.option("--gender", "gender_policy", type=click.Choice(["same", "opposite"]), default=None)
 @click.option("--f0", "f0_mode", type=click.Choice(["original", "modified"]), default=None)
-@click.option("--k-far", type=int, default=None, help="Furthest candidates kept (default 200).")
-@click.option("--k-sel", type=int, default=None, help="Members drawn from them (default 100).")
+@click.option("--k-far", type=_INT, default=None, help="Furthest candidates kept (default 200).")
+@click.option("--k-sel", type=_INT, default=None, help="Members drawn from them (default 100).")
 @click.option("--scorer", type=click.Choice(["plda", "cosine"]), default=None)
 @click.option("--length-norm/--no-length-norm", "length_norm", default=None)
 @click.pass_obj
@@ -530,23 +569,23 @@ _SIM_CONFIG_KEYS = _config_keys(CohortSpec, ScenarioConfig, SelectionConfig, wit
 @click.option("--attack", type=click.Choice(["o-a", "a-a"]), default=None)
 @click.option("--f0-mode", type=click.Choice(["original", "modified"]), default=None)
 @click.option("--gender-policy", type=click.Choice(["same", "opposite"]), default=None)
-@click.option("--enroll-seed", type=int, default=None)
-@click.option("--trial-seed", type=int, default=None)
+@click.option("--enroll-seed", type=_INT, default=None)
+@click.option("--trial-seed", type=_INT, default=None)
 @click.option("--attacker", type=click.Choice(["embedding_only", "embedding_plus_f0"]), default=None)
-@click.option("--f0-weight", type=float, default=None)
-@click.option("--k-far", type=int, default=None)
-@click.option("--k-sel", type=int, default=None)
+@click.option("--f0-weight", type=_FLOAT, default=None)
+@click.option("--k-far", type=_INT, default=None)
+@click.option("--k-sel", type=_INT, default=None)
 @click.option("--scorer", type=click.Choice(["plda", "cosine"]), default=None)
-@click.option("--n-speakers-per-gender", type=int, default=None)
-@click.option("--utts-per-speaker", type=int, default=None)
-@click.option("--embed-dim", type=int, default=None)
-@click.option("--between-var", type=float, default=None)
-@click.option("--within-var", type=float, default=None)
-@click.option("--f0-mean-male", type=float, default=None)
-@click.option("--f0-mean-female", type=float, default=None)
-@click.option("--f0-between-std", type=float, default=None)
-@click.option("--f0-within-std", type=float, default=None)
-@click.option("--frames-per-utt", type=int, default=None)
+@click.option("--n-speakers-per-gender", type=_INT, default=None)
+@click.option("--utts-per-speaker", type=_INT, default=None)
+@click.option("--embed-dim", type=_INT, default=None)
+@click.option("--between-var", type=_FLOAT, default=None)
+@click.option("--within-var", type=_FLOAT, default=None)
+@click.option("--f0-mean-male", type=_FLOAT, default=None)
+@click.option("--f0-mean-female", type=_FLOAT, default=None)
+@click.option("--f0-between-std", type=_FLOAT, default=None)
+@click.option("--f0-within-std", type=_FLOAT, default=None)
+@click.option("--frames-per-utt", type=_INT, default=None)
 @click.pass_obj
 def simulate(obj, out_dir, **flags):
     """Generate a synthetic cohort and run one attack scenario over it."""
@@ -578,8 +617,8 @@ def simulate(obj, out_dir, **flags):
             [SpeakerEmbedding(u.speaker_id, u.gender, u.embedding, u.utterance_id) for u in utterances]), True),
         (out / "user_contours.txt", lambda: formats.serialize_contours([u.contour for u in utterances]), True),
         (out / "plda.txt", lambda: formats.serialize_plda(cohort.plda), True),
-        (out / "scores.txt", lambda: formats.serialize_score_grid(*grid_ids, result.score_matrix), True),
-        (out / "trials.txt", lambda: formats.serialize_trial_grid(*grid_ids, result.label_matrix), True),
+        (out / "scores.txt", lambda: formats._score_grid_rows(*grid_ids, result.score_matrix), True),
+        (out / "trials.txt", lambda: formats._trial_grid_rows(*grid_ids, result.label_matrix), True),
         (out / "report.txt", lambda: formats.serialize_report(result.report), True),
         *_det_output(obj, lambda: result.scores),
     ], out / "manifest.txt")

@@ -38,7 +38,11 @@ raises the first error with its line number. Serializers write reals as
 (``serialize_score_grid``, ``serialize_trial_grid``) write the all-pairs rows
 of an (enroll, utt) matrix without building them: they sort each id list once,
 reorder the matrix to match and write each enrollment row from precomputed
-``" <utt> ..."`` tails, with the bytes and errors of the row writers.
+``" <utt> ..."`` tails, with the bytes and errors of the row writers. Each
+joins one row generator (``_score_grid_rows``, ``_trial_grid_rows``), which
+makes every check when it is called and then yields the text of one
+enrollment row at a time; the command line writes those texts into the file
+and its hash as they come, so the whole grid text is never built there.
 
 Grammars
 --------
@@ -439,16 +443,26 @@ def serialize_trials(records: list[tuple[str, str, bool]]) -> str:
 
 def serialize_score_grid(enroll_ids: list[str], utt_ids: list[str], scores) -> str:
     """``serialize_scores`` of the rows ``(enroll_ids[i], utt_ids[j], scores[i, j])``."""
-    enroll, utts, matrix = _sorted_grid(enroll_ids, utt_ids, scores, np.float64)
-    tails = [f" {u} " for u in utts]
-    return _grid_text(enroll, (map(add, tails, map(repr, row.tolist())) for row in matrix))
+    return "".join(_score_grid_rows(enroll_ids, utt_ids, scores))
 
 
 def serialize_trial_grid(enroll_ids: list[str], utt_ids: list[str], labels) -> str:
     """``serialize_trials`` of the rows ``(enroll_ids[i], utt_ids[j], labels[i, j])``."""
+    return "".join(_trial_grid_rows(enroll_ids, utt_ids, labels))
+
+
+def _score_grid_rows(enroll_ids, utt_ids, scores):
+    """The text of ``serialize_score_grid``, one enrollment row at a time."""
+    enroll, utts, matrix = _sorted_grid(enroll_ids, utt_ids, scores, np.float64)
+    tails = [f" {u} " for u in utts]
+    return _grid_rows(enroll, (map(add, tails, map(repr, row.tolist())) for row in matrix))
+
+
+def _trial_grid_rows(enroll_ids, utt_ids, labels):
+    """The text of ``serialize_trial_grid``, one enrollment row at a time."""
     enroll, utts, matrix = _sorted_grid(enroll_ids, utt_ids, labels, bool)
     tails = [(f" {u} nontarget", f" {u} target") for u in utts]
-    return _grid_text(enroll, (map(getitem, tails, row.tolist()) for row in matrix))
+    return _grid_rows(enroll, (map(getitem, tails, row.tolist()) for row in matrix))
 
 
 # --- pseudo-speaker mapping -------------------------------------------------
@@ -668,9 +682,10 @@ def _sorted_grid(enroll_ids, utt_ids, matrix, dtype) -> tuple[list[str], list[st
     return enroll, utts, matrix[np.ix_(enroll_order, utt_order)]
 
 
-def _grid_text(enroll: list[str], row_tails) -> str:
-    """One line per (enroll id, tail): each row's tails joined by LF + its id."""
-    return _joined([e + ("\n" + e).join(tails) for e, tails in zip(enroll, row_tails)])
+def _grid_rows(enroll: list[str], row_tails):
+    """One text per (enroll id, tails): a line per tail, each the id and the tail."""
+    for e, tails in zip(enroll, row_tails):
+        yield e + ("\n" + e).join(tails) + "\n"
 
 
 def _require_unique(keys) -> None:

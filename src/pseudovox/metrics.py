@@ -11,7 +11,9 @@ All of it comes from one table of tied-score groups (trial and target counts,
 ascending in score) and one cumulative sweep over it. ``evaluate`` fits PAV
 once; the sweep over its blocks gives the ROC hull vertices for EER, each
 group takes its block's target proportion for min-Cllr, and the sweep over
-the groups themselves gives the DET points. PAV is the only Python loop.
+the groups themselves gives the DET points. PAV is the only Python loop, and
+it runs over runs of adjacent groups with one target proportion, not over
+the groups.
 """
 
 from __future__ import annotations
@@ -86,10 +88,17 @@ def _pav_blocks(trials: np.ndarray, targets: np.ndarray):
     Returns arrays (trials, targets, groups) per block: its trial and target
     counts and the number of tied groups it pools. Target proportions are
     nondecreasing; adjacent blocks with equal proportion are merged.
+
+    Runs of adjacent groups with one target proportion are pooled before the
+    loop: the loop would merge each into the block of the one before, whose
+    proportion is at least as high. The counts are integers held as floats,
+    far below 2**53, so the cross-multiplied run test is exact.
     """
+    starts = np.concatenate([[0], np.flatnonzero(trials[1:] * targets[:-1] != targets[1:] * trials[:-1]) + 1])
     blocks: list[tuple[float, float, int]] = []
-    for w, t in zip(trials.tolist(), targets.tolist()):
-        groups = 1
+    for w, t, groups in zip(np.add.reduceat(trials, starts).tolist(),
+                            np.add.reduceat(targets, starts).tolist(),
+                            np.diff(starts, append=trials.size).tolist()):
         # merge while previous proportion >= current: t1/w1 >= t2/w2
         while blocks and blocks[-1][1] * w >= t * blocks[-1][0]:
             prev_w, prev_t, prev_groups = blocks.pop()

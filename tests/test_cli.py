@@ -744,6 +744,104 @@ def test_simulate_writes_scores_and_trials_from_the_grid(tmp_path, runner, monke
     assert calls == []
 
 
+def test_simulate_streams_each_grid_one_enrollment_row_per_chunk(tmp_path, runner, monkeypatch):
+    """The score and trial grids reach the write one enrollment row at a
+    time, and each manifest hash is the hash of its file."""
+    received: dict[str, list[bytes]] = {}
+    real = cli._write_outputs
+
+    def recording(outputs):
+        def recorded():
+            for path, chunks in outputs:
+                kept = received.setdefault(path.name, [])
+                yield path, (kept.append(chunk) or chunk for chunk in chunks)
+
+        real(recorded())
+
+    monkeypatch.setattr(cli, "_write_outputs", recording)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--seed", "3", "simulate", "--out-dir", str(out)] + SIM_ARGS)
+    assert result.exit_code == 0, result.output
+    for name in ("scores.txt", "trials.txt"):
+        chunks = received[name]
+        assert b"".join(chunks) == (out / name).read_bytes()
+        assert len(chunks) == 12  # one per enrollment speaker
+        for chunk in chunks:
+            assert len({line.split()[0] for line in chunk.splitlines()}) == 1
+    manifest = formats.parse_keyvalues((out / "manifest.txt").read_text())
+    hashes = {key: value for key, value in manifest.items() if key.startswith("output_sha256_")}
+    assert len(hashes) == 7
+    for key, value in hashes.items():
+        assert value == sha256_file(out / f"{key.removeprefix('output_sha256_')}.txt")
+
+
+def test_simulate_failing_in_mid_stream_leaves_the_tree_as_it_was(tmp_path, runner, monkeypatch):
+    """A grid that fails after its first row has reached the temp file
+    replaces nothing and leaves no temp file or new directory."""
+    out = tmp_path / "sim"
+    first = runner.invoke(main, ["simulate", "--out-dir", str(out)] + SIM_ARGS)
+    assert first.exit_code == 0, first.output
+    before = tree(tmp_path)
+    real = formats._score_grid_rows
+    staged = []
+
+    def first_row_then_refuse(*args):
+        rows = real(*args)
+        yield next(rows)
+        staged.extend(target.glob(".scores.txt.*.tmp"))
+        raise InvalidValueError("scores refused")
+
+    monkeypatch.setattr(formats, "_score_grid_rows", first_row_then_refuse)
+    for target in (out, tmp_path / "fresh" / "deeper"):
+        staged.clear()
+        result = runner.invoke(main, ["--seed", "8", "simulate", "--out-dir", str(target)] + SIM_ARGS)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: scores refused\n"
+        assert len(staged) == 1  # the stream had begun
+        assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--seed", "٣"),  # the global flag
+    ("simulate", "--k-far", "٥"),
+    ("simulate", "--k-sel", "1_0"),
+    ("simulate", "--frames-per-utt", "4_0"),
+    ("simulate", "--f0-weight", "1_5"),
+    ("simulate", "--k-far", "abc"),
+    ("anonymize", "--k-far", "٥"),
+])
+def test_numeric_flags_take_ascii_digits_without_underscores(tmp_path, runner, command, flag, value):
+    """A numeric flag is read as a config value is; int() and float() alone
+    would read the digits and the '_' above."""
+    out = tmp_path / "out"
+    given = [flag, value]
+    head = given if flag == "--seed" else []
+    tail = [] if flag == "--seed" else given
+    if command == "simulate":
+        args = [*head, "simulate", "--out-dir", str(out), *SIM_ARGS, *tail]
+    else:
+        args = [*head, *anonymize_args(build_anonymize_inputs(tmp_path), out, tail)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"Invalid value for '{flag}': {value!r} is not a valid " in result.stderr
+    assert not out.exists()
+
+
+def test_numeric_flags_convert_as_int_and_float_do(tmp_path, runner):
+    plain, spelled = tmp_path / "plain", tmp_path / "spelled"
+    base = ["simulate", *SIM_ARGS, "--attacker", "embedding_plus_f0"]
+    r1 = runner.invoke(main, ["--seed", "3", *base, "--out-dir", str(plain), "--k-far", "5", "--f0-weight", "0.5"])
+    r2 = runner.invoke(main, ["--seed", "+03", *base, "--out-dir", str(spelled), "--k-far", "05",
+                              "--f0-weight", "5E-1"])
+    assert r1.exit_code == 0, r1.output
+    assert r2.exit_code == 0, r2.output
+    assert read_dir(plain) == read_dir(spelled)
+    manifest = formats.parse_keyvalues((plain / "manifest.txt").read_text())
+    assert (manifest["cohort_seed"], manifest["k_far"], manifest["f0_weight_used"]) == ("3", "5", "0.5")
+
+
 @pytest.mark.parametrize("scorer", ["plda", "cosine"])
 def test_simulate_det_out_is_the_library_det(tmp_path, runner, scorer):
     det = tmp_path / "det.txt"

@@ -278,3 +278,48 @@ def test_metrics_equal_the_loop_oracles_on_a_large_overlapping_set():
     s = scores(tar, non)
     assert repr(evaluate(s)) == repr(oracles.loop_evaluate(tar, non))
     assert exact(det_points(s)) == exact(oracles.loop_det_points(tar, non))
+
+
+# --- PAV pools runs of one target proportion before its loop --------------------
+
+# (targets, trials) of a group
+PROPORTIONS = st.sampled_from([(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (3, 5)])
+
+
+@st.composite
+def group_counts(draw):
+    """Trial and target counts of tied-score groups: runs of one target
+    proportion (long runs, alternating proportions, groups with no targets or
+    only targets), with unit or mixed weights."""
+    if draw(st.booleans()):  # unit weights: one trial per group
+        targets = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=80))
+        return np.ones(len(targets)), np.array(targets)
+    trials, targets = [], []
+    for (tar, tri), length in draw(st.lists(st.tuples(PROPORTIONS, st.integers(1, 12)), min_size=1, max_size=12)):
+        for scale in draw(st.lists(st.integers(1, 4), min_size=length, max_size=length)):
+            trials.append(float(tri * scale))
+            targets.append(float(tar * scale))
+    return np.array(trials), np.array(targets)
+
+
+def assert_pav_blocks_equal_the_loop_oracle(trials, targets):
+    block_w, block_t, groups = metrics._pav_blocks(trials, targets)
+    assert [list(b) for b in zip(block_w.tolist(), block_t.tolist())] == oracles._pav_blocks(trials, targets)
+    # every group has a trial, so the blocks' cumulative trial counts fix where each block ends
+    assert groups.dtype == np.int64 and groups.sum() == trials.size
+    assert np.cumsum(trials)[np.cumsum(groups) - 1].tolist() == np.cumsum(block_w).tolist()
+
+
+@settings(max_examples=500, deadline=None)
+@given(group_counts())
+def test_pav_blocks_equal_the_loop_oracle(counts):
+    assert_pav_blocks_equal_the_loop_oracle(*counts)
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (1.0, 2.0)])
+def test_pav_blocks_with_one_run_per_group(low, high):
+    """Alternating proportions, the worst case: no two adjacent groups pool."""
+    trials = np.full(10_000, 1.0 if high == 1.0 else 3.0)
+    targets = np.where(np.arange(trials.size) % 2, high, low)
+    assert np.all(trials[1:] * targets[:-1] != targets[1:] * trials[:-1])
+    assert_pav_blocks_equal_the_loop_oracle(trials, targets)
