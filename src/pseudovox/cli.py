@@ -34,7 +34,6 @@ import hashlib
 import os
 import sys
 from dataclasses import asdict, fields
-from operator import eq, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NoReturn, TypeVar, get_args, get_type_hints
@@ -286,6 +285,16 @@ class _Number(click.ParamType):
 _INT, _FLOAT = _Number(int), _Number(float)
 
 
+class _IntRange(click.IntRange):
+    """``click.IntRange`` of an integer converted by ``_number``, as ``_INT`` converts one."""
+
+    def convert(self, value, param, ctx):
+        return super().convert(_INT.convert(value, param, ctx), param, ctx)
+
+
+_AT_LEAST_ONE = _IntRange(min=1)
+
+
 def _build(cls, resolved: dict, **defaults):
     """A ``cls`` from the resolved settings named after its fields, over ``defaults``."""
     names = {field.name for field in fields(cls)}
@@ -328,7 +337,7 @@ class _Main(click.Group):
 @click.option("--seed", type=_INT, default=None,
               help="Global selection/cohort seed override; no effect on stats, score and eval.")
 @click.option("--config", type=click.Path(), default=None, help="'key value' config file.")
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, expose_value=False,
+@click.option("--threads", type=_AT_LEAST_ONE, default=1, show_default=True, expose_value=False,
               help="Accepted for compatibility; has no effect (every command runs on one thread).")
 @click.option("--det-out", type=click.Path(), default=None, help="Write DET operating points to this file.")
 @click.pass_context
@@ -522,41 +531,54 @@ def _rows(vectors: list[np.ndarray], dim: int) -> np.ndarray:
 def eval_cmd(obj, score_file, trial_key, out_file):
     """EER / Cllr / min-Cllr report from a score file and its trial key."""
     entries: dict[str, str] = {}
-    score_set = _key_scores(_read(score_file, "scores", entries, formats.parse_scores),
-                            _read(trial_key, "trial_key", entries, formats.parse_trials))
+    score_set = _key_scores(_read(score_file, "scores", entries, formats._score_columns),
+                            _in_pair_order(_read(trial_key, "trial_key", entries, formats._trial_columns)))
     report_text = formats.serialize_report(evaluate(score_set))
     outputs, manifest = ([], None) if out_file is None else _one_file(out_file, lambda: report_text)
     _write("eval", entries, outputs + _det_output(obj, lambda: score_set), manifest)
     click.echo(report_text, nl=False)
 
 
-_PAIR = itemgetter(0, 1)
+def _in_pair_order(columns: tuple[list[str], list[str], np.ndarray]) -> tuple[list[str], list[str], np.ndarray]:
+    """Columns ``(enroll, test, values)`` in (enroll, test) order.
+
+    The Cllr sums add the trials in key order, and their last bits depend on
+    that order; a key in pair order gives each trial set one report.
+    """
+    enroll, test, values = columns
+    if formats._strictly_up(zip(enroll, test)):
+        return columns
+    order = sorted(range(len(enroll)), key=test.__getitem__)
+    order.sort(key=enroll.__getitem__)
+    return [enroll[i] for i in order], [test[i] for i in order], values[order]
 
 
-def _key_scores(scores: list[tuple[str, str, float]],
-                key_rows: list[tuple[str, str, bool]]) -> TrialScoreSet:
+def _key_scores(scores: tuple[list[str], list[str], np.ndarray],
+                key: tuple[list[str], list[str], np.ndarray]) -> TrialScoreSet:
     """The score of each key trial, split by the key's labels in key order.
 
-    ``score`` writes its rows in (enroll, test) order, so for a key in that
-    order the two files hold the same pairs row by row and the scores are
-    taken as one array. Any other pair of files is joined through a pair
-    dict, which fails on the first pair missing from either side.
+    Each file comes as its enroll ids, test ids and values (scores, or labels
+    with True for target). ``score`` writes its rows in (enroll, test) order,
+    so for a key in that order the two id columns of one file equal those of
+    the other, which two list compares show, and the score array is split by
+    the label array. Any other pair of files is joined through a pair dict,
+    which fails on the first pair missing from either side.
     """
-    if len(scores) == len(key_rows) and all(map(eq, map(_PAIR, scores), map(_PAIR, key_rows))):
-        values = np.fromiter(map(itemgetter(2), scores), np.float64, len(scores))
-        labels = np.fromiter(map(itemgetter(2), key_rows), bool, len(key_rows))
+    enroll_s, test_s, values = scores
+    enroll_k, test_k, labels = key
+    if enroll_s == enroll_k and test_s == test_k:
         return TrialScoreSet(values[labels], values[~labels])
-    score_by_trial = {(e, t): s for e, t, s in scores}
-    key_set = {(e, t) for e, t, _ in key_rows}
-    for pair in score_by_trial:
-        if pair not in key_set:
-            raise InvalidValueError(f"score for {pair!r} has no trial-key entry")
-    target, nontarget = [], []
-    for enroll_id, test_id, is_target in key_rows:
-        if (enroll_id, test_id) not in score_by_trial:
-            raise InvalidValueError(f"trial ({enroll_id!r}, {test_id!r}) has no score")
-        (target if is_target else nontarget).append(score_by_trial[(enroll_id, test_id)])
-    return TrialScoreSet(np.array(target), np.array(nontarget))
+    score_by_trial = dict(zip(zip(enroll_s, test_s), values.tolist()))
+    joined = list(map(score_by_trial.get, zip(enroll_k, test_k)))
+    if len(joined) != len(score_by_trial) or None in joined:
+        key_set = set(zip(enroll_k, test_k))
+        for pair in score_by_trial:
+            if pair not in key_set:
+                raise InvalidValueError(f"score for {pair!r} has no trial-key entry")
+        i = joined.index(None)
+        raise InvalidValueError(f"trial ({enroll_k[i]!r}, {test_k[i]!r}) has no score")
+    joined = np.array(joined, dtype=np.float64)
+    return TrialScoreSet(joined[labels], joined[~labels])
 
 
 # --- simulate -------------------------------------------------------------------

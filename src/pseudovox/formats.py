@@ -30,11 +30,13 @@ line (contours, embeddings, pool, PLDA) are checked without a regex: they must
 be ASCII with no ``_``, each must convert with ``float`` and all must be
 finite (``float`` accepts the real grammar plus non-ASCII digits, ``_``
 between digits and inf/nan, which these checks reject). A score or trial file
-is checked as a whole with one regex pass over its lines, one set of its
-(enroll, test) pairs and one finiteness check. Whatever these checks do not
-accept goes through the per-token code, which accepts the same records and
-raises the first error with its line number. Serializers write reals as
-``repr`` of Python floats. The grid writers
+is checked as a whole with one regex pass over its lines and one finiteness
+check, and is read as columns (``_score_columns``, ``_trial_columns``): two id
+lists and one value array. Its (enroll, test) pairs are checked for repeats
+with one strictly-increasing pass; only pairs that are not sorted build a
+set. Whatever these checks do not accept goes through the per-token code,
+which accepts the same records and raises the first error with its line
+number. Serializers write reals as ``repr`` of Python floats. The grid writers
 (``serialize_score_grid``, ``serialize_trial_grid``) write the all-pairs rows
 of an (enroll, utt) matrix without building them: they sort each id list once,
 reorder the matrix to match and write each enrollment row from precomputed
@@ -64,7 +66,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from itertools import chain, count
+from itertools import chain, count, pairwise, starmap
 from operator import add, attrgetter, getitem, itemgetter, lt
 
 import numpy as np
@@ -392,15 +394,13 @@ def serialize_plda(model: PldaModel) -> str:
 
 
 def parse_scores(text: str) -> list[tuple[str, str, float]]:
-    if _tiled_by(_SCORE_LINE_RE, text):
-        fields = text.split()
-        enroll, test = fields[0::3], fields[1::3]
-        scores = list(map(float, fields[2::3]))
-        del fields
-        if np.isfinite(scores).all() and len(set(zip(enroll, test))) == len(enroll):
-            return list(zip(enroll, test, scores))
-    return _records(text, "duplicate trial", _score_key,
-                    lambda tokens, pair, line: (*pair, _parse_float(tokens[2], line)))
+    enroll, test, scores = _score_columns(text)
+    return list(zip(enroll, test, scores.tolist()))
+
+
+def _score_columns(text: str) -> tuple[list[str], list[str], np.ndarray]:
+    """The enroll ids, test ids and float64 scores of a score file."""
+    return _pair_columns(text, _SCORE_LINE_RE, float, np.float64, _score_key, _parse_float)
 
 
 def _score_key(tokens: list[str], line: int) -> tuple[str, str]:
@@ -415,15 +415,14 @@ def serialize_scores(records: list[tuple[str, str, float]]) -> str:
 
 
 def parse_trials(text: str) -> list[tuple[str, str, bool]]:
-    if _tiled_by(_TRIAL_LINE_RE, text):
-        fields = text.split()
-        enroll, test = fields[0::3], fields[1::3]
-        labels = list(map("target".__eq__, fields[2::3]))
-        del fields
-        if len(set(zip(enroll, test))) == len(enroll):
-            return list(zip(enroll, test, labels))
-    return _records(text, "duplicate trial", _trial_key,
-                    lambda tokens, pair, line: (*pair, tokens[2] == "target"))
+    enroll, test, labels = _trial_columns(text)
+    return list(zip(enroll, test, labels.tolist()))
+
+
+def _trial_columns(text: str) -> tuple[list[str], list[str], np.ndarray]:
+    """The enroll ids, test ids and bool labels (True for target) of a trial file."""
+    return _pair_columns(text, _TRIAL_LINE_RE, "target".__eq__, bool, _trial_key,
+                         lambda token, line: token == "target")
 
 
 def _trial_key(tokens: list[str], line: int) -> tuple[str, str]:
@@ -439,6 +438,29 @@ def _trial_key(tokens: list[str], line: int) -> tuple[str, str]:
 def serialize_trials(records: list[tuple[str, str, bool]]) -> str:
     return _sorted_text(records, itemgetter, (0, 1), _pair,
                         lambda rows: [f"{e} {t} {'target' if is_tar else 'nontarget'}" for e, t, is_tar in rows])
+
+
+def _pair_columns(text: str, line_re: re.Pattern, convert, dtype, key, value) -> tuple[list[str], list[str], np.ndarray]:
+    """The (enroll, test, value) records of a score or trial file as three
+    columns: two id lists and a ``dtype`` array.
+
+    The fast path takes a file tiled by ``line_re``: one ``split``, three
+    slices, ``convert`` on each value token and one finiteness check. Its
+    pairs are checked for repeats with one strictly-increasing pass, and only
+    pairs that are not sorted build a set. Any other file goes through
+    ``_records`` with ``key`` and ``value(token, line)``, which raise the
+    first error with its line number, and its records are transposed.
+    """
+    if _tiled_by(line_re, text):
+        fields = text.split()
+        enroll, test = fields[0::3], fields[1::3]
+        values = np.fromiter(map(convert, fields[2::3]), dtype, len(enroll))
+        del fields
+        if np.isfinite(values).all() and (_strictly_up(zip(enroll, test))
+                                          or len(set(zip(enroll, test))) == len(enroll)):
+            return enroll, test, values
+    records = _records(text, "duplicate trial", key, lambda tokens, pair, line: (*pair, value(tokens[2], line)))
+    return [r[0] for r in records], [r[1] for r in records], np.array([r[2] for r in records], dtype)
 
 
 def serialize_score_grid(enroll_ids: list[str], utt_ids: list[str], scores) -> str:
@@ -644,12 +666,11 @@ def _sorted_text(records, get, fields, ids, lines) -> str:
     return _joined(lines(rows))
 
 
-def _strictly_up(records, key) -> bool:
-    """Whether the keys of ``records`` go strictly up: then they are in key
-    order and none repeats."""
-    following = map(key, records)
-    next(following, None)
-    return all(map(lt, map(key, records), following))
+def _strictly_up(records, key=None) -> bool:
+    """Whether the keys of ``records`` (the records themselves if ``key`` is
+    None) go strictly up: then they are in key order and none repeats. One
+    pass, so ``records`` may be an iterator."""
+    return all(starmap(lt, pairwise(records if key is None else map(key, records))))
 
 
 def _joined(lines: list[str]) -> str:

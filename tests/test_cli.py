@@ -602,6 +602,36 @@ def test_eval_all_zero_scores_is_one_bit(tmp_path, runner):
     assert formats.parse_report(result.output).cllr_bits == 1.0
 
 
+@pytest.mark.parametrize("shuffled", ["key", "scores", "both"])
+def test_eval_of_unsorted_files_writes_the_sorted_run_bytes(tmp_path, runner, shuffled):
+    """An unsorted score file or key takes the dict join, and gives the report
+    and DET bytes that the sorted files give through the column compare."""
+    rng = np.random.default_rng(5)
+    rows = [(f"e{i}", f"u{j}", float(rng.normal(2.0 * (i == j))), i == j) for i in range(5) for j in range(6)]
+    rows[7] = (*rows[7][:2], rows[3][2], rows[7][3])  # a tie between a target and a nontarget
+    score_text = formats.serialize_scores([(e, t, s) for e, t, s, _ in rows])
+    key_text = formats.serialize_trials([(e, t, label) for e, t, _, label in rows])
+
+    def shuffled_lines(text):
+        return "".join(rng.permutation(text.splitlines(keepends=True)).tolist())
+
+    def run(name, scores, key):
+        out = tmp_path / name
+        out.mkdir()
+        result = runner.invoke(main, ["--det-out", str(out / "det.txt"), "eval", write(out / "s.txt", scores),
+                                      write(out / "k.txt", key), "--out", str(out / "report.txt")])
+        assert result.exit_code == 0, result.output
+        return result.stdout, (out / "report.txt").read_bytes(), (out / "det.txt").read_bytes()
+
+    expected = run("sorted", score_text, key_text)
+    if shuffled != "key":
+        score_text = shuffled_lines(score_text)
+    if shuffled != "scores":
+        key_text = shuffled_lines(key_text)
+    assert score_text.count("\n") == key_text.count("\n") == 30
+    assert run("shuffled", score_text, key_text) == expected
+
+
 def test_eval_join_mismatch_fails(tmp_path, runner):
     score_file = write(tmp_path / "s.txt", "e1 u1 1.0\n")
     key_file = write(tmp_path / "k.txt", "e1 u1 target\ne1 u2 nontarget\n")
@@ -651,6 +681,11 @@ def test_eval_refuses_a_cllr_that_overflows(tmp_path, runner):
     assert read_dir(tmp_path) == before
 
 
+def _columns(rows, dtype):
+    """Rows ``(enroll, test, value)`` as the column readers return them."""
+    return [r[0] for r in rows], [r[1] for r in rows], np.array([r[2] for r in rows], dtype)
+
+
 def _join_outcome(join, scores, key_rows):
     try:
         score_set = join(scores, key_rows)
@@ -683,7 +718,8 @@ def test_eval_join_equals_the_dict_join(rows, data):
         e, t, v = scores.pop(i)
         if edit == "swap" and (t, e) not in {r[:2] for r in scores}:  # pairs stay unique
             scores.insert(i, (t, e, v))
-    assert _join_outcome(cli._key_scores, scores, key_rows) == _join_outcome(
+    column_join = lambda s, k: cli._key_scores(_columns(s, np.float64), _columns(k, bool))
+    assert _join_outcome(column_join, scores, key_rows) == _join_outcome(
         oracles.dict_join, scores, key_rows
     )
 
@@ -1094,6 +1130,19 @@ def test_seed_and_threads_are_accepted_where_they_have_no_effect(tmp_path, runne
     result = runner.invoke(main, ["--seed", "3", "--threads", "2", "stats", contours, str(flagged)])
     assert result.exit_code == 0, result.output
     assert flagged.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("٢", "'٢' is not a valid integer."), ("1_0", "'1_0' is not a valid integer."),
+    ("0", "0 is not in the range x>=1."),
+])
+def test_threads_takes_ascii_digits_of_at_least_one(tmp_path, runner, value, message):
+    contours = write(tmp_path / "c.txt", "u1 100.0 0.0 400.0\n")
+    result = runner.invoke(main, ["--threads", value, "stats", contours, str(tmp_path / "s.txt")])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"Invalid value for '--threads': {message}" in result.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
 
 # --- input errors name their file (every command) ------------------------------------

@@ -172,6 +172,22 @@ def outcome(parse, text):
         return type(exc), str(exc)
 
 
+def as_columns(read):
+    """A column reader's ids, values' dtype and values, as lists to compare."""
+    def listed(text):
+        enroll, test, values = read(text)
+        return enroll, test, values.dtype, values.tolist()
+    return listed
+
+
+def transposed(parse, dtype):
+    """The records of ``parse`` as ``as_columns`` lists a column reader's."""
+    def columns(text):
+        records = parse(text)
+        return [r[0] for r in records], [r[1] for r in records], np.dtype(dtype), [r[2] for r in records]
+    return columns
+
+
 PARSERS = {
     "contours": (texts(contour_line), formats.parse_contours, oracles.parse_contours),
     "embeddings": (texts(embedding_line()), formats.parse_embeddings, oracles.parse_embeddings),
@@ -179,6 +195,10 @@ PARSERS = {
     "plda": (plda_text(), formats.parse_plda, oracles.parse_plda),
     "scores": (texts(score_line()), formats.parse_scores, oracles.parse_scores),
     "trials": (texts(trial_line()), formats.parse_trials, oracles.parse_trials),
+    "score-columns": (texts(score_line()), as_columns(formats._score_columns),
+                      transposed(oracles.parse_scores, np.float64)),
+    "trial-columns": (texts(trial_line()), as_columns(formats._trial_columns),
+                      transposed(oracles.parse_trials, bool)),
     "stats": (texts(stats_line()), formats.parse_stats, oracles.parse_stats),
     "mapping": (texts(mapping_line()), formats.parse_mapping, oracles.parse_mapping),
     "keyvalues": (texts(keyvalue_line()), formats.parse_keyvalues, oracles.parse_keyvalues),
@@ -226,10 +246,14 @@ EDGE_TEXTS = {
     "scores": [
         "a b 1.0\na b 2.0\n", "a #b 1.0\n", "a b nan\n", "a b 1e999\n", "a b ١\n", "a b 1.0\r\n",
         "a b 1.0", "# c\na b 1.0\n\n", "a\tb 1.0\n", "é b 1.0\n", "a b 1.0 2.0\n", "a b 1_0\n",
+        # a repeat that is not adjacent; pairs sorted but for the last line, without and with a repeat
+        "a b 1.0\na c 2.0\na b 3.0\n", "a b 1.0\na c 2.0\nb a 3.0\na d 4.0\n", "a b 1.0\nb a 2.0\na b 3.0\n",
     ],
     "trials": [
         "a b target\na b nontarget\n", "a #b target\n", "a b maybe\n", "a b target\r\n",
         "a b target", "é b target\n", "a b\n",
+        "a b target\na c nontarget\na b target\n", "a b target\na c target\nb a nontarget\na d nontarget\n",
+        "a b nontarget\nb a target\na b target\n",
     ],
     "stats": [
         "a 5.0 0.5 4\nb 5.0 0.5 4\na 5.0 0.5 4\n", "#a 5.0 0.5 4\n", "a 5.0 0.5\n", "a 5.0 0.5 4 1\n",
@@ -254,6 +278,9 @@ EDGE_TEXTS = {
         "eer_pct 1.0 2.0\n", "",
     ],
 }
+
+
+EDGE_TEXTS.update({"score-columns": EDGE_TEXTS["scores"], "trial-columns": EDGE_TEXTS["trials"]})
 
 
 @pytest.mark.parametrize(
@@ -432,6 +459,19 @@ def test_canonical_files_never_reach_the_per_token_parser(monkeypatch):
         parsed = getattr(formats, f"parse_{name}")(text)
         assert getattr(formats, f"serialize_{name}")(parsed) == text
         assert calls == [], name
+
+
+@pytest.mark.parametrize("name", ["scores", "trials"])
+def test_pair_files_with_unique_pairs_in_any_order_never_reach_the_per_line_reader(monkeypatch, name):
+    """Sorted pairs pass the strictly-increasing check, and shuffled ones the
+    pair set; either way the columns are read without ``_records``."""
+    text = canonical_texts(d=4)[name]
+    lines = text.splitlines(keepends=True)
+    monkeypatch.setattr(formats, "_records", mock.Mock(side_effect=AssertionError("per-line reader")))
+    read = getattr(formats, f"_{name[:-1]}_columns")
+    for order in (lines, lines[::-1], lines[1:] + lines[:1]):
+        enroll, test, values = read("".join(order))
+        assert list(zip(enroll, test, values.tolist())) == getattr(oracles, f"parse_{name}")("".join(order))
 
 
 def test_vector_lines_with_any_ids_never_reach_the_per_token_parser(monkeypatch):
