@@ -10,13 +10,14 @@ Every command runs on one thread; ``--threads`` is accepted for compatibility
 and has no effect. ``--seed`` has none on ``stats``, ``score`` and ``eval``,
 and a command refuses ``--det-out`` or ``--config`` when it would ignore it.
 
-Configuration files are ``key value`` lines. A key is a field name of the
-command's config objects, and so is each setting flag's name with ``-`` for
-``_``, except that ``anonymize --gender`` sets ``gender_policy`` and ``--f0``
-sets ``f0_mode``, the global ``--seed`` sets ``global_seed`` in ``anonymize``
-and the cohort's ``seed`` in ``simulate``, and ``simulate`` has no
-``--length-norm`` flag. Flags win when both are given. Diagnostics go to
-stderr; the exit code is 0 iff the run produced every requested output.
+Configuration files are ``key value`` lines, a key for each field of the
+command's config objects. Each setting flag is built from its field: ``--``
+and the key with ``-`` for ``_``, an enum's values as choices, a
+``--x/--no-x`` pair for a bool. The exceptions: ``anonymize --gender`` and
+``--f0`` set ``gender_policy`` and ``f0_mode``; the global ``--seed`` sets
+``global_seed`` (``anonymize``) and ``seed`` (``simulate``); ``simulate``'s
+``length_norm`` has no flag. Flags win when both are given. Diagnostics go
+to stderr; the exit code is 0 iff the run produced every requested output.
 
 Every failure ends the run in one place: the command group turns any
 ``PseudovoxError`` a command raises into one ``error:`` line on stderr and
@@ -240,10 +241,7 @@ def _settings(config: str | None, keys: dict[str, type], command: str, flags: di
         return {key: _convert(key, raw, keys[key]) for key, raw in values.items()}
 
     resolved = {} if config is None else _read(config, "config", entries, parse)
-    for key, value in flags.items():
-        if value is not None:
-            resolved[key] = keys[key](value) if isinstance(value, str) else value
-    return resolved
+    return {**resolved, **{key: value for key, value in flags.items() if value is not None}}
 
 
 def _convert(key: str, raw: str, kind):
@@ -260,10 +258,10 @@ def _convert(key: str, raw: str, kind):
 
 
 def _number(raw: str, kind: type):
-    """``kind(raw)`` for ``int`` or ``float``, refusing the non-ASCII digits
-    and the ``_`` that both accept."""
-    if not raw.isascii() or "_" in raw:
-        raise ValueError("numbers take ASCII digits and no '_'")
+    """``kind(raw)`` for ``int`` or ``float``, refusing the non-ASCII digits,
+    the ``_`` and the surrounding whitespace that both accept."""
+    if not raw.isascii() or "_" in raw or raw != raw.strip():
+        raise ValueError("numbers take ASCII digits, no '_' and no whitespace")
     return kind(raw)
 
 
@@ -292,7 +290,29 @@ class _IntRange(click.IntRange):
         return super().convert(_INT.convert(value, param, ctx), param, ctx)
 
 
-_AT_LEAST_ONE = _IntRange(min=1)
+class _Enum(click.Choice):
+    """A choice of the values of the enum ``kind``, converted to its member."""
+
+    def __init__(self, kind: type[enum.Enum]):
+        super().__init__([member.value for member in kind])
+        self.kind = kind
+
+    def convert(self, value, param, ctx):
+        return self.kind(super().convert(value, param, ctx))
+
+
+def _setting_flags(keys: dict[str, type], without: tuple[str, ...], rename: dict = {}, helps: dict = {}):
+    """The flags of the config keys but ``without``, in key order, each built
+    from its key as the module docstring says, with ``helps`` as help texts."""
+    def decorate(command):
+        for key in reversed([key for key in keys if key not in without]):  # click lists the last applied first
+            kind, flag = keys[key], rename.get(key, f"--{key.replace('_', '-')}")
+            decls = (f"{flag}/--no-{flag[2:]}" if kind is bool else flag, key)
+            flag_type = None if kind is bool else {int: _INT, float: _FLOAT}.get(kind) or _Enum(kind)
+            command = click.option(*decls, type=flag_type, default=None, help=helps.get(key))(command)
+        return command
+
+    return decorate
 
 
 def _build(cls, resolved: dict, **defaults):
@@ -337,7 +357,7 @@ class _Main(click.Group):
 @click.option("--seed", type=_INT, default=None,
               help="Global selection/cohort seed override; no effect on stats, score and eval.")
 @click.option("--config", type=click.Path(), default=None, help="'key value' config file.")
-@click.option("--threads", type=_AT_LEAST_ONE, default=1, show_default=True, expose_value=False,
+@click.option("--threads", type=_IntRange(min=1), default=1, show_default=True, expose_value=False,
               help="Accepted for compatibility; has no effect (every command runs on one thread).")
 @click.option("--det-out", type=click.Path(), default=None, help="Write DET operating points to this file.")
 @click.pass_context
@@ -384,19 +404,14 @@ _ANON_CONFIG_KEYS = {**_config_keys(SelectionConfig), "f0_mode": F0Mode}
 @click.option("--contours", "contours_file", type=click.Path(), required=True)
 @click.option("--plda", "plda_file", type=click.Path(), default=None)
 @click.option("--out-dir", type=click.Path(), required=True)
-@click.option("--gender", "gender_policy", type=click.Choice(["same", "opposite"]), default=None)
-@click.option("--f0", "f0_mode", type=click.Choice(["original", "modified"]), default=None)
-@click.option("--k-far", type=_INT, default=None, help="Furthest candidates kept (default 200).")
-@click.option("--k-sel", type=_INT, default=None, help="Members drawn from them (default 100).")
-@click.option("--scorer", type=click.Choice(["plda", "cosine"]), default=None)
-@click.option("--length-norm/--no-length-norm", "length_norm", default=None)
+@_setting_flags(_ANON_CONFIG_KEYS, without=("global_seed",), rename={"gender_policy": "--gender", "f0_mode": "--f0"},
+                helps={"k_far": "Furthest candidates kept (default 200).",
+                       "k_sel": "Members drawn from them (default 100)."})
 @click.pass_obj
 def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir, **flags):
     """Derive one pseudo-speaker per source speaker; transform F0 on request."""
     entries: dict[str, str] = {}
-    resolved = _settings(
-        obj.config, _ANON_CONFIG_KEYS, "anonymize", {**flags, "global_seed": obj.seed}, entries
-    )
+    resolved = _settings(obj.config, _ANON_CONFIG_KEYS, "anonymize", {**flags, "global_seed": obj.seed}, entries)
     mode = resolved.get("f0_mode", F0Mode.ORIGINAL)
     sel = _build(SelectionConfig, resolved)
 
@@ -588,33 +603,12 @@ _SIM_CONFIG_KEYS = _config_keys(CohortSpec, ScenarioConfig, SelectionConfig, wit
 
 @main.command()
 @click.option("--out-dir", type=click.Path(), required=True)
-@click.option("--attack", type=click.Choice(["o-a", "a-a"]), default=None)
-@click.option("--f0-mode", type=click.Choice(["original", "modified"]), default=None)
-@click.option("--gender-policy", type=click.Choice(["same", "opposite"]), default=None)
-@click.option("--enroll-seed", type=_INT, default=None)
-@click.option("--trial-seed", type=_INT, default=None)
-@click.option("--attacker", type=click.Choice(["embedding_only", "embedding_plus_f0"]), default=None)
-@click.option("--f0-weight", type=_FLOAT, default=None)
-@click.option("--k-far", type=_INT, default=None)
-@click.option("--k-sel", type=_INT, default=None)
-@click.option("--scorer", type=click.Choice(["plda", "cosine"]), default=None)
-@click.option("--n-speakers-per-gender", type=_INT, default=None)
-@click.option("--utts-per-speaker", type=_INT, default=None)
-@click.option("--embed-dim", type=_INT, default=None)
-@click.option("--between-var", type=_FLOAT, default=None)
-@click.option("--within-var", type=_FLOAT, default=None)
-@click.option("--f0-mean-male", type=_FLOAT, default=None)
-@click.option("--f0-mean-female", type=_FLOAT, default=None)
-@click.option("--f0-between-std", type=_FLOAT, default=None)
-@click.option("--f0-within-std", type=_FLOAT, default=None)
-@click.option("--frames-per-utt", type=_INT, default=None)
+@_setting_flags(_SIM_CONFIG_KEYS, without=("seed", "length_norm"))
 @click.pass_obj
 def simulate(obj, out_dir, **flags):
     """Generate a synthetic cohort and run one attack scenario over it."""
     entries: dict[str, str] = {}
-    resolved = _settings(
-        obj.config, _SIM_CONFIG_KEYS, "simulate", {**flags, "seed": obj.seed}, entries
-    )
+    resolved = _settings(obj.config, _SIM_CONFIG_KEYS, "simulate", {**flags, "seed": obj.seed}, entries)
     spec = _build(CohortSpec, resolved)
     scenario = _build(ScenarioConfig, resolved, attack=AttackModel.ORIGINAL_TO_ANONYMIZED)
     sel = _build(SelectionConfig, resolved, k_far=12, k_sel=6, length_norm=False)

@@ -152,7 +152,8 @@ def _eer(blocks) -> float:
 
 
 def cllr(scores: TrialScoreSet) -> float:
-    """Cost of log-likelihood ratio in bits, reading scores as natural-log LLRs."""
+    """Cost of log-likelihood ratio in bits, reading scores as natural-log LLRs.
+    ``np.mean`` sums the costs pairwise, so the last bit depends on trial order."""
     _require_populations(scores)
     with np.errstate(over="ignore"):  # each term is finite, a sum may not be: refused below
         c_tar = float(np.mean(np.logaddexp(0.0, -scores.target_scores)))
@@ -164,7 +165,8 @@ def cllr(scores: TrialScoreSet) -> float:
 
 
 def min_cllr(scores: TrialScoreSet) -> float:
-    """Cllr in bits after optimal monotone (PAV) recalibration of the scores."""
+    """Cllr in bits after optimal monotone (PAV) recalibration; as in ``cllr``, the last bit
+    depends on trial order."""
     _require_populations(scores)
     return _min_cllr(scores, *_pav_fit(scores))
 
@@ -216,7 +218,9 @@ def evaluate(scores: TrialScoreSet) -> EvalReport:
     """Compute the full report (EER %, Cllr, min-Cllr, trial counts).
 
     Equal to ``EvalReport(100 * eer(s), cllr(s), min_cllr(s), ...)``, with
-    the tied groups built and PAV fit once for both EER and min-Cllr.
+    the tied groups built and PAV fit once for both EER and min-Cllr. The
+    last bits of Cllr and min-Cllr depend on the order of the trials in each
+    population, so ``eval`` puts its key in pair order first.
     """
     _require_populations(scores)
     inverse, blocks = _pav_fit(scores)

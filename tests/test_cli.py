@@ -846,10 +846,14 @@ def test_simulate_failing_in_mid_stream_leaves_the_tree_as_it_was(tmp_path, runn
     ("simulate", "--f0-weight", "1_5"),
     ("simulate", "--k-far", "abc"),
     ("anonymize", "--k-far", "٥"),
+    ("simulate", "--seed", " 7"),
+    ("simulate", "--k-far", " 3"),
+    ("simulate", "--f0-weight", " 2.5 "),
+    ("anonymize", "--k-sel", "3\t"),
 ])
 def test_numeric_flags_take_ascii_digits_without_underscores(tmp_path, runner, command, flag, value):
     """A numeric flag is read as a config value is; int() and float() alone
-    would read the digits and the '_' above."""
+    would read the digits, the '_' and the whitespace above."""
     out = tmp_path / "out"
     given = [flag, value]
     head = given if flag == "--seed" else []
@@ -1134,6 +1138,7 @@ def test_seed_and_threads_are_accepted_where_they_have_no_effect(tmp_path, runne
 
 @pytest.mark.parametrize("value, message", [
     ("٢", "'٢' is not a valid integer."), ("1_0", "'1_0' is not a valid integer."),
+    (" 3", "' 3' is not a valid integer."), ("3\t", "'3\\t' is not a valid integer."),
     ("0", "0 is not in the range x>=1."),
 ])
 def test_threads_takes_ascii_digits_of_at_least_one(tmp_path, runner, value, message):
@@ -1328,6 +1333,121 @@ def test_every_setting_option_names_a_config_key(command, keys):
     options = [p for p in main.commands[command].params if isinstance(p, click.Option)]
     names = {p.name for p in options if not isinstance(p.type, click.Path)}
     assert names and names <= set(keys)
+
+
+SAME_OPPOSITE, ORIGINAL_MODIFIED, PLDA_COSINE = ("same", "opposite"), ("original", "modified"), ("plda", "cosine")
+# parameter name: flags, secondary flags, choices or type name, default ("required" if it must be given), help
+OPTIONS = {
+    "anonymize": {
+        "pool_file": (["--pool"], [], "path", "required", None),
+        "embeddings_file": (["--embeddings"], [], "path", "required", None),
+        "contours_file": (["--contours"], [], "path", "required", None),
+        "plda_file": (["--plda"], [], "path", None, None),
+        "out_dir": (["--out-dir"], [], "path", "required", None),
+        "gender_policy": (["--gender"], [], SAME_OPPOSITE, None, None),
+        "f0_mode": (["--f0"], [], ORIGINAL_MODIFIED, None, None),
+        "k_far": (["--k-far"], [], "integer", None, "Furthest candidates kept (default 200)."),
+        "k_sel": (["--k-sel"], [], "integer", None, "Members drawn from them (default 100)."),
+        "scorer": (["--scorer"], [], PLDA_COSINE, None, None),
+        "length_norm": (["--length-norm"], ["--no-length-norm"], "boolean", None, None),
+    },
+    "simulate": {
+        "out_dir": (["--out-dir"], [], "path", "required", None),
+        "attack": (["--attack"], [], ("o-a", "a-a"), None, None),
+        "f0_mode": (["--f0-mode"], [], ORIGINAL_MODIFIED, None, None),
+        "gender_policy": (["--gender-policy"], [], SAME_OPPOSITE, None, None),
+        "enroll_seed": (["--enroll-seed"], [], "integer", None, None),
+        "trial_seed": (["--trial-seed"], [], "integer", None, None),
+        "attacker": (["--attacker"], [], ("embedding_only", "embedding_plus_f0"), None, None),
+        "f0_weight": (["--f0-weight"], [], "float", None, None),
+        "k_far": (["--k-far"], [], "integer", None, None),
+        "k_sel": (["--k-sel"], [], "integer", None, None),
+        "scorer": (["--scorer"], [], PLDA_COSINE, None, None),
+        **{name: ([f"--{name.replace('_', '-')}"], [], "integer", None, None)
+           for name in ("n_speakers_per_gender", "utts_per_speaker", "embed_dim", "frames_per_utt")},
+        **{name: ([f"--{name.replace('_', '-')}"], [], "float", None, None)
+           for name in ("between_var", "within_var", "f0_mean_male", "f0_mean_female", "f0_between_std",
+                        "f0_within_std")},
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_options_keep_their_flags_choices_defaults_and_help(command):
+    """Each option of ``anonymize`` and ``simulate``, by parameter name."""
+    options = {p.name: (p.opts, p.secondary_opts,
+                        tuple(p.type.choices) if isinstance(p.type, click.Choice) else p.type.name,
+                        "required" if p.required else p.default, p.help)
+               for p in main.commands[command].params if isinstance(p, click.Option)}
+    assert options == OPTIONS[command]
+
+
+# the config lines of a small run, and a valid text of each key that has a flag, each valid alone over them
+FLAG_BASE = {"anonymize": {"k_far": "8", "k_sel": "4"},
+             "simulate": {"n_speakers_per_gender": "4", "utts_per_speaker": "2", "embed_dim": "4",
+                          "frames_per_utt": "20", "k_far": "3", "k_sel": "2", "attack": "a-a",
+                          "attacker": "embedding_plus_f0"}}
+FLAG_TEXTS = {"anonymize": {"k_far": "6", "k_sel": "3", "gender_policy": "opposite", "f0_mode": "modified",
+                            "scorer": "cosine", "length_norm": "false"},
+              "simulate": {**SIM_FLAGS, "attack": "o-a", "attacker": "embedding_only", "k_far": "4", "k_sel": "1",
+                           "n_speakers_per_gender": "5", "embed_dim": "3", "frames_per_utt": "12"}}
+PADDED = [" {}", "{}\t", " {} "]
+SPELLINGS = ["{}", "0{}", "+{}", "1_{}", "{}_0"]
+
+
+@pytest.fixture(scope="module")
+def anonymize_inputs(tmp_path_factory):
+    paths = build_anonymize_inputs(tmp_path_factory.mktemp("flags"))
+    return [arg for name in ("pool", "embeddings", "contours", "plda") for arg in (f"--{name}", paths[name])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(sorted(FLAG_TEXTS)), data=st.data())
+def test_a_flag_and_its_config_line_record_the_same_value(anonymize_inputs, command, data):
+    """A setting given as a flag and as a config line, in valid or changed
+    spellings: non-ASCII digits, '_', case changes, and whitespace that only a
+    flag can hold. Both runs record the same manifest, or the flag is a usage
+    error (exit 2) and the config line one ``error:`` line (exit 1)."""
+    key = data.draw(st.sampled_from(sorted(FLAG_TEXTS[command])), label="key")
+    option = next(p for p in main.commands[command].params if p.name == key)
+    valid = FLAG_TEXTS[command][key]
+    if option.is_flag:  # a --x/--no-x pair holds no text
+        text = data.draw(st.sampled_from(["true", "false"]), label="text")
+        flag = [option.opts[0] if text == "true" else option.secondary_opts[0]]
+    else:
+        spelling = data.draw(st.sampled_from(SPELLINGS + PADDED + ["digits", "upper", "title"]), label="spelling")
+        text = {"digits": valid.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+                "upper": valid.upper(), "title": valid.title()}.get(spelling) or spelling.format(valid)
+        event(f"{command} {key}: {spelling}")
+        flag = [option.opts[0], text]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        inputs = anonymize_inputs if command == "anonymize" else []
+        base = {k: v for k, v in FLAG_BASE[command].items() if k != key}
+
+        def run(name, lines, extra=()):
+            config = write(root / f"{name}.cfg", "".join(f"{k} {v}\n" for k, v in lines.items()))
+            out = root / name
+            result = CliRunner().invoke(main, ["--config", config, command, *inputs, "--out-dir", str(out), *extra])
+            if result.exit_code:
+                return result, None
+            manifest = formats.parse_keyvalues((out / "manifest.txt").read_text())
+            del manifest["input_sha256_config"]
+            return result, manifest
+
+        by_flag, flag_manifest = run("flag", base, flag)
+        if text != text.strip():  # no config line holds it
+            assert by_flag.exit_code == 2 and f"Invalid value for '{flag[0]}'" in by_flag.stderr
+            return
+        by_line, line_manifest = run("line", {**base, key: text})
+        if by_flag.exit_code == 0:
+            assert by_line.exit_code == 0, by_line.output
+            assert flag_manifest == line_manifest
+        else:
+            assert by_flag.exit_code == 2 and f"Invalid value for '{flag[0]}'" in by_flag.stderr, by_flag.output
+            assert by_line.exit_code == 1
+            assert by_line.stdout == "" and len(by_line.stderr.splitlines()) == 1
+            assert by_line.stderr.startswith("error: ")
 
 
 # --- the failure contract (every command) ----------------------------------------
