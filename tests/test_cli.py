@@ -1391,8 +1391,7 @@ FLAG_TEXTS = {"anonymize": {"k_far": "6", "k_sel": "3", "gender_policy": "opposi
                             "scorer": "cosine", "length_norm": "false"},
               "simulate": {**SIM_FLAGS, "attack": "o-a", "attacker": "embedding_only", "k_far": "4", "k_sel": "1",
                            "n_speakers_per_gender": "5", "embed_dim": "3", "frames_per_utt": "12"}}
-PADDED = [" {}", "{}\t", " {} "]
-SPELLINGS = ["{}", "0{}", "+{}", "1_{}", "{}_0"]
+SPELLINGS = ["{}", "0{}", "+{}", "1_{}", "{}_0", " {}", "{}\t", " {} "]  # no config line holds the last three
 
 
 @pytest.fixture(scope="module")
@@ -1415,7 +1414,7 @@ def test_a_flag_and_its_config_line_record_the_same_value(anonymize_inputs, comm
         text = data.draw(st.sampled_from(["true", "false"]), label="text")
         flag = [option.opts[0] if text == "true" else option.secondary_opts[0]]
     else:
-        spelling = data.draw(st.sampled_from(SPELLINGS + PADDED + ["digits", "upper", "title"]), label="spelling")
+        spelling = data.draw(st.sampled_from(SPELLINGS + ["digits", "upper", "title"]), label="spelling")
         text = {"digits": valid.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
                 "upper": valid.upper(), "title": valid.title()}.get(spelling) or spelling.format(valid)
         event(f"{command} {key}: {spelling}")
