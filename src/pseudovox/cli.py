@@ -6,9 +6,13 @@ byte-identical to direct library calls. Global flags (``--seed``,
 
     pseudovox --seed 7 anonymize --pool pool.txt ...
 
-Every command runs on one thread; ``--threads`` is accepted for compatibility
-and has no effect. ``--seed`` has none on ``stats``, ``score`` and ``eval``,
-and a command refuses ``--det-out`` or ``--config`` when it would ignore it.
+``--threads N`` lets up to N processes build and write a command's outputs,
+one whole output per process at a time, and the outputs are byte-identical
+for any N. Only commands with several large outputs gain: ``simulate`` most,
+``anonymize`` a little, ``stats`` and ``score`` not at all. Reading,
+selection, scoring and metrics run in one process. ``--seed`` has no effect
+on ``stats``, ``score`` and ``eval``, and a command refuses ``--det-out`` or
+``--config`` when it would ignore it.
 
 Configuration files are ``key value`` lines, a key for each field of the
 command's config objects. Each setting flag is built from its field: ``--``
@@ -22,9 +26,12 @@ to stderr; the exit code is 0 iff the run produced every requested output.
 Every failure ends the run in one place: the command group turns any
 ``PseudovoxError`` a command raises into one ``error:`` line on stderr and
 exit code 1, so no command catches one to end the run itself. Every command
-writes in one ``_write`` call, which builds each output when its turn comes,
-writes and hashes it one text chunk at a time (the score and trial grids of
-``simulate`` come one enrollment row per chunk), and writes the manifest last.
+writes in one ``_write`` call. It checks every output path and stages its
+temp file first; then each output is built as one job, in this process or a
+forked worker, and written and hashed one text chunk at a time (the score
+and trial grids of ``simulate`` come one enrollment row per chunk); the
+manifest is written last. A failed job is reported as this process would
+report it, for the lowest-numbered failing output.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ import enum
 import errno
 import hashlib
 import os
+import pickle
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, NoReturn, TypeVar, get_args, get_type_hints
+from typing import Callable, Iterable, NoReturn, TypeVar, get_args, get_type_hints
 
 import click
 import numpy as np
@@ -119,47 +127,73 @@ def _of_dim(parse: Callable[[str], list[SpeakerEmbedding]], dim: int | None, of:
     return checked
 
 
-def _write_outputs(outputs: Iterable[tuple[Path, Iterable[bytes]]]) -> None:
-    """Write each output's chunks to a hidden temp file beside its target,
-    then rename them all into place in the given order; callers put the
-    manifest last.
+# path, builder of its text or its text chunks, hashed in the manifest
+_Output = tuple[Path, Callable[[], str | Iterable[str]], bool]
 
-    No target is touched unless every temp file was written, no target is
-    a directory or an input read by ``_read``, and no two outputs resolve to
-    the same file. The temp files are always removed, and so are the
-    directories made here if the set is not written.
+
+def _write(command: str, entries: dict[str, str], outputs: list[_Output], manifest: Path | None) -> None:
+    """Write ``outputs``, then the manifest at ``manifest`` unless it is None.
+
+    Each output is its path, the builder of its text, and whether the
+    manifest records its ``output_sha256_<stem>``. First every path is
+    checked and a hidden temp file is opened beside it, in the given order;
+    no path may name a directory or an input read by ``_read``, and no two
+    may resolve to the same file. Then the builders run as jobs in
+    up to ``--threads`` processes (``_run_jobs``), each streaming its output
+    into its temp file. Last the manifest is built from the digests and every
+    temp file is renamed into place in the given order, manifest last.
+
+    A failed run replaces nothing and reports the lowest-numbered failing
+    output, whichever process built it. The temp files are always removed,
+    and so are the directories made here if the set is not written.
     """
-    staged: list[tuple[Path, Path]] = []
+    meta = click.get_current_context().meta
+    paths = [path for path, _, _ in outputs] + ([] if manifest is None else [manifest])
+    staged: list[tuple[Path, int]] = []  # each staged path's temp file and its open descriptor
     created: list[Path] = []
     targets: set[str] = set()
-    inputs = click.get_current_context().meta.get("inputs", ())
     written = False
     try:
-        for path, chunks in outputs:
-            if not path.name:  # ".", "/": a directory, with no name to stage a temp file beside
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-            _make_dirs(path.parent, created)
-            target = os.path.realpath(path)
-            if target in inputs:
-                raise OSError("it is an input of this command")
-            if target in targets:
-                raise OSError("another output of this command is the same file")
-            targets.add(target)
-            tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            staged.append((path, tmp))
-            with open(fd, "wb") as handle:
-                handle.writelines(chunks)  # one chunk at a time
-        for path, _ in staged:
-            if path.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for path, tmp in staged:
-            os.replace(tmp, path)
+        try:
+            for path in paths:
+                if not path.name:  # ".", "/": a directory, with no name to stage a temp file beside
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+                _make_dirs(path.parent, created)
+                target = os.path.realpath(path)
+                if target in meta.get("inputs", ()):
+                    raise OSError("it is an input of this command")
+                if target in targets:
+                    raise OSError("another output of this command is the same file")
+                targets.add(target)
+                tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+                staged.append((tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)))
+            for path in paths:
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        except OSError as exc:
+            _fail(f"cannot write {path}: {exc}")
+        results = _run_jobs([(build, fd) for (_, build, _), (_, fd) in zip(outputs, staged)], meta["threads"])
+        for (path, _, hashed), result in zip(outputs, results):
+            if isinstance(result, OSError):
+                _fail(f"cannot write {path}: {result}")
+            if isinstance(result, BaseException):
+                raise result
+            if hashed:
+                entries[f"output_sha256_{path.stem}"] = result
+        try:
+            if manifest is not None:
+                path = manifest
+                base = {"format_version": FORMAT_VERSION, "package_version": __version__, "command": command}
+                with open(staged[-1][1], "wb", closefd=False) as handle:
+                    handle.write(formats.serialize_keyvalues({**base, **entries}).encode("utf-8"))
+            for path, (tmp, _) in zip(paths, staged):
+                os.replace(tmp, path)
+        except OSError as exc:
+            _fail(f"cannot write {path}: {exc}")
         written = True
-    except OSError as exc:
-        _fail(f"cannot write {path}: {exc}")
     finally:
-        for _, tmp in staged:
+        for tmp, fd in staged:
+            os.close(fd)
             tmp.unlink(missing_ok=True)
         if not written:
             for directory in reversed(created):  # deepest first, while empty
@@ -181,40 +215,131 @@ def _make_dirs(directory: Path, created: list[Path]) -> None:
         created.append(directory)
 
 
-# path, builder of its text or its text chunks, hashed in the manifest
-_Output = tuple[Path, Callable[[], str | Iterable[str]], bool]
+def _build_into(build: Callable[[], str | Iterable[str]], fd: int) -> str:
+    """Build one output into the file open at ``fd``; its SHA-256 hex digest.
 
-
-def _write(command: str, entries: dict[str, str], outputs: list[_Output], manifest: Path | None) -> None:
-    """Write ``outputs`` in order, then the manifest at ``manifest`` unless it
-    is None, all in one ``_write_outputs`` call.
-
-    Each output is its path, the builder of its text, and whether the
-    manifest records its ``output_sha256_<stem>``. A builder returns one
-    text or an iterable of text chunks; it runs when its output's turn comes,
-    and each chunk is encoded, hashed and written before the next is made,
-    so the run holds one chunk at a time.
+    A builder returns one text or an iterable of text chunks; each chunk is
+    encoded, hashed and written before the next is made, so the job holds
+    one chunk at a time.
     """
-    def chunks(path: Path, build, hashed: bool) -> Iterator[bytes]:
-        text = build()
-        # one text is one chunk: hold its bytes, not the text as well
-        data = [text.encode("utf-8")] if isinstance(text, str) else (chunk.encode("utf-8") for chunk in text)
-        del text
-        digest = hashlib.sha256()
+    text = build()
+    # one text is one chunk: hold its bytes, not the text as well
+    data = [text.encode("utf-8")] if isinstance(text, str) else (chunk.encode("utf-8") for chunk in text)
+    del text
+    digest = hashlib.sha256()
+    with open(fd, "wb", closefd=False) as handle:
         for chunk in data:
             digest.update(chunk)
-            yield chunk
-        if hashed:
-            entries[f"output_sha256_{path.stem}"] = digest.hexdigest()
+            handle.write(chunk)
+    return digest.hexdigest()
 
-    def encoded():
-        for path, build, hashed in outputs:
-            yield path, chunks(path, build, hashed)
-        if manifest is not None:
-            base = {"format_version": FORMAT_VERSION, "package_version": __version__, "command": command}
-            yield manifest, [formats.serialize_keyvalues({**base, **entries}).encode("utf-8")]
 
-    _write_outputs(encoded())
+def _run_jobs(jobs: list[tuple[Callable, int]], threads: int) -> list:
+    """``_build_into`` of each job, run in this process and in up to
+    ``min(threads, len(jobs)) - 1`` forked workers; each job's digest, its
+    exception, or None if it never ran.
+
+    Every process claims the next job from one pipe that holds one byte per
+    job, in job order, until the pipe is empty; a failed job empties it, so
+    every process stops after its current job and each job below a failed
+    one has run. Workers are forked, not spawned, because the builders are
+    closures over the command's results; they run only serializers, so no
+    BLAS routine and no lock that another thread may hold at the fork. A
+    worker reports each claim and each result over its own pipe and leaves
+    with ``os._exit`` (``_work``); a claim with no result fails its job.
+    Every worker is reaped before this returns. With one thread, one job or
+    no ``os.fork`` no worker is made.
+    """
+    results: list = [None] * len(jobs)
+    queue, fill = os.pipe()
+    try:
+        os.write(fill, bytes(range(len(jobs))))  # a command has a handful of outputs
+    finally:
+        os.close(fill)  # so that an empty queue reads as end of file
+    workers: dict[int, int] = {}  # pid: read end of its report pipe
+    try:
+        for _ in range(min(threads, len(jobs)) - 1 if hasattr(os, "fork") else 0):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: those made run every job
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                os.close(read)
+                _work(jobs, queue, write)
+            os.close(write)
+            workers[pid] = read
+        _claim(jobs, queue, results.__setitem__)
+    finally:
+        _drain(queue)
+        for pid, read in workers.items():
+            _collect(pid, read, results)
+        os.close(queue)
+    return results
+
+
+def _claim(jobs: list[tuple[Callable, int]], queue: int, report: Callable[[int, object], None]) -> None:
+    """Claim and run jobs from ``queue`` until it is empty, passing
+    ``report`` each claimed index with None, then with the job's digest or
+    exception; a failure empties the queue."""
+    while claimed := os.read(queue, 1):
+        index = claimed[0]
+        report(index, None)
+        try:
+            result = _build_into(*jobs[index])
+        except BaseException as exc:  # raised again by ``_write``, after the cleanup
+            result = exc
+            _drain(queue)
+        report(index, result)
+
+
+def _drain(queue: int) -> None:
+    while os.read(queue, 256):
+        pass
+
+
+def _work(jobs: list[tuple[Callable, int]], queue: int, write: int) -> NoReturn:
+    """A forked worker: ``_claim`` with its reports pickled to the pipe end
+    ``write``, then ``os._exit``, so that it never returns into the command,
+    flushes the command's stdio or runs its exit handlers."""
+    code = 1
+    try:
+        with open(write, "wb") as reports:
+            def report(index: int, result) -> None:
+                try:
+                    message = pickle.dumps((index, result))
+                    pickle.loads(message)  # as ``_collect`` will
+                except Exception:  # an exception that cannot be pickled or rebuilt
+                    message = pickle.dumps((index, RuntimeError(f"{type(result).__name__}: {result}")))
+                reports.write(message)
+                reports.flush()  # the claim is out before the job runs
+
+            _claim(jobs, queue, report)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid: int, read: int, results: list) -> None:
+    """Read the reports of worker ``pid`` from the pipe end ``read`` into
+    ``results`` and reap the worker; a job it claimed and never finished
+    fails with its exit status."""
+    claimed = None
+    try:
+        with open(read, "rb") as reports:
+            while True:
+                try:
+                    index, result = pickle.load(reports)  # written by ``_work`` above
+                except (EOFError, pickle.UnpicklingError):
+                    break
+                results[index] = result
+                claimed = index if result is None else None
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if claimed is not None:
+        results[claimed] = ChildProcessError(f"the process writing it ended with exit status {status}")
 
 
 def _one_file(out_file: str, build: Callable[[], str]) -> tuple[list[_Output], Path]:
@@ -357,12 +482,16 @@ class _Main(click.Group):
 @click.option("--seed", type=_INT, default=None,
               help="Global selection/cohort seed override; no effect on stats, score and eval.")
 @click.option("--config", type=click.Path(), default=None, help="'key value' config file.")
-@click.option("--threads", type=_IntRange(min=1), default=1, show_default=True, expose_value=False,
-              help="Accepted for compatibility; has no effect (every command runs on one thread).")
+@click.option("--threads", type=_IntRange(min=1), default=1, show_default=True,
+              help="Up to this many processes build and write the outputs, one whole output each at a time; "
+                   "outputs are byte-identical for any value. Only commands with several large outputs gain "
+                   "(simulate most, anonymize a little, stats and score not at all); reading, selection, "
+                   "scoring and metrics run in one process.")
 @click.option("--det-out", type=click.Path(), default=None, help="Write DET operating points to this file.")
 @click.pass_context
-def main(ctx, seed, config, det_out):
+def main(ctx, seed, config, threads, det_out):
     """X-vector pseudo-speaker pipeline and privacy-linkability evaluation."""
+    ctx.meta["threads"] = threads
     for flag, value, users in (("--det-out", det_out, ("eval", "simulate")),
                                ("--config", config, ("anonymize", "simulate"))):
         if value is not None and ctx.invoked_subcommand not in users:
@@ -546,23 +675,24 @@ def _rows(vectors: list[np.ndarray], dim: int) -> np.ndarray:
 def eval_cmd(obj, score_file, trial_key, out_file):
     """EER / Cllr / min-Cllr report from a score file and its trial key."""
     entries: dict[str, str] = {}
-    score_set = _key_scores(_read(score_file, "scores", entries, formats._score_columns),
-                            _in_pair_order(_read(trial_key, "trial_key", entries, formats._trial_columns)))
+    score_set = _key_scores(_read(score_file, "scores", entries, formats._score_columns)[:3],
+                            _in_pair_order(*_read(trial_key, "trial_key", entries, formats._trial_columns)))
     report_text = formats.serialize_report(evaluate(score_set))
     outputs, manifest = ([], None) if out_file is None else _one_file(out_file, lambda: report_text)
     _write("eval", entries, outputs + _det_output(obj, lambda: score_set), manifest)
     click.echo(report_text, nl=False)
 
 
-def _in_pair_order(columns: tuple[list[str], list[str], np.ndarray]) -> tuple[list[str], list[str], np.ndarray]:
-    """Columns ``(enroll, test, values)`` in (enroll, test) order.
+def _in_pair_order(enroll: list[str], test: list[str], values: np.ndarray,
+                   in_order: bool) -> tuple[list[str], list[str], np.ndarray]:
+    """The columns of a column reader in (enroll, test) order; ``in_order``
+    is the reader's flag that they already are.
 
     The Cllr sums add the trials in key order, and their last bits depend on
     that order; a key in pair order gives each trial set one report.
     """
-    enroll, test, values = columns
-    if formats._strictly_up(zip(enroll, test)):
-        return columns
+    if in_order:
+        return enroll, test, values
     order = sorted(range(len(enroll)), key=test.__getitem__)
     order.sort(key=enroll.__getitem__)
     return [enroll[i] for i in order], [test[i] for i in order], values[order]

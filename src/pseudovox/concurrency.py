@@ -1,6 +1,14 @@
-"""Order-preserving parallel map. No package module imports it: every command
-runs on one thread, the benchmark tracer (``perfbench/spans.py``) is its only
-importer, and the next change to the benchmark deletes it."""
+"""Order-preserving parallel map. No package module imports it; the benchmark
+tracer (``perfbench/spans.py``) is its only importer, and the next change to
+the benchmark deletes it.
+
+The command line does not use threads. ``--threads N`` lets up to N
+processes build and write a command's outputs, one whole output per process
+at a time (``cli._run_jobs``), and the outputs are byte-identical for any N.
+Only commands with several large outputs gain: ``simulate`` most,
+``anonymize`` a little, ``stats`` and ``score`` not at all. Reading,
+selection, scoring and metrics run in one process.
+"""
 
 from __future__ import annotations
 

@@ -32,11 +32,12 @@ finite (``float`` accepts the real grammar plus non-ASCII digits, ``_``
 between digits and inf/nan, which these checks reject). A score or trial file
 is checked as a whole with one regex pass over its lines and one finiteness
 check, and is read as columns (``_score_columns``, ``_trial_columns``): two id
-lists and one value array. Its (enroll, test) pairs are checked for repeats
-with one strictly-increasing pass; only pairs that are not sorted build a
-set. Whatever these checks do not accept goes through the per-token code,
-which accepts the same records and raises the first error with its line
-number. Serializers write reals as ``repr`` of Python floats. The grid writers
+lists, one value array and whether the pairs are in order. Its (enroll, test)
+pairs are checked for repeats with one strictly-increasing pass, whose answer
+is that order flag; only pairs that are not sorted build a set. Whatever
+these checks do not accept goes through the per-token code, which accepts the
+same records and raises the first error with its line number. Serializers
+write reals as ``repr`` of Python floats. The grid writers
 (``serialize_score_grid``, ``serialize_trial_grid``) write the all-pairs rows
 of an (enroll, utt) matrix without building them: they sort each id list once,
 reorder the matrix to match and write each enrollment row from precomputed
@@ -394,12 +395,13 @@ def serialize_plda(model: PldaModel) -> str:
 
 
 def parse_scores(text: str) -> list[tuple[str, str, float]]:
-    enroll, test, scores = _score_columns(text)
+    enroll, test, scores, _ = _score_columns(text)
     return list(zip(enroll, test, scores.tolist()))
 
 
-def _score_columns(text: str) -> tuple[list[str], list[str], np.ndarray]:
-    """The enroll ids, test ids and float64 scores of a score file."""
+def _score_columns(text: str) -> tuple[list[str], list[str], np.ndarray, bool]:
+    """The enroll ids, test ids and float64 scores of a score file, and
+    whether its pairs go strictly up."""
     return _pair_columns(text, _SCORE_LINE_RE, float, np.float64, _score_key, _parse_float)
 
 
@@ -415,12 +417,13 @@ def serialize_scores(records: list[tuple[str, str, float]]) -> str:
 
 
 def parse_trials(text: str) -> list[tuple[str, str, bool]]:
-    enroll, test, labels = _trial_columns(text)
+    enroll, test, labels, _ = _trial_columns(text)
     return list(zip(enroll, test, labels.tolist()))
 
 
-def _trial_columns(text: str) -> tuple[list[str], list[str], np.ndarray]:
-    """The enroll ids, test ids and bool labels (True for target) of a trial file."""
+def _trial_columns(text: str) -> tuple[list[str], list[str], np.ndarray, bool]:
+    """The enroll ids, test ids and bool labels (True for target) of a trial
+    file, and whether its pairs go strictly up."""
     return _pair_columns(text, _TRIAL_LINE_RE, "target".__eq__, bool, _trial_key,
                          lambda token, line: token == "target")
 
@@ -440,27 +443,33 @@ def serialize_trials(records: list[tuple[str, str, bool]]) -> str:
                         lambda rows: [f"{e} {t} {'target' if is_tar else 'nontarget'}" for e, t, is_tar in rows])
 
 
-def _pair_columns(text: str, line_re: re.Pattern, convert, dtype, key, value) -> tuple[list[str], list[str], np.ndarray]:
+def _pair_columns(text: str, line_re: re.Pattern, convert, dtype, key,
+                  value) -> tuple[list[str], list[str], np.ndarray, bool]:
     """The (enroll, test, value) records of a score or trial file as three
-    columns: two id lists and a ``dtype`` array.
+    columns, two id lists and a ``dtype`` array, and whether the (enroll,
+    test) pairs go strictly up.
 
     The fast path takes a file tiled by ``line_re``: one ``split``, three
     slices, ``convert`` on each value token and one finiteness check. Its
-    pairs are checked for repeats with one strictly-increasing pass, and only
-    pairs that are not sorted build a set. Any other file goes through
-    ``_records`` with ``key`` and ``value(token, line)``, which raise the
-    first error with its line number, and its records are transposed.
+    pairs are checked for repeats with one strictly-increasing pass, which
+    also gives the order flag, and only pairs that are not sorted build a
+    set. Any other file goes through ``_records`` with ``key`` and
+    ``value(token, line)``, which raise the first error with its line number,
+    and its records are transposed.
     """
     if _tiled_by(line_re, text):
         fields = text.split()
         enroll, test = fields[0::3], fields[1::3]
         values = np.fromiter(map(convert, fields[2::3]), dtype, len(enroll))
         del fields
-        if np.isfinite(values).all() and (_strictly_up(zip(enroll, test))
-                                          or len(set(zip(enroll, test))) == len(enroll)):
-            return enroll, test, values
+        if np.isfinite(values).all():
+            if _strictly_up(zip(enroll, test)):
+                return enroll, test, values, True
+            if len(set(zip(enroll, test))) == len(enroll):
+                return enroll, test, values, False
     records = _records(text, "duplicate trial", key, lambda tokens, pair, line: (*pair, value(tokens[2], line)))
-    return [r[0] for r in records], [r[1] for r in records], np.array([r[2] for r in records], dtype)
+    enroll, test = [r[0] for r in records], [r[1] for r in records]
+    return enroll, test, np.array([r[2] for r in records], dtype), _strictly_up(zip(enroll, test))
 
 
 def serialize_score_grid(enroll_ids: list[str], utt_ids: list[str], scores) -> str:

@@ -780,26 +780,36 @@ def test_simulate_writes_scores_and_trials_from_the_grid(tmp_path, runner, monke
     assert calls == []
 
 
+SIM_OUTPUTS = ["pool.txt", "user_embeddings.txt", "user_contours.txt", "plda.txt", "scores.txt", "trials.txt",
+               "report.txt"]  # in the order simulate writes them
+
+
 def test_simulate_streams_each_grid_one_enrollment_row_per_chunk(tmp_path, runner, monkeypatch):
-    """The score and trial grids reach the write one enrollment row at a
-    time, and each manifest hash is the hash of its file."""
-    received: dict[str, list[bytes]] = {}
-    real = cli._write_outputs
+    """The output jobs take the score and trial grids one enrollment row at
+    a time, and each manifest hash is the hash of its file. One thread: the
+    jobs run here, in output order."""
+    received: list[list[bytes]] = []  # each job's chunks
+    real = cli._build_into
 
-    def recording(outputs):
+    def recording(build, fd):
+        kept = []
+        received.append(kept)
+
         def recorded():
-            for path, chunks in outputs:
-                kept = received.setdefault(path.name, [])
-                yield path, (kept.append(chunk) or chunk for chunk in chunks)
+            text = build()
+            for chunk in [text] if isinstance(text, str) else text:
+                kept.append(chunk.encode("utf-8"))
+                yield chunk
 
-        real(recorded())
+        return real(recorded, fd)
 
-    monkeypatch.setattr(cli, "_write_outputs", recording)
+    monkeypatch.setattr(cli, "_build_into", recording)
     out = tmp_path / "out"
-    result = runner.invoke(main, ["--seed", "3", "simulate", "--out-dir", str(out)] + SIM_ARGS)
+    result = runner.invoke(main, ["--seed", "3", "--threads", "1", "simulate", "--out-dir", str(out)] + SIM_ARGS)
     assert result.exit_code == 0, result.output
+    assert len(received) == len(SIM_OUTPUTS)
     for name in ("scores.txt", "trials.txt"):
-        chunks = received[name]
+        chunks = received[SIM_OUTPUTS.index(name)]
         assert b"".join(chunks) == (out / name).read_bytes()
         assert len(chunks) == 12  # one per enrollment speaker
         for chunk in chunks:
@@ -836,6 +846,80 @@ def test_simulate_failing_in_mid_stream_leaves_the_tree_as_it_was(tmp_path, runn
         assert result.stderr == "error: scores refused\n"
         assert len(staged) == 1  # the stream had begun
         assert tree(tmp_path) == before
+
+
+# the serializers that build each command's outputs, in output order, with the outputs' names
+OUTPUT_WRITERS = {
+    "anonymize": [("serialize_mapping", "mapping.txt"), ("serialize_embeddings", "pseudo_xvectors.txt"),
+                  ("serialize_stats", "pseudo_f0_stats.txt"), ("serialize_contours", "contours_anon.txt")],
+    "simulate": [("serialize_pool", "pool.txt"), ("serialize_embeddings", "user_embeddings.txt"),
+                 ("serialize_contours", "user_contours.txt"), ("serialize_plda", "plda.txt"),
+                 ("_score_grid_rows", "scores.txt"), ("_trial_grid_rows", "trials.txt"),
+                 ("serialize_report", "report.txt")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_WRITERS))
+@pytest.mark.parametrize("failure", ["first-raises", "last-raises", "worker-dies"])
+def test_a_failed_output_job_ends_the_run_in_any_process(tmp_path, runner, monkeypatch, command, failure):
+    """An output that fails in this process or in a worker ends the run with
+    one ``error:`` line for that output, the tree unchanged, and no temp file
+    or child process left. A raising serializer gives the same error under
+    one and two processes, and one process builds no output after it; a
+    worker that dies without a report fails the output it took, and with no
+    worker the run succeeds."""
+    if command == "anonymize":
+        paths = build_anonymize_inputs(tmp_path)
+        args = lambda out: ["--seed", "8"] + anonymize_args(paths, out, ["--f0", "modified"])
+    else:
+        args = lambda out: ["--seed", "8", "simulate", "--out-dir", str(out)] + SIM_ARGS
+    out = tmp_path / "out"
+    assert runner.invoke(main, args(out)[2:]).exit_code == 0  # an earlier run's outputs
+    before = tree(tmp_path)
+    test_pid = os.getpid()
+
+    writers = OUTPUT_WRITERS[command]
+    refused = {"first-raises": writers[0][1], "last-raises": writers[-1][1]}.get(failure)
+    built = []  # the outputs built in this process
+
+    def failing(real, name):
+        def serialize(*rows):
+            if name == refused:
+                raise InvalidValueError(f"{out / name} refused")
+            if failure == "worker-dies":
+                if os.getpid() != test_pid:
+                    os._exit(3)
+                try:  # hold this job until the worker has died on one of its own
+                    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+                except ChildProcessError:  # no worker
+                    pass
+            built.append(name)
+            return real(*rows)
+        return serialize
+
+    for writer, name in writers:
+        monkeypatch.setattr(formats, writer, failing(getattr(formats, writer), name))
+    stderr = {}
+    for threads in ("1", "2"):
+        built.clear()
+        result = runner.invoke(main, ["--threads", threads, *args(out)])
+        assert_no_child_left()
+        if threads == "1" and refused:
+            names = [name for _, name in writers]
+            assert built == names[:names.index(refused)]
+        if failure == "worker-dies" and threads == "1":  # no worker: the run succeeds
+            assert result.exit_code == 0, result.output
+            before = tree(tmp_path)
+            continue
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert tree(tmp_path) == before  # nothing replaced, no temp file
+        stderr[threads] = result.stderr
+    if failure == "worker-dies":
+        assert stderr["2"] in {f"error: cannot write {out / name}: the process writing it ended with exit status 3\n"
+                               for _, name in writers}
+    else:
+        assert stderr["1"] == stderr["2"] == f"error: {out / refused} refused\n"
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -1553,15 +1637,21 @@ def check_manifest(manifest_path, inp, out_dir=None):
                 assert manifest[f"output_sha256_{path.stem}"] == sha256_file(path)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @settings(max_examples=300, deadline=None)
-@given(command=st.sampled_from(sorted(CONTRACT_OUTPUTS)), data=st.data())
-def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, command, data):
+@given(command=st.sampled_from(sorted(CONTRACT_OUTPUTS)), threads=st.sampled_from(["1", "2", "3"]), data=st.data())
+def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, command, threads, data):
     """Small valid inputs, changed: edited bytes, swapped files, outputs that
     collide with an input, with each other or with existing files, one-file
     outputs that name no file (``.``, ``""``), and ``simulate`` float
-    settings at the ends of float64. Either the
+    settings at the ends of float64, written by 1 to 3 processes. Either the
     run exits 0 and every output parses and its manifest hashes hold, or it
-    exits 1 with one ``error:`` line, no traceback, and the tree as it was."""
+    exits 1 with one ``error:`` line, no traceback, and the tree as it was;
+    either way no temp file and no child process is left."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.chdir(tmp)  # "." is the run's own directory
         root = Path(tmp)
@@ -1617,9 +1707,10 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
             Path(path).write_bytes(contents[name])
         before = file_tree(root)
 
-        result = CliRunner().invoke(main, contract_args(command, inp, out))
+        result = CliRunner().invoke(main, ["--threads", threads, *contract_args(command, inp, out)])
 
         event(f"{command}: exit {result.exit_code}")
+        assert_no_child_left()
         assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
         if result.exit_code == 0:
             for slot, parse in CONTRACT_OUTPUTS[command].items():
@@ -1633,10 +1724,10 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
                     parse(path.read_text(encoding="utf-8"))
                     if slot != "det.txt":
                         check_manifest(Path(f"{path}.manifest"), inp)
-            assert not [p for p in root.rglob("*.tmp")]
         else:
             assert result.exit_code == 1
             assert result.stdout == ""
             *warnings, error = result.stderr.splitlines()
             assert error.startswith("error: ") and all(w.startswith("warning: ") for w in warnings), result.stderr
             assert file_tree(root) == before
+        assert not [p for p in root.rglob("*.tmp")]

@@ -173,9 +173,12 @@ def outcome(parse, text):
 
 
 def as_columns(read):
-    """A column reader's ids, values' dtype and values, as lists to compare."""
+    """A column reader's ids, values' dtype and values, as lists to compare,
+    after checking its flag of whether the pairs go strictly up."""
     def listed(text):
-        enroll, test, values = read(text)
+        enroll, test, values, in_order = read(text)
+        pairs = list(zip(enroll, test))
+        assert in_order == (pairs == sorted(set(pairs)))
         return enroll, test, values.dtype, values.tolist()
     return listed
 
@@ -464,13 +467,15 @@ def test_canonical_files_never_reach_the_per_token_parser(monkeypatch):
 @pytest.mark.parametrize("name", ["scores", "trials"])
 def test_pair_files_with_unique_pairs_in_any_order_never_reach_the_per_line_reader(monkeypatch, name):
     """Sorted pairs pass the strictly-increasing check, and shuffled ones the
-    pair set; either way the columns are read without ``_records``."""
+    pair set; either way the columns are read without ``_records``, and the
+    order flag is the check's answer."""
     text = canonical_texts(d=4)[name]
     lines = text.splitlines(keepends=True)
     monkeypatch.setattr(formats, "_records", mock.Mock(side_effect=AssertionError("per-line reader")))
     read = getattr(formats, f"_{name[:-1]}_columns")
     for order in (lines, lines[::-1], lines[1:] + lines[:1]):
-        enroll, test, values = read("".join(order))
+        enroll, test, values, in_order = read("".join(order))
+        assert in_order == (order is lines)
         assert list(zip(enroll, test, values.tolist())) == getattr(oracles, f"parse_{name}")("".join(order))
 
 
