@@ -780,8 +780,15 @@ def test_simulate_writes_scores_and_trials_from_the_grid(tmp_path, runner, monke
     assert calls == []
 
 
-SIM_OUTPUTS = ["pool.txt", "user_embeddings.txt", "user_contours.txt", "plda.txt", "scores.txt", "trials.txt",
-               "report.txt"]  # in the order simulate writes them
+# the serializers that build each command's outputs, in output order, with the outputs' names
+OUTPUT_WRITERS = {
+    "anonymize": [("serialize_mapping", "mapping.txt"), ("serialize_embeddings", "pseudo_xvectors.txt"),
+                  ("serialize_stats", "pseudo_f0_stats.txt"), ("serialize_contours", "contours_anon.txt")],
+    "simulate": [("serialize_pool", "pool.txt"), ("serialize_embeddings", "user_embeddings.txt"),
+                 ("serialize_contours", "user_contours.txt"), ("serialize_plda", "plda.txt"),
+                 ("_score_grid_rows", "scores.txt"), ("_trial_grid_rows", "trials.txt"),
+                 ("serialize_report", "report.txt")],
+}
 
 
 def test_simulate_streams_each_grid_one_enrollment_row_per_chunk(tmp_path, runner, monkeypatch):
@@ -807,9 +814,10 @@ def test_simulate_streams_each_grid_one_enrollment_row_per_chunk(tmp_path, runne
     out = tmp_path / "out"
     result = runner.invoke(main, ["--seed", "3", "--threads", "1", "simulate", "--out-dir", str(out)] + SIM_ARGS)
     assert result.exit_code == 0, result.output
-    assert len(received) == len(SIM_OUTPUTS)
+    names = [name for _, name in OUTPUT_WRITERS["simulate"]]
+    assert len(received) == len(names)
     for name in ("scores.txt", "trials.txt"):
-        chunks = received[SIM_OUTPUTS.index(name)]
+        chunks = received[names.index(name)]
         assert b"".join(chunks) == (out / name).read_bytes()
         assert len(chunks) == 12  # one per enrollment speaker
         for chunk in chunks:
@@ -846,17 +854,6 @@ def test_simulate_failing_in_mid_stream_leaves_the_tree_as_it_was(tmp_path, runn
         assert result.stderr == "error: scores refused\n"
         assert len(staged) == 1  # the stream had begun
         assert tree(tmp_path) == before
-
-
-# the serializers that build each command's outputs, in output order, with the outputs' names
-OUTPUT_WRITERS = {
-    "anonymize": [("serialize_mapping", "mapping.txt"), ("serialize_embeddings", "pseudo_xvectors.txt"),
-                  ("serialize_stats", "pseudo_f0_stats.txt"), ("serialize_contours", "contours_anon.txt")],
-    "simulate": [("serialize_pool", "pool.txt"), ("serialize_embeddings", "user_embeddings.txt"),
-                 ("serialize_contours", "user_contours.txt"), ("serialize_plda", "plda.txt"),
-                 ("_score_grid_rows", "scores.txt"), ("_trial_grid_rows", "trials.txt"),
-                 ("serialize_report", "report.txt")],
-}
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_WRITERS))
