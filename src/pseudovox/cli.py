@@ -29,9 +29,10 @@ exit code 1, so no command catches one to end the run itself. Every command
 writes in one ``_write`` call. It checks every output path and stages its
 temp file first; then each output is built as one job, in this process or a
 forked worker, and written and hashed one text chunk at a time (the score
-and trial grids of ``simulate`` come one enrollment row per chunk); the
-manifest is written last. A failed job is reported as this process would
-report it, for the lowest-numbered failing output.
+and trial grids of ``simulate`` come one enrollment row per chunk, the
+scores of ``score`` a few thousand lines per chunk); the manifest is written
+last. A failed job is reported as this process would report it, for the
+lowest-numbered failing output.
 """
 
 from __future__ import annotations
@@ -611,23 +612,31 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
 @click.argument("out_scores", type=click.Path())
 @click.option("--length-norm/--no-length-norm", "length_norm", default=True, show_default=True)
 def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, length_norm):
-    """PLDA-score every trial in the key against enrollment speakers."""
+    """PLDA-score every trial in the key against enrollment speakers.
+    \f
+    The key is read as columns. A missing id fails on the first trial in key
+    order that has one, enroll id first, and a score that is not finite on
+    the first such trial. The columns are then put in pair order, so any key
+    order gives the same bytes, and written a chunk of lines at a time.
+    """
     entries = _recorded({"length_norm": length_norm})
     model = _read(plda_file, "plda", entries, formats.parse_plda)
     enroll = _read(enroll_file, "enroll", entries,
                    _of_dim(formats.parse_embeddings, model.dim, "model"))
     trials_emb = _read(trial_embeddings, "trial_embeddings", entries,
                        _of_dim(_parse_utterances, model.dim, "model"))
-    key_rows = _read(trial_key, "trial_key", entries, formats.parse_trials)
+    enroll_ids, test_ids, _, in_order = _read(trial_key, "trial_key", entries, formats._trial_columns)
 
     # row of each id in the stacked latents below: first-appearance order
     enroll_row = {sid: row for row, sid in enumerate(dict.fromkeys(e.speaker_id for e in enroll))}
     test_row = {e.utterance_id: row for row, e in enumerate(trials_emb)}  # the ids are unique
-    for enroll_id, test_id, _ in key_rows:
+    for enroll_id, test_id in zip(enroll_ids, test_ids):
         if enroll_id not in enroll_row:
             raise InvalidValueError(f"enrollment speaker {enroll_id!r} missing from {enroll_file}")
         if test_id not in test_row:
             raise InvalidValueError(f"trial utterance {test_id!r} missing from {trial_embeddings}")
+    enroll_index = np.fromiter(map(enroll_row.__getitem__, enroll_ids), np.intp, len(enroll_ids))
+    test_index = np.fromiter(map(test_row.__getitem__, test_ids), np.intp, len(test_ids))
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
         enroll_latents: dict[str, list[np.ndarray]] = {}
@@ -637,17 +646,17 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
             model,
             _rows([np.mean(latents, axis=0) for latents in enroll_latents.values()], model.dim),
             _rows(list(_projected(model, trials_emb, trial_embeddings, length_norm)), model.dim),
-            np.array([enroll_row[e] for e, _, _ in key_rows], dtype=np.intp),
-            np.array([test_row[t] for _, t, _ in key_rows], dtype=np.intp),
+            enroll_index,
+            test_index,
         )
     non_finite = np.flatnonzero(~np.isfinite(llrs))
     if non_finite.size:
-        enroll_id, test_id, _ = key_rows[non_finite[0]]
-        raise InvalidValueError(f"score of trial ({enroll_id!r}, {test_id!r}) is not finite")
-    rows = [(e, t, llr) for (e, t, _), llr in zip(key_rows, llrs.tolist())]
+        i = non_finite[0]
+        raise InvalidValueError(f"score of trial ({enroll_ids[i]!r}, {test_ids[i]!r}) is not finite")
 
-    entries["n_trials"] = str(len(rows))
-    _write("score", entries, *_one_file(out_scores, lambda: formats.serialize_scores(rows)))
+    entries["n_trials"] = str(len(llrs))
+    enroll_ids, test_ids, llrs = _in_pair_order(enroll_ids, test_ids, llrs, in_order)
+    _write("score", entries, *_one_file(out_scores, lambda: formats._score_chunks(enroll_ids, test_ids, llrs)))
 
 
 def _projected(model, embeddings, path: str, length_norm: bool) -> Iterable[np.ndarray]:
@@ -685,11 +694,14 @@ def eval_cmd(obj, score_file, trial_key, out_file):
 
 def _in_pair_order(enroll: list[str], test: list[str], values: np.ndarray,
                    in_order: bool) -> tuple[list[str], list[str], np.ndarray]:
-    """The columns of a column reader in (enroll, test) order; ``in_order``
-    is the reader's flag that they already are.
+    """The columns of a column reader, or of ids and values in the same
+    form, in (enroll, test) order; ``in_order`` is the reader's flag that
+    they already are. The pairs must not repeat.
 
-    The Cllr sums add the trials in key order, and their last bits depend on
-    that order; a key in pair order gives each trial set one report.
+    Two stable sorts, test then enroll, give the order of ``_sorted_text``.
+    ``score`` writes its scores in that order. ``eval`` puts its key in it
+    because the Cllr sums add the trials in key order and their last bits
+    depend on that order; a key in pair order gives each trial set one report.
     """
     if in_order:
         return enroll, test, values

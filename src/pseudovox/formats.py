@@ -11,7 +11,8 @@ Every format with a record key follows three record rules, each written once:
 - a key appears on one line only (``_records`` reads every keyed format);
 - a parse error names the first bad (1-based) line;
 - output is sorted by key, and each distinct id is checked once
-  (``_sorted_text``; the grid writers sort two id lists, not rows).
+  (``_sorted_text``; the grid writers sort two id lists, not rows, and
+  ``_score_chunks`` takes columns already in key order).
 
 The keys: contours the utterance id, stats the stats id, embeddings
 (speaker, utterance), pool the pool speaker id, scores and trials (enroll,
@@ -32,13 +33,18 @@ finite (``float`` accepts the real grammar plus non-ASCII digits, ``_``
 between digits and inf/nan, which these checks reject). A score or trial file
 is checked as a whole with one regex pass over its lines and one finiteness
 check, and is read as columns (``_score_columns``, ``_trial_columns``): two id
-lists, one value array and whether the pairs are in order. Its (enroll, test)
-pairs are checked for repeats with one strictly-increasing pass, whose answer
-is that order flag; only pairs that are not sorted build a set. Whatever
-these checks do not accept goes through the per-token code, which accepts the
-same records and raises the first error with its line number. Serializers
-write reals as ``repr`` of Python floats. The grid writers
-(``serialize_score_grid``, ``serialize_trial_grid``) write the all-pairs rows
+lists, one value array and whether the pairs are in order. It is split a
+block of lines at a time, and its ids are interned: a column holds one
+``str`` per distinct id, the same object in every file read this way. Its
+(enroll, test) pairs are checked for repeats with one strictly-increasing
+pass, whose answer is that order flag; only pairs that are not sorted build a
+set. Whatever these checks do not accept goes through the per-token code,
+which accepts the same records and raises the first error with its line
+number. ``parse_scores`` and ``parse_trials`` return those columns as
+tuples. Serializers write reals as ``repr`` of Python floats.
+``_score_chunks`` writes the score lines of columns in pair order, a fixed
+number of lines per chunk; ``score`` writes its output with it. The grid
+writers (``serialize_score_grid``, ``serialize_trial_grid``) write the all-pairs rows
 of an (enroll, utt) matrix without building them: they sort each id list once,
 reorder the matrix to match and write each enrollment row from precomputed
 ``" <utt> ..."`` tails, with the bytes and errors of the row writers. Each
@@ -67,6 +73,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import sys
 from itertools import chain, count, pairwise, starmap
 from operator import add, attrgetter, getitem, itemgetter, lt
 
@@ -122,6 +129,8 @@ _ID = r"[!\"$-~][!-~]*"
 _SCORE_LINE_RE = re.compile(rf"{_ID} {_ID} {_REAL}\n", re.ASCII)
 _TRIAL_LINE_RE = re.compile(rf"{_ID} {_ID} (?:target|nontarget)\n", re.ASCII)
 _pair = itemgetter(0, 1)
+_CHUNK_LINES = 4096  # lines per text chunk of ``_score_chunks``
+_BLOCK_CHARS = 1 << 16  # characters of a score or trial file that ``_pair_columns`` splits at a time
 
 
 def decode_text(data: bytes) -> str:
@@ -405,6 +414,17 @@ def _score_columns(text: str) -> tuple[list[str], list[str], np.ndarray, bool]:
     return _pair_columns(text, _SCORE_LINE_RE, float, np.float64, _score_key, _parse_float)
 
 
+def _score_chunks(enroll: list[str], test: list[str], scores: np.ndarray):
+    """The text of ``serialize_scores`` of the rows ``(enroll[i], test[i],
+    scores[i])``, which must be in pair order with no repeat, as chunks of
+    ``_CHUNK_LINES`` lines. Each distinct id is checked once, in written
+    order, before the first chunk is made."""
+    _check_out_ids(chain.from_iterable(zip(enroll, test)))
+    for i in range(0, len(enroll), _CHUNK_LINES):
+        rows = zip(enroll[i:i + _CHUNK_LINES], test[i:i + _CHUNK_LINES], scores[i:i + _CHUNK_LINES].tolist())
+        yield _joined([f"{e} {t} {s!r}" for e, t, s in rows])
+
+
 def _score_key(tokens: list[str], line: int) -> tuple[str, str]:
     if len(tokens) != 3:
         raise LineSyntaxError("score line needs enroll, test, score", line)
@@ -449,19 +469,28 @@ def _pair_columns(text: str, line_re: re.Pattern, convert, dtype, key,
     columns, two id lists and a ``dtype`` array, and whether the (enroll,
     test) pairs go strictly up.
 
-    The fast path takes a file tiled by ``line_re``: one ``split``, three
-    slices, ``convert`` on each value token and one finiteness check. Its
-    pairs are checked for repeats with one strictly-increasing pass, which
-    also gives the order flag, and only pairs that are not sorted build a
-    set. Any other file goes through ``_records`` with ``key`` and
-    ``value(token, line)``, which raise the first error with its line number,
-    and its records are transposed.
+    The fast path takes a file tiled by ``line_re``. It splits the text in
+    blocks of whole lines of about ``_BLOCK_CHARS`` characters, so the tokens
+    of one block are alive at a time, not those of the whole file; it runs
+    ``convert`` on each value token, passes each id through ``sys.intern``
+    and checks the values for finiteness once. So a column holds one ``str``
+    per distinct id, shared with every other file read this way, and equal
+    id columns of two files compare by identity. The pairs are checked for
+    repeats with one strictly-increasing pass, which also gives the order
+    flag, and only pairs that are not sorted build a set. Any other file goes
+    through ``_records`` with ``key`` and ``value(token, line)``, which raise
+    the first error with its line number, and its records are transposed.
     """
     if _tiled_by(line_re, text):
-        fields = text.split()
-        enroll, test = fields[0::3], fields[1::3]
-        values = np.fromiter(map(convert, fields[2::3]), dtype, len(enroll))
-        del fields
+        enroll, test, values = [], [], np.empty(text.count("\n"), dtype)
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+            fields = text[start:end].split()
+            values[len(enroll):len(enroll) + len(fields) // 3] = np.fromiter(map(convert, fields[2::3]), dtype)
+            enroll += map(sys.intern, fields[0::3])
+            test += map(sys.intern, fields[1::3])
+            start = end
         if np.isfinite(values).all():
             if _strictly_up(zip(enroll, test)):
                 return enroll, test, values, True

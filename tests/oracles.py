@@ -19,18 +19,32 @@ code that the one-sweep metrics and the one trial table of ``simulate``
 replaced: the metrics and simulate tests require those to return exactly
 (``repr``-equal) what these do. The dict join of ``eval`` is what its
 column compare stands in for when the score file is in key order; the CLI
-tests require the same scores or the same error message.
+tests require the same scores or the same error message. The tuple path of
+``score`` is that command as it was before it read its key as columns and
+streamed its output; the CLI tests require the same output and manifest
+bytes or the same error message, and at most two thirds of its traced memory.
 """
 
+import hashlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 
-from pseudovox import errors
+from pseudovox import __version__, errors, formats
+from pseudovox.cli import FORMAT_VERSION
 from pseudovox.f0 import F0Contour, LogF0Stats, compute_log_f0_stats
 from pseudovox.metrics import EvalReport, TrialScoreSet
-from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding, plda_score_matrix, project_many
+from pseudovox.plda import (
+    Gender,
+    PldaModel,
+    SpeakerEmbedding,
+    plda_score_matrix,
+    plda_score_pairs,
+    project,
+    project_many,
+)
 from pseudovox.selection import PoolSpeaker
 from pseudovox.simulate import AttackerModel
 
@@ -800,3 +814,50 @@ def dict_join(scores, key_rows):
             score_by_trial[(enroll_id, test_id)]
         )
     return TrialScoreSet(np.array(target), np.array(nontarget))
+
+
+def tuple_score(plda_file, enroll_file, trial_embeddings, trial_key, length_norm=True):
+    """``score``'s outputs built from ``parse_trials`` tuples: the id checks
+    in key order, one ``plda_score_pairs`` call, the finiteness check, a row
+    tuple per trial and ``serialize_scores``. Returns the texts of the score
+    file and of its manifest, or raises ``InvalidValueError`` with the
+    message of ``score``. The inputs must parse, with the model's dimension.
+    """
+    entries = {"format_version": FORMAT_VERSION, "package_version": __version__, "command": "score",
+               "length_norm": "true" if length_norm else "false"}
+
+    def read(path, name, parse):
+        data = Path(path).read_bytes()
+        entries[f"input_sha256_{name}"] = hashlib.sha256(data).hexdigest()
+        return parse(data.decode("utf-8"))
+
+    model = read(plda_file, "plda", formats.parse_plda)
+    enroll = read(enroll_file, "enroll", formats.parse_embeddings)
+    trials_emb = read(trial_embeddings, "trial_embeddings", formats.parse_embeddings)
+    key_rows = read(trial_key, "trial_key", formats.parse_trials)
+
+    enroll_row = {sid: row for row, sid in enumerate(dict.fromkeys(e.speaker_id for e in enroll))}
+    test_row = {e.utterance_id: row for row, e in enumerate(trials_emb)}
+    for enroll_id, test_id, _ in key_rows:
+        if enroll_id not in enroll_row:
+            raise errors.InvalidValueError(f"enrollment speaker {enroll_id!r} missing from {enroll_file}")
+        if test_id not in test_row:
+            raise errors.InvalidValueError(f"trial utterance {test_id!r} missing from {trial_embeddings}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        enroll_latents = {}
+        for emb in enroll:
+            enroll_latents.setdefault(emb.speaker_id, []).append(project(model, emb, length_norm=length_norm))
+        llrs = plda_score_pairs(
+            model,
+            np.array([np.mean(latents, axis=0) for latents in enroll_latents.values()]).reshape(-1, model.dim),
+            np.array([project(model, emb, length_norm=length_norm) for emb in trials_emb]).reshape(-1, model.dim),
+            np.array([enroll_row[e] for e, _, _ in key_rows], dtype=np.intp),
+            np.array([test_row[t] for _, t, _ in key_rows], dtype=np.intp),
+        )
+    non_finite = np.flatnonzero(~np.isfinite(llrs))
+    if non_finite.size:
+        enroll_id, test_id, _ = key_rows[non_finite[0]]
+        raise errors.InvalidValueError(f"score of trial ({enroll_id!r}, {test_id!r}) is not finite")
+    rows = [(e, t, llr) for (e, t, _), llr in zip(key_rows, llrs.tolist())]
+    entries["n_trials"] = str(len(rows))
+    return formats.serialize_scores(rows), serialize_keyvalues(entries)

@@ -3,7 +3,9 @@ import hashlib
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -566,6 +568,145 @@ def test_score_projection_error_names_the_file_and_the_utterance(tmp_path, runne
     assert result.exit_code == 1
     assert result.stderr == f"error: {inputs[which]}: utterance {utterance!r}: {reason}\n"
     assert not out.exists()
+
+
+SCORE_PAIRS = [(f"e{i}", f"u{j}") for i in range(3) for j in range(4)]
+# trials with ids missing from the embeddings: an enroll id, a test id, both on one trial, both on two
+SCORE_GHOSTS = [[("ghost", "u0")], [("e0", "ghost")], [("ghost", "nobody")], [("ghost", "u0"), ("e0", "ghost")]]
+
+
+@pytest.fixture(scope="module")
+def score_files(tmp_path_factory):
+    """Model and embeddings for keys over ``SCORE_PAIRS``; ``big`` is an
+    utterance of the second trial file only, whose scores overflow without
+    length normalization."""
+    root = tmp_path_factory.mktemp("score-property")
+    rng = np.random.default_rng(9)
+    dim = 3
+    model = PldaModel(rng.normal(size=dim) * 0.1, np.eye(dim), np.full(dim, 2.0))
+    enroll = [SpeakerEmbedding(f"e{i // 2}", Gender.MALE, rng.normal(size=dim), f"e{i // 2}-{i}") for i in range(5)]
+    trials = [SpeakerEmbedding(f"s{j}", Gender.FEMALE, rng.normal(size=dim), f"u{j}") for j in range(4)]
+    big = SpeakerEmbedding("s9", Gender.FEMALE, np.array([1e200, -1e200, 1e200]), "big")
+    return {
+        "plda": write(root / "plda.txt", formats.serialize_plda(model)),
+        "enroll": write(root / "enroll.txt", formats.serialize_embeddings(enroll)),
+        "trials": write(root / "trials.txt", formats.serialize_embeddings(trials)),
+        "trials_big": write(root / "trials_big.txt", formats.serialize_embeddings(trials + [big])),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(overflow=st.booleans(), data=st.data())
+def test_score_writes_the_tuple_path_bytes_or_fails_with_its_error(score_files, overflow, data):
+    """Keys sorted, shuffled or empty, read by the column fast path or the
+    per-line reader, with or without the ids of one of ``SCORE_GHOSTS``, and
+    trials whose score is not finite: ``score`` writes the score file and
+    manifest bytes of ``oracles.tuple_score``, or fails with its one error
+    line, exit code 1 and no file left behind."""
+    pairs = SCORE_PAIRS + [(f"e{i}", "big") for i in range(3)] if overflow else SCORE_PAIRS
+    kind = data.draw(st.sampled_from(["sorted", "shuffled", "empty"]))
+    rows = [] if kind == "empty" else [
+        (e, t, data.draw(st.booleans())) for e, t in data.draw(st.lists(st.sampled_from(pairs), unique=True))]
+    for ghost in data.draw(st.one_of(st.just([]), st.sampled_from(SCORE_GHOSTS))):
+        rows.insert(data.draw(st.integers(0, len(rows))), (*ghost, False))
+    if kind == "sorted":
+        rows.sort()
+    elif kind == "shuffled":
+        rows = data.draw(st.permutations(rows))
+    header = data.draw(st.sampled_from(["", "# a comment leaves the column fast path\n"]))
+    text = header + "".join(f"{e} {t} {'target' if label else 'nontarget'}\n" for e, t, label in rows)
+    overflow = data.draw(st.booleans())
+    length_norm = not overflow and data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        args = [score_files["plda"], score_files["enroll"], score_files["trials_big" if overflow else "trials"],
+                write(root / "key.txt", text)]
+        out = root / "scores.txt"
+        try:
+            expected = tuple(text.encode() for text in oracles.tuple_score(*args, length_norm=length_norm))
+        except InvalidValueError as exc:
+            expected = f"error: {exc}\n"
+        result = CliRunner().invoke(main, ["score", *args, str(out), "--length-norm" if length_norm else "--no-length-norm"])
+        event(f"{kind}: exit {result.exit_code}")
+        if isinstance(expected, str):
+            assert (result.exit_code, result.stdout, result.stderr) == (1, "", expected)
+            assert [p.name for p in root.iterdir()] == ["key.txt"]
+        else:
+            assert result.exit_code == 0, result.output
+            assert (out.read_bytes(), Path(f"{out}.manifest").read_bytes()) == expected
+
+
+def many_trials(tmp_path, n_enroll, n_test):
+    """Paths of a model, one enrollment utterance per speaker and ``n_test``
+    test utterances of dimension 2, and of the all-pairs key."""
+    rng = np.random.default_rng(4)
+    model = PldaModel(np.zeros(2), np.eye(2), np.full(2, 2.0))
+    enroll = [SpeakerEmbedding(f"e{i}", Gender.MALE, rng.normal(size=2), f"e{i}-u") for i in range(n_enroll)]
+    trials = [SpeakerEmbedding(f"s{j}", Gender.FEMALE, rng.normal(size=2), f"u{j}") for j in range(n_test)]
+    key = [(f"e{i}", f"u{j}", i == j) for i in range(n_enroll) for j in range(n_test)]
+    return [write(tmp_path / "plda.txt", formats.serialize_plda(model)),
+            write(tmp_path / "enroll.txt", formats.serialize_embeddings(enroll)),
+            write(tmp_path / "trials.txt", formats.serialize_embeddings(trials)),
+            write(tmp_path / "key.txt", formats.serialize_trials(key))]
+
+
+def test_score_streams_a_long_key_in_chunks_without_row_tuples(tmp_path, runner, monkeypatch):
+    """A key longer than one chunk is written in more than one chunk, none
+    over ``formats._CHUNK_LINES`` lines, with the bytes of the tuple path;
+    for a sorted key and a shuffled one, with the tuple reader and writer
+    out of reach."""
+    paths = many_trials(tmp_path, 70, 60)
+    sorted_key = Path(paths[3]).read_text()
+    lines = sorted_key.splitlines(keepends=True)
+    assert len(lines) > formats._CHUNK_LINES
+    expected, _ = oracles.tuple_score(*paths)
+    received: list[list[str]] = []  # each job's chunks
+    real = cli._build_into
+
+    def recording(build, fd):
+        kept = []
+        received.append(kept)
+
+        def recorded():
+            for chunk in build():
+                kept.append(chunk)
+                yield chunk
+
+        return real(recorded, fd)
+
+    monkeypatch.setattr(cli, "_build_into", recording)
+    for name in ("parse_trials", "serialize_scores"):
+        monkeypatch.setattr(formats, name, mock.Mock(side_effect=AssertionError(name)))
+    shuffled_key = "".join(np.random.default_rng(5).permutation(lines).tolist())
+    for name, key in (("sorted", sorted_key), ("shuffled", shuffled_key)):
+        out = tmp_path / f"scores-{name}.txt"
+        result = runner.invoke(main, ["score", *paths[:3], write(tmp_path / f"{name}.txt", key), str(out)])
+        assert result.exit_code == 0, result.output
+        chunks = received[-1]
+        assert len(chunks) > 1
+        assert max(chunk.count("\n") for chunk in chunks) <= formats._CHUNK_LINES
+        assert "".join(chunks) == out.read_text() == expected
+
+
+def test_score_traces_at_most_two_thirds_of_the_tuple_path(tmp_path, runner):
+    """On a 40,000-trial key with 2-dimensional embeddings, the traced
+    memory peak of ``score`` is at most two thirds of the tuple path's."""
+    paths = many_trials(tmp_path, 200, 200)
+    args = ["score", *paths, str(tmp_path / "scores.txt")]
+    results = [runner.invoke(main, args)]  # the imports and caches of a first run are not traced
+
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    command_peak = traced_peak(lambda: results.append(runner.invoke(main, args)))
+    tuple_peak = traced_peak(lambda: oracles.tuple_score(*paths))
+    assert [result.exit_code for result in results] == [0, 0]
+    assert command_peak <= 2 / 3 * tuple_peak, (command_peak, tuple_peak)
 
 
 # --- eval ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ canonical files never fall back to that per-token code."""
 
 import itertools
 import math
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from unittest import mock
 
 import numpy as np
@@ -477,6 +477,24 @@ def test_pair_files_with_unique_pairs_in_any_order_never_reach_the_per_line_read
         enroll, test, values, in_order = read("".join(order))
         assert in_order == (order is lines)
         assert list(zip(enroll, test, values.tolist())) == getattr(oracles, f"parse_{name}")("".join(order))
+
+
+@pytest.mark.parametrize("block", [1, 50, formats._BLOCK_CHARS])
+def test_pair_columns_hold_one_object_per_distinct_id_shared_between_files(monkeypatch, block):
+    """Split in blocks of any size, the fast path returns the per-token
+    reader's ids, each column holds one object per distinct id, and a score
+    file and its key hold the same objects."""
+    texts = canonical_texts(d=4)
+    monkeypatch.setattr(formats, "_records", mock.Mock(side_effect=AssertionError("per-line reader")))
+    monkeypatch.setattr(formats, "_BLOCK_CHARS", block)
+    columns = {name: getattr(formats, f"_{name[:-1]}_columns")(texts[name]) for name in ("scores", "trials")}
+    for name, (enroll, test, values, _) in columns.items():
+        records = getattr(oracles, f"parse_{name}")(texts[name])
+        assert (enroll, test, values.tolist()) == tuple(list(column) for column in zip(*records))
+        for ids in (enroll, test):
+            assert len(set(map(id, ids))) == len(set(ids)) < len(ids)
+    for score_ids, key_ids in zip(columns["scores"][:2], columns["trials"][:2]):
+        assert all(map(is_, score_ids, key_ids))
 
 
 def test_vector_lines_with_any_ids_never_reach_the_per_token_parser(monkeypatch):
