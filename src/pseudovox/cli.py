@@ -6,13 +6,15 @@ byte-identical to direct library calls. Global flags (``--seed``,
 
     pseudovox --seed 7 anonymize --pool pool.txt ...
 
-``--threads N`` lets up to N processes build and write a command's outputs,
-one whole output per process at a time, and the outputs are byte-identical
-for any N. Only commands with several large outputs gain: ``simulate`` most,
-``anonymize`` a little, ``stats`` and ``score`` not at all. Reading,
-selection, scoring and metrics run in one process. ``--seed`` has no effect
-on ``stats``, ``score`` and ``eval``, and a command refuses ``--det-out`` or
-``--config`` when it would ignore it.
+``--threads N`` with N > 1 builds and writes each of a command's outputs in
+a forked child of its own, up to N at a time, and the command's process
+builds none; a command with one output builds it in its own process. The
+outputs are byte-identical for any N. Only commands with several large
+outputs gain: ``simulate`` most, ``anonymize`` a little, ``stats`` and
+``score`` not at all. Reading, selection, scoring and metrics run in the
+command's process. ``--seed`` has no effect on ``stats``, ``score`` and
+``eval``, and a command refuses ``--det-out`` or ``--config`` when it would
+ignore it.
 
 Configuration files are ``key value`` lines, a key for each field of the
 command's config objects. Each setting flag is built from its field: ``--``
@@ -27,12 +29,12 @@ Every failure ends the run in one place: the command group turns any
 ``PseudovoxError`` a command raises into one ``error:`` line on stderr and
 exit code 1, so no command catches one to end the run itself. Every command
 writes in one ``_write`` call. It checks every output path and stages its
-temp file first; then each output is built as one job, in this process or a
-forked worker, and written and hashed one text chunk at a time (the score
-and trial grids of ``simulate`` come one enrollment row per chunk, the
-scores of ``score`` a few thousand lines per chunk); the manifest is written
-last. A failed job is reported as this process would report it, for the
-lowest-numbered failing output.
+temp file first; then each output is built as one job, in this process or
+in a forked child of its own, and written and hashed one text chunk at a
+time (the score and trial grids of ``simulate`` come one enrollment row per
+chunk, the scores of ``score`` a few thousand lines per chunk); the manifest
+is written last. A failed job is reported as this process would report it,
+for the lowest-numbered failing output.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import errno
 import hashlib
 import os
 import pickle
+import select
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -139,9 +142,11 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
     manifest records its ``output_sha256_<stem>``. First every path is
     checked and a hidden temp file is opened beside it, in the given order;
     no path may name a directory or an input read by ``_read``, and no two
-    may resolve to the same file. Then the builders run as jobs in
-    up to ``--threads`` processes (``_run_jobs``), each streaming its output
-    into its temp file. Last the manifest is built from the digests and every
+    may resolve to the same file. Then each builder runs as one job
+    (``_run_jobs``), streaming its output into its temp file: in this process
+    under ``--threads 1`` or for a single output, and otherwise in a forked
+    child of its own, up to ``--threads`` at a time, with this process
+    building none. Last the manifest is built from the digests and every
     temp file is renamed into place in the given order, manifest last.
 
     A failed run replaces nothing and reports the lowest-numbered failing
@@ -236,111 +241,103 @@ def _build_into(build: Callable[[], str | Iterable[str]], fd: int) -> str:
 
 
 def _run_jobs(jobs: list[tuple[Callable, int]], threads: int) -> list:
-    """``_build_into`` of each job, run in this process and in up to
-    ``min(threads, len(jobs)) - 1`` forked workers; each job's digest, its
+    """``_build_into`` of each job, in order; each job's digest, its
     exception, or None if it never ran.
 
-    Every process claims the next job from one pipe that holds one byte per
-    job, in job order, until the pipe is empty; a failed job empties it, so
-    every process stops after its current job and each job below a failed
-    one has run. Workers are forked, not spawned, because the builders are
-    closures over the command's results; they run only serializers, so no
-    BLAS routine and no lock that another thread may hold at the fork. A
-    worker reports each claim and each result over its own pipe and leaves
-    with ``os._exit`` (``_work``); a claim with no result fails its job.
-    Every worker is reaped before this returns. With one thread, one job or
-    no ``os.fork`` no worker is made.
+    With more than one thread and more than one job, each job is built in a
+    forked child of its own (``_child``), at most ``threads`` at a time, and
+    this process only forks, waits and collects (``_collect``). Children are
+    forked, not spawned, because the builders are closures over the
+    command's results; they run only serializers, so no BLAS routine and no
+    lock that another thread may hold at the fork. With one thread, one job
+    or no ``os.fork``, and for a job whose fork fails, this process builds
+    the job itself. No job starts once a failure is known, so each job below
+    a failed one has run. Every child is reaped before this returns.
     """
     results: list = [None] * len(jobs)
-    queue, fill = os.pipe()
+    forking = threads > 1 and len(jobs) > 1 and hasattr(os, "fork")
+    children: dict[int, tuple[int, int]] = {}  # read end of each child's report pipe: its job and pid
+    ready = select.poll() if forking else None
     try:
-        os.write(fill, bytes(range(len(jobs))))  # a command has a handful of outputs
-    finally:
-        os.close(fill)  # so that an empty queue reads as end of file
-    workers: dict[int, int] = {}  # pid: read end of its report pipe
-    try:
-        for _ in range(min(threads, len(jobs)) - 1 if hasattr(os, "fork") else 0):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no more processes: those made run every job
-                os.close(read)
-                os.close(write)
+        for index, job in enumerate(jobs):
+            while len(children) >= threads:
+                _collect(ready, children, results)
+            if any(isinstance(result, BaseException) for result in results):
                 break
-            if pid == 0:
-                os.close(read)
-                _work(jobs, queue, write)
-            os.close(write)
-            workers[pid] = read
-        _claim(jobs, queue, results.__setitem__)
+            child = _fork(job) if forking else None
+            if child is None:
+                results[index] = _outcome(job)
+            else:
+                children[child[0]] = (index, child[1])
+                ready.register(child[0], select.POLLIN)
     finally:
-        _drain(queue)
-        for pid, read in workers.items():
-            _collect(pid, read, results)
-        os.close(queue)
+        while children:
+            _collect(ready, children, results)
     return results
 
 
-def _claim(jobs: list[tuple[Callable, int]], queue: int, report: Callable[[int, object], None]) -> None:
-    """Claim and run jobs from ``queue`` until it is empty, passing
-    ``report`` each claimed index with None, then with the job's digest or
-    exception; a failure empties the queue."""
-    while claimed := os.read(queue, 1):
-        index = claimed[0]
-        report(index, None)
-        try:
-            result = _build_into(*jobs[index])
-        except BaseException as exc:  # raised again by ``_write``, after the cleanup
-            result = exc
-            _drain(queue)
-        report(index, result)
+def _outcome(job: tuple[Callable, int]):
+    """``_build_into`` of ``job``: its digest, or the exception it raised."""
+    try:
+        return _build_into(*job)
+    except BaseException as exc:  # raised again by ``_write``, after the cleanup
+        return exc
 
 
-def _drain(queue: int) -> None:
-    while os.read(queue, 256):
-        pass
+def _fork(job: tuple[Callable, int]) -> tuple[int, int] | None:
+    """Fork a child that builds ``job``; the read end of its report pipe and
+    its pid, or None if no process can be made."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        os.close(read)
+        _child(job, write)
+    os.close(write)  # so that the report reads as end of file once the child has left
+    return read, pid
 
 
-def _work(jobs: list[tuple[Callable, int]], queue: int, write: int) -> NoReturn:
-    """A forked worker: ``_claim`` with its reports pickled to the pipe end
+def _child(job: tuple[Callable, int], write: int) -> NoReturn:
+    """A forked child: ``_outcome`` of ``job``, pickled once to the pipe end
     ``write``, then ``os._exit``, so that it never returns into the command,
     flushes the command's stdio or runs its exit handlers."""
     code = 1
     try:
-        with open(write, "wb") as reports:
-            def report(index: int, result) -> None:
-                try:
-                    message = pickle.dumps((index, result))
-                    pickle.loads(message)  # as ``_collect`` will
-                except Exception:  # an exception that cannot be pickled or rebuilt
-                    message = pickle.dumps((index, RuntimeError(f"{type(result).__name__}: {result}")))
-                reports.write(message)
-                reports.flush()  # the claim is out before the job runs
-
-            _claim(jobs, queue, report)
+        result = _outcome(job)
+        try:
+            message = pickle.dumps(result)
+            pickle.loads(message)  # as ``_collect`` will
+        except Exception:  # an exception that cannot be pickled or rebuilt
+            message = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
+        with open(write, "wb") as report:
+            report.write(message)
         code = 0
     finally:
         os._exit(code)
 
 
-def _collect(pid: int, read: int, results: list) -> None:
-    """Read the reports of worker ``pid`` from the pipe end ``read`` into
-    ``results`` and reap the worker; a job it claimed and never finished
-    fails with its exit status."""
-    claimed = None
+def _collect(ready, children: dict[int, tuple[int, int]], results: list) -> None:
+    """Wait for a report pipe of ``children`` to be ready, read it to end of
+    file, then reap its child and record its job's result; a child that left
+    no report fails its job with its exit status. The pipe is read before the
+    child is reaped, because a child cannot leave while its report is larger
+    than the pipe holds."""
+    read = ready.poll()[0][0]
+    ready.unregister(read)
+    index, pid = children.pop(read)
     try:
-        with open(read, "rb") as reports:
-            while True:
-                try:
-                    index, result = pickle.load(reports)  # written by ``_work`` above
-                except (EOFError, pickle.UnpicklingError):
-                    break
-                results[index] = result
-                claimed = index if result is None else None
+        with open(read, "rb") as report:
+            message = report.read()
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if claimed is not None:
-        results[claimed] = ChildProcessError(f"the process writing it ended with exit status {status}")
+    try:
+        results[index] = pickle.loads(message)  # written by ``_child`` above
+    except (EOFError, pickle.UnpicklingError):
+        results[index] = ChildProcessError(f"the process writing it ended with exit status {status}")
 
 
 def _one_file(out_file: str, build: Callable[[], str]) -> tuple[list[_Output], Path]:

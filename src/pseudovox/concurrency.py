@@ -2,12 +2,13 @@
 tracer (``perfbench/spans.py``) is its only importer, and the next change to
 the benchmark deletes it.
 
-The command line does not use threads. ``--threads N`` lets up to N
-processes build and write a command's outputs, one whole output per process
-at a time (``cli._run_jobs``), and the outputs are byte-identical for any N.
-Only commands with several large outputs gain: ``simulate`` most,
-``anonymize`` a little, ``stats`` and ``score`` not at all. Reading,
-selection, scoring and metrics run in one process.
+The command line does not use threads. ``--threads N`` with N > 1 builds
+and writes each of a command's outputs in a forked child of its own, up to N
+at a time, and the command's process builds none (``cli._run_jobs``); the
+outputs are byte-identical for any N. Only commands with several large
+outputs gain: ``simulate`` most, ``anonymize`` a little, ``stats`` and
+``score`` not at all. Reading, selection, scoring and metrics run in the
+command's process.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 import errno
+import faulthandler
 import hashlib
 import math
 import os
+import signal
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -998,14 +1001,14 @@ def test_simulate_failing_in_mid_stream_leaves_the_tree_as_it_was(tmp_path, runn
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_WRITERS))
-@pytest.mark.parametrize("failure", ["first-raises", "last-raises", "worker-dies"])
+@pytest.mark.parametrize("failure", ["first-raises", "last-raises", "worker-dies", "worker-killed"])
 def test_a_failed_output_job_ends_the_run_in_any_process(tmp_path, runner, monkeypatch, command, failure):
     """An output that fails in this process or in a worker ends the run with
     one ``error:`` line for that output, the tree unchanged, and no temp file
     or child process left. A raising serializer gives the same error under
     one and two processes, and one process builds no output after it; a
-    worker that dies without a report fails the output it took, and with no
-    worker the run succeeds."""
+    worker that exits or is killed without a report fails the output it
+    took with its exit status, and with no worker the run succeeds."""
     if command == "anonymize":
         paths = build_anonymize_inputs(tmp_path)
         args = lambda out: ["--seed", "8"] + anonymize_args(paths, out, ["--f0", "modified"])
@@ -1024,8 +1027,10 @@ def test_a_failed_output_job_ends_the_run_in_any_process(tmp_path, runner, monke
         def serialize(*rows):
             if name == refused:
                 raise InvalidValueError(f"{out / name} refused")
-            if failure == "worker-dies":
+            if failure in ("worker-dies", "worker-killed"):
                 if os.getpid() != test_pid:
+                    if failure == "worker-killed":
+                        os.kill(os.getpid(), signal.SIGKILL)
                     os._exit(3)
                 try:  # hold this job until the worker has died on one of its own
                     os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
@@ -1045,7 +1050,7 @@ def test_a_failed_output_job_ends_the_run_in_any_process(tmp_path, runner, monke
         if threads == "1" and refused:
             names = [name for _, name in writers]
             assert built == names[:names.index(refused)]
-        if failure == "worker-dies" and threads == "1":  # no worker: the run succeeds
+        if failure in ("worker-dies", "worker-killed") and threads == "1":  # no worker: the run succeeds
             assert result.exit_code == 0, result.output
             before = tree(tmp_path)
             continue
@@ -1053,11 +1058,35 @@ def test_a_failed_output_job_ends_the_run_in_any_process(tmp_path, runner, monke
         assert result.stdout == ""
         assert tree(tmp_path) == before  # nothing replaced, no temp file
         stderr[threads] = result.stderr
-    if failure == "worker-dies":
-        assert stderr["2"] in {f"error: cannot write {out / name}: the process writing it ended with exit status 3\n"
-                               for _, name in writers}
+    if failure in ("worker-dies", "worker-killed"):
+        status = 3 if failure == "worker-dies" else -signal.SIGKILL
+        assert stderr["2"] in {f"error: cannot write {out / name}: the process writing it ended with exit status "
+                               f"{status}\n" for _, name in writers}
     else:
         assert stderr["1"] == stderr["2"] == f"error: {out / refused} refused\n"
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_a_child_error_larger_than_a_pipe_holds_ends_the_run(tmp_path, runner, monkeypatch, threads):
+    """A child's report is read before the child is reaped, so a 300 kB
+    error, more than a pipe holds, still ends the run with that one
+    ``error:`` line and no child left."""
+    message = "x" * 300_000
+
+    def refuse(*rows):
+        raise InvalidValueError(message)
+
+    monkeypatch.setattr(formats, "serialize_plda", refuse)
+    faulthandler.dump_traceback_later(120, exit=True)  # a deadlock ends the test run instead of hanging it
+    try:
+        result = runner.invoke(main, ["--threads", threads, "simulate", "--out-dir", str(tmp_path / "sim")] + SIM_ARGS)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert_no_child_left()
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -1780,6 +1809,61 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def open_fds():
+    """The entries of ``/proc/self/fd``, or None where there is no such directory."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def counted_forks(monkeypatch):
+    """Count the forks made through ``cli``'s ``os``, and the most of their
+    children forked and not yet reaped at once."""
+    real_fork, real_waitpid = cli.os.fork, cli.os.waitpid
+    count = SimpleNamespace(forks=0, alive=set(), most=0)
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            count.forks += 1
+            count.alive.add(pid)
+            count.most = max(count.most, len(count.alive))
+        return pid
+
+    def waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        count.alive.discard(reaped[0])
+        return reaped
+
+    monkeypatch.setattr(cli.os, "fork", fork)
+    monkeypatch.setattr(cli.os, "waitpid", waitpid)
+    return count
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_OUTPUTS))
+def test_threads_fork_one_child_per_output_and_at_most_threads_at_once(contract_inputs, command, tmp_path,
+                                                                       monkeypatch):
+    """``--threads 1`` forks nothing. Above it, a command with one output
+    (``stats``, ``score``) forks nothing either, and any other forks exactly
+    one child per output, with no more than ``--threads`` alive at once, even
+    when ``--threads`` exceeds the outputs. The outputs are byte-identical."""
+    inp = {name: str(tmp_path / f"{name}.txt") for name in contract_inputs[command]}
+    for name, path in inp.items():
+        Path(path).write_bytes(contract_inputs[command][name])
+    n_outputs = {"stats": 1, "anonymize": 4, "score": 1, "eval": 2, "simulate": 8}[command]  # with --det-out
+    trees = {}
+    for threads in (1, 2, 3, 64):
+        count = counted_forks(monkeypatch)
+        out_root = tmp_path / f"threads{threads}"
+        out_root.mkdir()
+        out = {slot: str(out_root / slot) for slot in CONTRACT_OUTPUTS[command]}
+        result = CliRunner().invoke(main, ["--threads", str(threads), *contract_args(command, inp, out)])
+        assert result.exit_code == 0, result.output
+        assert_no_child_left()
+        assert count.forks == (0 if threads == 1 or n_outputs == 1 else n_outputs)
+        assert count.most <= threads
+        trees[threads] = file_tree(out_root)
+    assert trees[2] == trees[3] == trees[64] == trees[1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(sorted(CONTRACT_OUTPUTS)), threads=st.sampled_from(["1", "2", "3"]), data=st.data())
 def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, command, threads, data):
@@ -1789,7 +1873,8 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
     settings at the ends of float64, written by 1 to 3 processes. Either the
     run exits 0 and every output parses and its manifest hashes hold, or it
     exits 1 with one ``error:`` line, no traceback, and the tree as it was;
-    either way no temp file and no child process is left."""
+    either way no temp file, child process or open file descriptor is
+    left."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.chdir(tmp)  # "." is the run's own directory
         root = Path(tmp)
@@ -1844,11 +1929,13 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
         for name, path in inp.items():
             Path(path).write_bytes(contents[name])
         before = file_tree(root)
+        fds = open_fds()
 
         result = CliRunner().invoke(main, ["--threads", threads, *contract_args(command, inp, out)])
 
         event(f"{command}: exit {result.exit_code}")
         assert_no_child_left()
+        assert open_fds() == fds  # every pipe and temp file is closed
         assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
         if result.exit_code == 0:
             for slot, parse in CONTRACT_OUTPUTS[command].items():
