@@ -6,15 +6,18 @@ byte-identical to direct library calls. Global flags (``--seed``,
 
     pseudovox --seed 7 anonymize --pool pool.txt ...
 
-``--threads N`` with N > 1 builds and writes each of a command's outputs in
-a forked child of its own, up to N at a time, and the command's process
-builds none; a command with one output builds it in its own process. The
-outputs are byte-identical for any N. Only commands with several large
-outputs gain: ``simulate`` most, ``anonymize`` a little, ``stats`` and
-``score`` not at all. Reading, selection, scoring and metrics run in the
-command's process. ``--seed`` has no effect on ``stats``, ``score`` and
-``eval``, and a command refuses ``--det-out`` or ``--config`` when it would
-ignore it.
+``--threads N`` with N > 1 builds and writes each of a command's output
+jobs in a forked child of its own, up to N at a time, and the command's
+process builds none; a command with one output builds it in its own
+process. Each output is one job, except ``simulate``'s score grid: it is
+written as up to N parts of its enrollment rows, which the command's process
+joins. ``simulate`` also starts the jobs of its cohort's outputs before its
+scenario runs. The outputs are byte-identical for any N. Only commands with
+several large outputs gain: ``simulate`` most, ``anonymize`` a little,
+``stats`` and ``score`` not at all. Reading, selection, scoring and metrics
+run in the command's process. ``--seed`` has no effect on ``stats``,
+``score`` and ``eval``, and a command refuses ``--det-out`` or ``--config``
+when it would ignore it.
 
 Configuration files are ``key value`` lines, a key for each field of the
 command's config objects. Each setting flag is built from its field: ``--``
@@ -29,12 +32,14 @@ Every failure ends the run in one place: the command group turns any
 ``PseudovoxError`` a command raises into one ``error:`` line on stderr and
 exit code 1, so no command catches one to end the run itself. Every command
 writes in one ``_write`` call. It checks every output path and stages its
-temp file first; then each output is built as one job, in this process or
-in a forked child of its own, and written and hashed one text chunk at a
-time (the score and trial grids of ``simulate`` come one enrollment row per
-chunk, the scores of ``score`` a few thousand lines per chunk); the manifest
-is written last. A failed job is reported as this process would report it,
-for the lowest-numbered failing output.
+temp file first, before ``simulate`` runs its scenario; then each output is
+built as one job, or ``simulate``'s score grid as one job per part, in this
+process or in a forked child of its own, and written and hashed one text
+chunk at a time (the score and trial grids of ``simulate`` come one
+enrollment row per chunk, the scores of ``score`` and the DET points of
+``--det-out`` a few thousand lines per chunk); the manifest is written
+last. A failed job is reported as this process would report it, for the
+lowest-numbered failing output.
 """
 
 from __future__ import annotations
@@ -131,31 +136,41 @@ def _of_dim(parse: Callable[[str], list[SpeakerEmbedding]], dim: int | None, of:
     return checked
 
 
-# path, builder of its text or its text chunks, hashed in the manifest
-_Output = tuple[Path, Callable[[], str | Iterable[str]], bool]
+# builder of an output's text or its text chunks
+_Build = Callable[[], str | Iterable[str]]
+# path, builder (or builders of its parts, joined in order), hashed in the manifest
+_Output = tuple[Path, _Build | list[_Build], bool]
 
 
-def _write(command: str, entries: dict[str, str], outputs: list[_Output], manifest: Path | None) -> None:
+def _write(command: str, entries: dict[str, str], outputs: list[_Output], manifest: Path | None,
+           early: tuple[int, ...] = (), meanwhile: Callable[[], None] = lambda: None) -> None:
     """Write ``outputs``, then the manifest at ``manifest`` unless it is None.
 
     Each output is its path, the builder of its text, and whether the
-    manifest records its ``output_sha256_<stem>``. First every path is
-    checked and a hidden temp file is opened beside it, in the given order;
-    no path may name a directory or an input read by ``_read``, and no two
-    may resolve to the same file. Then each builder runs as one job
-    (``_run_jobs``), streaming its output into its temp file: in this process
-    under ``--threads 1`` or for a single output, and otherwise in a forked
-    child of its own, up to ``--threads`` at a time, with this process
-    building none. Last the manifest is built from the digests and every
-    temp file is renamed into place in the given order, manifest last.
+    manifest records its ``output_sha256_<stem>``; a list of builders builds
+    the output in parts, which are joined in order. First every path is
+    checked and a hidden temp file is opened beside it, in the given order,
+    then one beside its output for each part; no path may name a directory
+    or an input read by ``_read``, and no two may resolve to the same file.
+    Then each builder runs as one job (``_Jobs``), streaming into its temp
+    file, in two batches: the jobs of the outputs numbered in ``early`` may
+    start, in that order, while ``meanwhile`` runs in this process, and the
+    other jobs start after it. Under ``--threads 1`` or for a single output
+    this process builds every job after ``meanwhile``, in output order;
+    otherwise each job is built in a forked child of its own, up to
+    ``--threads`` at a time, and this process builds none. Last the manifest
+    is built from the digests and every temp file is renamed into place in
+    the given order, manifest last.
 
     A failed run replaces nothing and reports the lowest-numbered failing
-    output, whichever process built it. The temp files are always removed,
-    and so are the directories made here if the set is not written.
+    output, whichever process built it; an error of ``meanwhile`` is raised
+    once every child is reaped. The temp files are always removed, and so
+    are the directories made here if the set is not written.
     """
     meta = click.get_current_context().meta
     paths = [path for path, _, _ in outputs] + ([] if manifest is None else [manifest])
-    staged: list[tuple[Path, int]] = []  # each staged path's temp file and its open descriptor
+    parts = [build if isinstance(build, list) else [build] for _, build, _ in outputs]
+    staged: list[tuple[Path, int]] = []  # temp file and open descriptor of each path, then of each part
     created: list[Path] = []
     targets: set[str] = set()
     written = False
@@ -171,15 +186,26 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
                 if target in targets:
                     raise OSError("another output of this command is the same file")
                 targets.add(target)
-                tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-                staged.append((tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)))
+                staged.append(_stage(path, os.O_WRONLY))
+            for path, builds in zip(paths, parts):
+                if len(builds) > 1:  # read back by ``_join``
+                    staged += [_stage(path, os.O_RDWR) for _ in builds]
             for path in paths:
                 if path.is_dir():
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         except OSError as exc:
             _fail(f"cannot write {path}: {exc}")
-        results = _run_jobs([(build, fd) for (_, build, _), (_, fd) in zip(outputs, staged)], meta["threads"])
-        for (path, _, hashed), result in zip(outputs, results):
+        part_fds = iter([fd for _, fd in staged[len(paths):]])
+        jobs = _Jobs([(output, build, staged[output][1] if len(builds) == 1 else next(part_fds))
+                      for output, builds in enumerate(parts) for build in builds],
+                     [fd for _, fd in staged[:len(outputs)]], meta["threads"])
+        try:
+            jobs.start(early, wait=False)
+            meanwhile()
+            jobs.start([output for output in range(len(outputs)) if output not in early], wait=True)
+        finally:
+            jobs.close()
+        for (path, _, hashed), result in zip(outputs, jobs.outcomes()):
             if isinstance(result, OSError):
                 _fail(f"cannot write {path}: {result}")
             if isinstance(result, BaseException):
@@ -190,7 +216,7 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
             if manifest is not None:
                 path = manifest
                 base = {"format_version": FORMAT_VERSION, "package_version": __version__, "command": command}
-                with open(staged[-1][1], "wb", closefd=False) as handle:
+                with open(staged[len(outputs)][1], "wb", closefd=False) as handle:
                     handle.write(formats.serialize_keyvalues({**base, **entries}).encode("utf-8"))
             for path, (tmp, _) in zip(paths, staged):
                 os.replace(tmp, path)
@@ -221,7 +247,13 @@ def _make_dirs(directory: Path, created: list[Path]) -> None:
         created.append(directory)
 
 
-def _build_into(build: Callable[[], str | Iterable[str]], fd: int) -> str:
+def _stage(path: Path, mode: int) -> tuple[Path, int]:
+    """A new hidden temp file beside ``path``, opened with ``mode``, and its descriptor."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    return tmp, os.open(tmp, mode | os.O_CREAT | os.O_EXCL, 0o666)
+
+
+def _build_into(build: _Build, fd: int) -> str:
     """Build one output into the file open at ``fd``; its SHA-256 hex digest.
 
     A builder returns one text or an iterable of text chunks; each chunk is
@@ -240,51 +272,146 @@ def _build_into(build: Callable[[], str | Iterable[str]], fd: int) -> str:
     return digest.hexdigest()
 
 
-def _run_jobs(jobs: list[tuple[Callable, int]], threads: int) -> list:
-    """``_build_into`` of each job, in order; each job's digest, its
-    exception, or None if it never ran.
+_JOIN_BLOCK = 1 << 20  # bytes of a part file that ``_join`` holds at a time
 
-    With more than one thread and more than one job, each job is built in a
-    forked child of its own (``_child``), at most ``threads`` at a time, and
-    this process only forks, waits and collects (``_collect``). Children are
-    forked, not spawned, because the builders are closures over the
-    command's results; they run only serializers, so no BLAS routine and no
-    lock that another thread may hold at the fork. With one thread, one job
-    or no ``os.fork``, and for a job whose fork fails, this process builds
-    the job itself. No job starts once a failure is known, so each job below
-    a failed one has run. Every child is reaped before this returns.
+
+def _join(parts: list[int], fd: int) -> str:
+    """Copy the files open at ``parts``, in order, into the file open at
+    ``fd`` a block at a time, hashing each block; the SHA-256 hex digest."""
+    digest = hashlib.sha256()
+    with open(fd, "wb", closefd=False) as handle:
+        for part in parts:
+            with open(part, "rb", closefd=False) as source:
+                source.seek(0)
+                while block := source.read(_JOIN_BLOCK):
+                    digest.update(block)
+                    handle.write(block)
+    return digest.hexdigest()
+
+
+class _Jobs:
+    """The output jobs of one ``_write``, given in batches (``start``).
+
+    Each job is the number of its output, its builder and the descriptor it
+    is built into (``_build_into``); the jobs are numbered in output order,
+    and ``fds`` holds each output's own descriptor. With more than one
+    thread and more than one job, each job is built in a forked child of its
+    own (``_child``), at most ``threads`` alive at once, and this process
+    only forks, waits and collects. Children are forked, not spawned,
+    because the builders are closures over the command's results; they run
+    only serializers, so no BLAS routine and no lock that another thread may
+    hold at the fork. With one thread, one job or no ``os.fork``, this
+    process builds the jobs itself, in order, when the last batch is given;
+    it builds a job whose fork fails at once.
+
+    No job starts above a known failure, and every job below one does, so
+    each output below the lowest failing one is built, whatever the order
+    the jobs start in. An output of several jobs is joined (``_join``) into
+    its own file once each of them is built.
     """
-    results: list = [None] * len(jobs)
-    forking = threads > 1 and len(jobs) > 1 and hasattr(os, "fork")
-    children: dict[int, tuple[int, int]] = {}  # read end of each child's report pipe: its job and pid
-    ready = select.poll() if forking else None
-    try:
-        for index, job in enumerate(jobs):
-            while len(children) >= threads:
-                _collect(ready, children, results)
-            if any(isinstance(result, BaseException) for result in results):
-                break
-            child = _fork(job) if forking else None
+
+    def __init__(self, jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int):
+        self.jobs, self.fds, self.threads = jobs, fds, threads
+        self.results: list = [None] * len(jobs)  # each job's digest or exception, None until it is built
+        self.digests: dict[int, str] = {}  # of each output whose jobs are all built
+        self.forking = threads > 1 and len(jobs) > 1 and hasattr(os, "fork")
+        self.queue: list[int] = []  # the jobs given and not started, in start order
+        self.children: dict[int, tuple[int, int]] = {}  # read end of each child's report pipe: its job and pid
+        self.ready = select.poll() if self.forking else None
+
+    def start(self, outputs: Iterable[int], wait: bool) -> None:
+        """Queue the jobs of ``outputs``, in that order, and fork queued jobs
+        while fewer than ``threads`` children are alive; with ``wait``, start
+        every queued job and collect every child."""
+        self.queue += [number for output in outputs for number, job in enumerate(self.jobs) if job[0] == output]
+        if not self.forking:
+            if wait:
+                for number in sorted(self.queue):
+                    if not self._failed_below(number):
+                        self._record(number, _outcome(self.jobs[number]))
+                self.queue.clear()
+            return
+        self._collect(0)  # the children done by now free their places
+        while self.queue:
+            if len(self.children) >= self.threads:
+                if not wait:
+                    return
+                self._collect(None)
+                continue
+            number = self.queue.pop(0)
+            if self._failed_below(number):
+                continue
+            child = _fork(self.jobs[number])
             if child is None:
-                results[index] = _outcome(job)
+                self._record(number, _outcome(self.jobs[number]))
             else:
-                children[child[0]] = (index, child[1])
-                ready.register(child[0], select.POLLIN)
-    finally:
-        while children:
-            _collect(ready, children, results)
-    return results
+                self.children[child[0]] = (number, child[1])
+                self.ready.register(child[0], select.POLLIN)
+        if wait:
+            self.close()
+
+    def close(self) -> None:
+        """Wait for every child and collect it."""
+        while self.children:
+            self._collect(None)
+
+    def outcomes(self) -> list:
+        """Each output's digest, the exception of its lowest-numbered failed
+        job, or None if it was not built."""
+        failed: dict[int, BaseException] = {}
+        for (output, _, _), result in zip(self.jobs, self.results):
+            if isinstance(result, BaseException):
+                failed.setdefault(output, result)
+        return [failed.get(output, self.digests.get(output)) for output in range(len(self.fds))]
+
+    def _failed_below(self, number: int) -> bool:
+        return any(isinstance(result, BaseException) for result in self.results[:number])
+
+    def _record(self, number: int, result) -> None:
+        """Record the result of job ``number``; once every job of its output
+        is built, the output's digest, joining its jobs' files if they are
+        several."""
+        self.results[number] = result
+        output = self.jobs[number][0]
+        numbers = [n for n, job in enumerate(self.jobs) if job[0] == output]
+        if all(isinstance(self.results[n], str) for n in numbers):
+            try:
+                self.digests[output] = (result if len(numbers) == 1 else
+                                        _join([self.jobs[n][2] for n in numbers], self.fds[output]))
+            except OSError as exc:
+                self.results[number] = exc
+
+    def _collect(self, timeout: int | None) -> None:
+        """Collect each child whose report pipe is ready within ``timeout``
+        ms (None: once one is): read the pipe to end of file, then reap the
+        child and record its job's result; a child that left no report fails
+        its job with its exit status. The pipe is read before the child is
+        reaped, because a child cannot leave while its report is larger than
+        the pipe holds."""
+        for read, _ in self.ready.poll(timeout):
+            self.ready.unregister(read)
+            number, pid = self.children.pop(read)
+            try:
+                with open(read, "rb") as report:
+                    message = report.read()
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            try:
+                result = pickle.loads(message)  # written by ``_child`` below
+            except (EOFError, pickle.UnpicklingError):
+                result = ChildProcessError(f"the process writing it ended with exit status {status}")
+            self._record(number, result)
 
 
-def _outcome(job: tuple[Callable, int]):
+def _outcome(job: tuple[int, _Build, int]):
     """``_build_into`` of ``job``: its digest, or the exception it raised."""
     try:
-        return _build_into(*job)
+        return _build_into(*job[1:])
     except BaseException as exc:  # raised again by ``_write``, after the cleanup
         return exc
 
 
-def _fork(job: tuple[Callable, int]) -> tuple[int, int] | None:
+def _fork(job: tuple[int, _Build, int]) -> tuple[int, int] | None:
     """Fork a child that builds ``job``; the read end of its report pipe and
     its pid, or None if no process can be made."""
     read, write = os.pipe()
@@ -301,7 +428,7 @@ def _fork(job: tuple[Callable, int]) -> tuple[int, int] | None:
     return read, pid
 
 
-def _child(job: tuple[Callable, int], write: int) -> NoReturn:
+def _child(job: tuple[int, _Build, int], write: int) -> NoReturn:
     """A forked child: ``_outcome`` of ``job``, pickled once to the pipe end
     ``write``, then ``os._exit``, so that it never returns into the command,
     flushes the command's stdio or runs its exit handlers."""
@@ -310,7 +437,7 @@ def _child(job: tuple[Callable, int], write: int) -> NoReturn:
         result = _outcome(job)
         try:
             message = pickle.dumps(result)
-            pickle.loads(message)  # as ``_collect`` will
+            pickle.loads(message)  # as ``_Jobs._collect`` will
         except Exception:  # an exception that cannot be pickled or rebuilt
             message = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
         with open(write, "wb") as report:
@@ -318,26 +445,6 @@ def _child(job: tuple[Callable, int], write: int) -> NoReturn:
         code = 0
     finally:
         os._exit(code)
-
-
-def _collect(ready, children: dict[int, tuple[int, int]], results: list) -> None:
-    """Wait for a report pipe of ``children`` to be ready, read it to end of
-    file, then reap its child and record its job's result; a child that left
-    no report fails its job with its exit status. The pipe is read before the
-    child is reaped, because a child cannot leave while its report is larger
-    than the pipe holds."""
-    read = ready.poll()[0][0]
-    ready.unregister(read)
-    index, pid = children.pop(read)
-    try:
-        with open(read, "rb") as report:
-            message = report.read()
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    try:
-        results[index] = pickle.loads(message)  # written by ``_child`` above
-    except (EOFError, pickle.UnpicklingError):
-        results[index] = ChildProcessError(f"the process writing it ended with exit status {status}")
 
 
 def _one_file(out_file: str, build: Callable[[], str]) -> tuple[list[_Output], Path]:
@@ -462,7 +569,7 @@ def _det_output(obj, scores: Callable[[], TrialScoreSet]) -> list[_Output]:
     """The ``--det-out`` output, if the flag was given."""
     if obj.det_out is None:
         return []
-    return [(Path(obj.det_out), lambda: formats.serialize_det(det_points(scores())), False)]
+    return [(Path(obj.det_out), lambda: formats._det_chunks(det_points(scores())), False)]
 
 
 class _Main(click.Group):
@@ -481,8 +588,10 @@ class _Main(click.Group):
               help="Global selection/cohort seed override; no effect on stats, score and eval.")
 @click.option("--config", type=click.Path(), default=None, help="'key value' config file.")
 @click.option("--threads", type=_IntRange(min=1), default=1, show_default=True,
-              help="Up to this many processes build and write the outputs, one whole output each at a time; "
-                   "outputs are byte-identical for any value. Only commands with several large outputs gain "
+              help="Up to this many processes build and write the outputs, each one output at a time or one "
+                   "of up to this many parts of simulate's score grid; simulate starts its cohort's outputs "
+                   "while its scenario runs. Outputs are byte-identical for any value. "
+                   "Only commands with several large outputs gain "
                    "(simulate most, anonymize a little, stats and score not at all); reading, selection, "
                    "scoring and metrics run in one process.")
 @click.option("--det-out", type=click.Path(), default=None, help="Write DET operating points to this file.")
@@ -753,30 +862,37 @@ def simulate(obj, out_dir, **flags):
     sel = _build(SelectionConfig, resolved, k_far=12, k_sel=6, length_norm=False)
 
     cohort = generate_cohort(spec)
-    result = run_scenario(cohort, scenario, sel)
+    result = None
 
-    settings = {**asdict(sel), **asdict(spec), **asdict(scenario)}
-    del settings["global_seed"], settings["f0_weight"]
-    settings.update({
-        "cohort_seed": settings.pop("seed"),
-        "f0_weight_used": result.f0_weight_used,
-        "n_trials": result.score_matrix.size,
-    })
-    entries.update(_recorded(settings))
+    def run():  # in this process while the cohort's outputs are built
+        nonlocal result
+        result = run_scenario(cohort, scenario, sel)
+        settings = {**asdict(sel), **asdict(spec), **asdict(scenario)}
+        del settings["global_seed"], settings["f0_weight"]
+        settings.update({
+            "cohort_seed": settings.pop("seed"),
+            "f0_weight_used": result.f0_weight_used,
+            "n_trials": result.score_matrix.size,
+        })
+        entries.update(_recorded(settings))
+
     out = Path(out_dir)
     utterances = [u for speaker in cohort.users for u in speaker.utterances]
-    grid_ids = (result.enroll_ids, result.utt_ids)
+    # the score grid in up to --threads parts of its enrollment rows, one row per user
+    parts = min(click.get_current_context().meta["threads"], len(cohort.users))
     _write("simulate", entries, [
         (out / "pool.txt", lambda: formats.serialize_pool(cohort.pool.speakers), True),
         (out / "user_embeddings.txt", lambda: formats.serialize_embeddings(
             [SpeakerEmbedding(u.speaker_id, u.gender, u.embedding, u.utterance_id) for u in utterances]), True),
         (out / "user_contours.txt", lambda: formats.serialize_contours([u.contour for u in utterances]), True),
         (out / "plda.txt", lambda: formats.serialize_plda(cohort.plda), True),
-        (out / "scores.txt", lambda: formats._score_grid_rows(*grid_ids, result.score_matrix), True),
-        (out / "trials.txt", lambda: formats._trial_grid_rows(*grid_ids, result.label_matrix), True),
+        (out / "scores.txt", [lambda part=part: formats._score_grid_rows(
+            result.enroll_ids, result.utt_ids, result.score_matrix, part, parts) for part in range(parts)], True),
+        (out / "trials.txt", lambda: formats._trial_grid_rows(result.enroll_ids, result.utt_ids, result.label_matrix),
+         True),
         (out / "report.txt", lambda: formats.serialize_report(result.report), True),
         *_det_output(obj, lambda: result.scores),
-    ], out / "manifest.txt")
+    ], out / "manifest.txt", early=(2, 1, 0, 3), meanwhile=run)  # the cohort's outputs, largest first
 
 
 if __name__ == "__main__":

@@ -511,9 +511,10 @@ def serialize_trial_grid(enroll_ids: list[str], utt_ids: list[str], labels) -> s
     return "".join(_trial_grid_rows(enroll_ids, utt_ids, labels))
 
 
-def _score_grid_rows(enroll_ids, utt_ids, scores):
-    """The text of ``serialize_score_grid``, one enrollment row at a time."""
-    enroll, utts, matrix = _sorted_grid(enroll_ids, utt_ids, scores, np.float64)
+def _score_grid_rows(enroll_ids, utt_ids, scores, part: int = 0, parts: int = 1):
+    """The text of ``serialize_score_grid``, one enrollment row at a time;
+    with ``parts``, only the rows of part ``part`` (``_sorted_grid``)."""
+    enroll, utts, matrix = _sorted_grid(enroll_ids, utt_ids, scores, np.float64, part, parts)
     tails = [f" {u} " for u in utts]
     return _grid_rows(enroll, (map(add, tails, map(repr, row.tolist())) for row in matrix))
 
@@ -568,7 +569,13 @@ def parse_det(text: str) -> list[tuple[float, float]]:
 
 
 def serialize_det(points: list[tuple[float, float]]) -> str:
-    return _joined([f"{float(x)!r} {float(y)!r}" for x, y in points])
+    return "".join(_det_chunks(points))
+
+
+def _det_chunks(points: list[tuple[float, float]]):
+    """The text of ``serialize_det`` as chunks of ``_CHUNK_LINES`` lines."""
+    for i in range(0, len(points), _CHUNK_LINES):
+        yield _joined([f"{float(x)!r} {float(y)!r}" for x, y in points[i:i + _CHUNK_LINES]])
 
 
 # --- evaluation report ------------------------------------------------------
@@ -719,11 +726,17 @@ def _joined(lines: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _sorted_grid(enroll_ids, utt_ids, matrix, dtype) -> tuple[list[str], list[str], np.ndarray]:
+def _sorted_grid(enroll_ids, utt_ids, matrix, dtype, part: int = 0,
+                 parts: int = 1) -> tuple[list[str], list[str], np.ndarray]:
     """Both id lists sorted and ``matrix`` reordered to match, after the checks
     the row writers make on the enrollment-major rows: a repeated pair raises
     ``_require_unique``'s error, then each distinct id is checked once in the
     order the rows write them. No cells: nothing to write, nothing checked.
+
+    With ``parts``, only the sorted rows ``[part * n // parts, (part + 1) *
+    n // parts)`` of the n come back, so the parts in order are the whole
+    grid. Every part makes all the checks, so each raises the whole grid's
+    error.
     """
     enroll_ids, utt_ids = list(enroll_ids), list(utt_ids)
     matrix = np.asarray(matrix, dtype=dtype)
@@ -738,7 +751,8 @@ def _sorted_grid(enroll_ids, utt_ids, matrix, dtype) -> tuple[list[str], list[st
     enroll = [enroll_ids[i] for i in enroll_order]
     utts = [utt_ids[j] for j in utt_order]
     _check_out_ids(chain(enroll[:1], utts, enroll[1:]))  # the first row, then the other rows
-    return enroll, utts, matrix[np.ix_(enroll_order, utt_order)]
+    rows = slice(part * len(enroll) // parts, (part + 1) * len(enroll) // parts)
+    return enroll[rows], utts, matrix[np.ix_(enroll_order[rows], utt_order)]
 
 
 def _grid_rows(enroll: list[str], row_tails):

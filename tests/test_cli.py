@@ -1,6 +1,7 @@
 import errno
 import faulthandler
 import hashlib
+import itertools
 import math
 import os
 import signal
@@ -813,6 +814,39 @@ def test_eval_det_out_without_out_writes_only_the_det_file(tmp_path, runner):
     assert read_dir(tmp_path) == {**before, "d.txt": det.encode()}  # and no manifest
 
 
+def test_eval_det_out_streams_the_serialize_det_bytes_with_tied_scores(tmp_path, runner, monkeypatch):
+    """``--det-out`` is written a chunk of lines at a time, never as one text:
+    with tied scores and more points than one chunk holds, its bytes are those
+    of ``serialize_det`` and of the per-token oracle."""
+    rng = np.random.default_rng(5)
+    enroll, test = [f"e{i:03d}" for i in range(100)], [f"t{j:03d}" for j in range(200)]
+    pairs = [(e, t) for e in enroll for t in test]
+    scores = np.round(rng.normal(size=len(pairs)), 3)  # about 6,000 distinct values, most of them tied
+    labels = rng.random(len(pairs)) < 0.3
+    score_file = write(tmp_path / "s.txt", formats.serialize_scores(
+        [(e, t, s) for (e, t), s in zip(pairs, scores.tolist())]))
+    key_file = write(tmp_path / "k.txt", formats.serialize_trials(
+        [(e, t, bool(label)) for (e, t), label in zip(pairs, labels)]))
+    points = det_points(TrialScoreSet(scores[labels], scores[~labels]))
+    assert len(points) > formats._CHUNK_LINES
+    whole = formats.serialize_det(points)
+    chunk_lines = []
+    real = formats._det_chunks
+
+    def recorded(points):
+        for chunk in real(points):
+            chunk_lines.append(chunk.count("\n"))
+            yield chunk
+
+    monkeypatch.setattr(formats, "_det_chunks", recorded)
+    monkeypatch.setattr(formats, "serialize_det", mock.Mock(side_effect=AssertionError("one whole text")))
+    det = tmp_path / "det.txt"
+    result = runner.invoke(main, ["--det-out", str(det), "eval", score_file, key_file])
+    assert result.exit_code == 0, result.output
+    assert det.read_text() == whole == oracles.serialize_det(points)
+    assert len(chunk_lines) > 1 and max(chunk_lines) == formats._CHUNK_LINES and sum(chunk_lines) == len(points)
+
+
 @pytest.mark.filterwarnings("error")  # a RuntimeWarning fails the run
 def test_eval_refuses_a_cllr_that_overflows(tmp_path, runner):
     score_file = write(tmp_path / "s.txt", "e1 u1 -1e308\ne1 u2 0.0\ne2 u1 0.0\ne2 u2 -1e308\n")
@@ -1000,13 +1034,70 @@ def test_simulate_failing_in_mid_stream_leaves_the_tree_as_it_was(tmp_path, runn
         assert tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("failure", ["scenario-raises", "part-raises"])
+def test_simulate_failing_after_the_cohort_jobs_start_leaves_the_tree_as_it_was(tmp_path, runner, monkeypatch,
+                                                                                  threads, failure):
+    """Above one thread the cohort's outputs start building before the
+    scenario runs. A scenario that then raises, or a score grid part that
+    raises after its first row, ends the run with one ``error:`` line and
+    exit 1, and leaves the tree, the open descriptors and the children as
+    they were: no temp file, part file or new directory."""
+    out = tmp_path / "sim"
+    assert runner.invoke(main, ["simulate", "--out-dir", str(out)] + SIM_ARGS).exit_code == 0
+    before = tree(tmp_path)
+    count = counted_forks(monkeypatch)
+    forked_before_the_scenario = []
+    if failure == "scenario-raises":
+        def run_scenario(*args):
+            forked_before_the_scenario.append(count.forks)
+            refuse_the_scenario()
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+    else:
+        monkeypatch.setattr(formats, "_score_grid_rows", refused_after_the_first_row(formats._score_grid_rows))
+    fds = open_fds()
+    for target in (out, tmp_path / "fresh" / "deeper"):
+        count.forks = 0
+        result = runner.invoke(main, ["--seed", "8", "--threads", str(threads), "simulate", "--out-dir",
+                                      str(target)] + SIM_ARGS)
+        assert_no_child_left()
+        assert open_fds() == fds
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {'scenario' if failure == 'scenario-raises' else 'grid'} refused\n"
+        assert tree(tmp_path) == before
+    if failure == "scenario-raises":  # the cohort's four outputs, up to --threads of them
+        assert forked_before_the_scenario == [0 if threads == 1 else min(threads, 4)] * 2
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_path_error_is_reported_before_a_scenario_error(tmp_path, runner, threads):
+    """Every path is checked before the scenario runs, so a run with an
+    unwritable output and a scenario that fails reports the path."""
+    (tmp_path / "sim").write_text("a file, not a directory\n")
+    before = tree(tmp_path)
+    result = runner.invoke(main, ["--threads", threads, "simulate", "--out-dir", str(tmp_path / "sim")]
+                           + SIM_ARGS + ["--f0-weight", "-1e308"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: cannot write {tmp_path / 'sim' / 'pool.txt'}: ")
+    assert tree(tmp_path) == before
+    result = runner.invoke(main, ["--threads", threads, "simulate", "--out-dir", str(tmp_path / "fresh")]
+                           + SIM_ARGS + ["--f0-weight", "-1e308"])
+    assert result.exit_code == 1
+    assert result.stderr == "error: Cllr overflows float64\n"  # the scenario's error
+    assert tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("command", sorted(OUTPUT_WRITERS))
-@pytest.mark.parametrize("failure", ["first-raises", "last-raises", "worker-dies", "worker-killed"])
+@pytest.mark.parametrize("failure", ["first-raises", "last-raises", "every-raises", "worker-dies", "worker-killed"])
 def test_a_failed_output_job_ends_the_run_in_any_process(tmp_path, runner, monkeypatch, command, failure):
     """An output that fails in this process or in a worker ends the run with
     one ``error:`` line for that output, the tree unchanged, and no temp file
     or child process left. A raising serializer gives the same error under
-    one and two processes, and one process builds no output after it; a
+    one and two processes, and one process builds no output after it; when
+    every serializer raises, both report the first output, although two
+    processes start the cohort's outputs of ``simulate`` before it; a
     worker that exits or is killed without a report fails the output it
     took with its exit status, and with no worker the run succeeds."""
     if command == "anonymize":
@@ -1020,12 +1111,12 @@ def test_a_failed_output_job_ends_the_run_in_any_process(tmp_path, runner, monke
     test_pid = os.getpid()
 
     writers = OUTPUT_WRITERS[command]
-    refused = {"first-raises": writers[0][1], "last-raises": writers[-1][1]}.get(failure)
+    refused = {"first-raises": writers[0][1], "last-raises": writers[-1][1], "every-raises": writers[0][1]}.get(failure)
     built = []  # the outputs built in this process
 
     def failing(real, name):
         def serialize(*rows):
-            if name == refused:
+            if name == refused or failure == "every-raises":
                 raise InvalidValueError(f"{out / name} refused")
             if failure in ("worker-dies", "worker-killed"):
                 if os.getpid() != test_pid:
@@ -1814,6 +1905,18 @@ def open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
+def refuse_the_scenario(*args, **kwargs):
+    raise InvalidValueError("scenario refused")
+
+
+def refused_after_the_first_row(real):
+    """``real``, a writer of text chunks, refusing after its first chunk."""
+    def rows(*args):
+        yield from itertools.islice(real(*args), 1)
+        raise InvalidValueError("grid refused")
+    return rows
+
+
 def counted_forks(monkeypatch):
     """Count the forks made through ``cli``'s ``os``, and the most of their
     children forked and not yet reaped at once."""
@@ -1843,12 +1946,15 @@ def test_threads_fork_one_child_per_output_and_at_most_threads_at_once(contract_
                                                                        monkeypatch):
     """``--threads 1`` forks nothing. Above it, a command with one output
     (``stats``, ``score``) forks nothing either, and any other forks exactly
-    one child per output, with no more than ``--threads`` alive at once, even
-    when ``--threads`` exceeds the outputs. The outputs are byte-identical."""
+    one child per output job, with no more than ``--threads`` alive at once,
+    even when ``--threads`` exceeds the jobs. Each output is one job, but
+    ``simulate``'s score grid is ``min(threads, rows)`` part jobs, one for
+    each range of its enrollment rows. The outputs are byte-identical."""
     inp = {name: str(tmp_path / f"{name}.txt") for name in contract_inputs[command]}
     for name, path in inp.items():
         Path(path).write_bytes(contract_inputs[command][name])
     n_outputs = {"stats": 1, "anonymize": 4, "score": 1, "eval": 2, "simulate": 8}[command]  # with --det-out
+    rows = 8  # the users of the contract cohort, 4 per gender: the score grid's enrollment rows
     trees = {}
     for threads in (1, 2, 3, 64):
         count = counted_forks(monkeypatch)
@@ -1858,7 +1964,8 @@ def test_threads_fork_one_child_per_output_and_at_most_threads_at_once(contract_
         result = CliRunner().invoke(main, ["--threads", str(threads), *contract_args(command, inp, out)])
         assert result.exit_code == 0, result.output
         assert_no_child_left()
-        assert count.forks == (0 if threads == 1 or n_outputs == 1 else n_outputs)
+        jobs = n_outputs + (min(threads, rows) - 1 if command == "simulate" else 0)
+        assert count.forks == (0 if threads == 1 or n_outputs == 1 else jobs)
         assert count.most <= threads
         trees[threads] = file_tree(out_root)
     assert trees[2] == trees[3] == trees[64] == trees[1]
@@ -1869,8 +1976,10 @@ def test_threads_fork_one_child_per_output_and_at_most_threads_at_once(contract_
 def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, command, threads, data):
     """Small valid inputs, changed: edited bytes, swapped files, outputs that
     collide with an input, with each other or with existing files, one-file
-    outputs that name no file (``.``, ``""``), and ``simulate`` float
-    settings at the ends of float64, written by 1 to 3 processes. Either the
+    outputs that name no file (``.``, ``""``), ``simulate`` float settings at
+    the ends of float64, and a ``simulate`` scenario or score grid part that
+    raises once the cohort's outputs have started, written by 1 to 3
+    processes. Either the
     run exits 0 and every output parses and its manifest hashes hold, or it
     exits 1 with one ``error:`` line, no traceback, and the tree as it was;
     either way no temp file, child process or open file descriptor is
@@ -1897,6 +2006,8 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
         file_slots = sorted(slot for slot, parse in CONTRACT_OUTPUTS[command].items() if parse is not None)
         if file_slots:
             kinds.append("no-name")
+        if command == "simulate":  # failures after the cohort's outputs start building
+            kinds += ["scenario-raises", "part-raises"]
         for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2, unique=True)):
             if kind == "edit":
                 name = data.draw(st.sampled_from(sorted(contents)))
@@ -1906,6 +2017,10 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
                 inp[a], inp[b] = inp[b], inp[a]
             elif kind == "no-name":
                 out[data.draw(st.sampled_from(file_slots))] = data.draw(st.sampled_from([".", ""]))
+            elif kind == "scenario-raises":
+                patch.setattr(cli, "run_scenario", refuse_the_scenario)
+            elif kind == "part-raises":
+                patch.setattr(formats, "_score_grid_rows", refused_after_the_first_row(formats._score_grid_rows))
             else:
                 slot = data.draw(st.sampled_from(sorted(out)))
                 if kind == "earlier":  # an earlier run's outputs in place

@@ -590,7 +590,8 @@ def test_pair_serializers_do_not_sort_sorted_rows(monkeypatch, name):
 
 # --- grid writers ----------------------------------------------------------------
 
-GRID_IDS = st.lists(st.sampled_from(["a", "b", "c", "u1", "spk-2", "é", "#x", "a b", "x\ty", ""]), max_size=5)
+GRID_ID = st.sampled_from(["a", "b", "c", "u1", "spk-2", "é", "#x", "a b", "x\ty", ""])
+GRID_IDS = st.lists(GRID_ID, max_size=5)
 
 
 def _write_outcome(write, *args):
@@ -621,6 +622,50 @@ def test_grid_writers_equal_the_row_writers(enroll, utts, data):
     assert _write_outcome(formats.serialize_trial_grid, enroll, utts, labels) == _write_outcome(
         formats.serialize_trials, rows(labels)
     )
+
+
+def _part_outcome(enroll, utts, scores, part, parts):
+    try:
+        return "".join(formats._score_grid_rows(enroll, utts, scores, part, parts))
+    except PseudovoxError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_parts_join_to_the_whole_grid(enroll, utts, scores):
+    """For every part count from 1 to rows + 1, the parts of the score grid,
+    joined in order, are the bytes of ``serialize_score_grid``; when the whole
+    grid raises, every part raises the same error."""
+    whole = _write_outcome(formats.serialize_score_grid, enroll, utts, scores)
+    for parts in range(1, len(enroll) + 2):
+        outcomes = [_part_outcome(enroll, utts, scores, part, parts) for part in range(parts)]
+        if isinstance(whole, str):
+            assert "".join(outcomes) == whole
+        else:
+            assert outcomes == [whole] * parts
+
+
+@PROPERTY
+@given(enroll=st.one_of(st.just([]), st.lists(GRID_ID, min_size=1, max_size=1), GRID_IDS), utts=GRID_IDS,
+       data=st.data())
+def test_score_grid_parts_join_to_the_whole_grid(enroll, utts, data):
+    """Grids of 0, 1 and several enrollment rows, with ids in any order,
+    repeated, unwritable or none (``_assert_parts_join_to_the_whole_grid``)."""
+    size = len(enroll) * len(utts)
+    values = data.draw(st.lists(st.floats(width=64), min_size=size, max_size=size))
+    _assert_parts_join_to_the_whole_grid(enroll, utts, np.array(values, dtype=np.float64).reshape(len(enroll),
+                                                                                                 len(utts)))
+
+
+@pytest.mark.parametrize("enroll", [
+    ["b", "a", "c", "d"],  # every id writes
+    ["c", "a b", "d", "e"],  # an unwritable id in the first sorted row
+    ["a", "x\ty", "c", "d"],  # in the last
+    ["c", "a", "a", "d"],  # an id repeated in the first row
+    ["a", "d", "c", "d"],  # in the last
+])
+def test_score_grid_parts_raise_the_whole_grids_error_from_any_row(enroll):
+    utts = ["u2", "u1", "u3"]
+    _assert_parts_join_to_the_whole_grid(enroll, utts, np.arange(12, dtype=np.float64).reshape(4, 3) / 8)
 
 
 @pytest.mark.parametrize("write", [formats.serialize_score_grid, formats.serialize_trial_grid])
