@@ -6,18 +6,10 @@ byte-identical to direct library calls. Global flags (``--seed``,
 
     pseudovox --seed 7 anonymize --pool pool.txt ...
 
-``--threads N`` with N > 1 builds and writes each of a command's output
-jobs in a forked child of its own, up to N at a time, and the command's
-process builds none; a command with one output builds it in its own
-process. Each output is one job, except ``simulate``'s score grid: it is
-written as up to N parts of its enrollment rows, which the command's process
-joins. ``simulate`` also starts the jobs of its cohort's outputs before its
-scenario runs. The outputs are byte-identical for any N. Only commands with
-several large outputs gain: ``simulate`` most, ``anonymize`` a little,
-``stats`` and ``score`` not at all. Reading, selection, scoring and metrics
-run in the command's process. ``--seed`` has no effect on ``stats``,
-``score`` and ``eval``, and a command refuses ``--det-out`` or ``--config``
-when it would ignore it.
+``--threads N`` lets up to N processes build a command's outputs, which
+are byte-identical for any N; ``_run`` says how. ``--seed`` has no effect
+on ``stats``, ``score`` and ``eval``, and a command refuses ``--det-out`` or
+``--config`` when it would ignore it.
 
 Configuration files are ``key value`` lines, a key for each field of the
 command's config objects. Each setting flag is built from its field: ``--``
@@ -31,15 +23,10 @@ to stderr; the exit code is 0 iff the run produced every requested output.
 Every failure ends the run in one place: the command group turns any
 ``PseudovoxError`` a command raises into one ``error:`` line on stderr and
 exit code 1, so no command catches one to end the run itself. Every command
-writes in one ``_write`` call. It checks every output path and stages its
-temp file first, before ``simulate`` runs its scenario; then each output is
-built as one job, or ``simulate``'s score grid as one job per part, in this
-process or in a forked child of its own, and written and hashed one text
+writes in one ``_write`` call, which builds and hashes each output one text
 chunk at a time (the score and trial grids of ``simulate`` come one
 enrollment row per chunk, the scores of ``score`` and the DET points of
-``--det-out`` a few thousand lines per chunk); the manifest is written
-last. A failed job is reported as this process would report it, for the
-lowest-numbered failing output.
+``--det-out`` a few thousand lines per chunk) and writes the manifest last.
 """
 
 from __future__ import annotations
@@ -152,15 +139,11 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
     checked and a hidden temp file is opened beside it, in the given order,
     then one beside its output for each part; no path may name a directory
     or an input read by ``_read``, and no two may resolve to the same file.
-    Then each builder runs as one job (``_Jobs``), streaming into its temp
-    file, in two batches: the jobs of the outputs numbered in ``early`` may
-    start, in that order, while ``meanwhile`` runs in this process, and the
-    other jobs start after it. Under ``--threads 1`` or for a single output
-    this process builds every job after ``meanwhile``, in output order;
-    otherwise each job is built in a forked child of its own, up to
-    ``--threads`` at a time, and this process builds none. Last the manifest
-    is built from the digests and every temp file is renamed into place in
-    the given order, manifest last.
+    Then each builder runs as one job, streaming into its temp file, and
+    ``meanwhile`` runs in this process, as ``_run`` says; the jobs of the
+    outputs numbered in ``early`` may start before ``meanwhile``. Last the
+    manifest is built from the digests and every temp file is renamed into
+    place in the given order, manifest last.
 
     A failed run replaces nothing and reports the lowest-numbered failing
     output, whichever process built it; an error of ``meanwhile`` is raised
@@ -196,16 +179,10 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
         except OSError as exc:
             _fail(f"cannot write {path}: {exc}")
         part_fds = iter([fd for _, fd in staged[len(paths):]])
-        jobs = _Jobs([(output, build, staged[output][1] if len(builds) == 1 else next(part_fds))
-                      for output, builds in enumerate(parts) for build in builds],
-                     [fd for _, fd in staged[:len(outputs)]], meta["threads"])
-        try:
-            jobs.start(early, wait=False)
-            meanwhile()
-            jobs.start([output for output in range(len(outputs)) if output not in early], wait=True)
-        finally:
-            jobs.close()
-        for (path, _, hashed), result in zip(outputs, jobs.outcomes()):
+        outcomes = _run([(output, build, staged[output][1] if len(builds) == 1 else next(part_fds))
+                         for output, builds in enumerate(parts) for build in builds],
+                        [fd for _, fd in staged[:len(outputs)]], meta["threads"], early, meanwhile)
+        for (path, _, hashed), result in zip(outputs, outcomes):
             if isinstance(result, OSError):
                 _fail(f"cannot write {path}: {result}")
             if isinstance(result, BaseException):
@@ -289,118 +266,105 @@ def _join(parts: list[int], fd: int) -> str:
     return digest.hexdigest()
 
 
-class _Jobs:
-    """The output jobs of one ``_write``, given in batches (``start``).
+def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, early: Iterable[int],
+         meanwhile: Callable[[], None]) -> list:
+    """Build ``jobs`` and run ``meanwhile``; each output's digest, the
+    exception of its lowest-numbered failed job, or None if it was not built.
 
     Each job is the number of its output, its builder and the descriptor it
     is built into (``_build_into``); the jobs are numbered in output order,
-    and ``fds`` holds each output's own descriptor. With more than one
-    thread and more than one job, each job is built in a forked child of its
-    own (``_child``), at most ``threads`` alive at once, and this process
-    only forks, waits and collects. Children are forked, not spawned,
-    because the builders are closures over the command's results; they run
-    only serializers, so no BLAS routine and no lock that another thread may
-    hold at the fork. With one thread, one job or no ``os.fork``, this
-    process builds the jobs itself, in order, when the last batch is given;
-    it builds a job whose fork fails at once.
+    and ``fds`` holds each output's own descriptor. An output of several
+    jobs is joined (``_join``) into its own file as soon as each of them is
+    built.
 
-    No job starts above a known failure, and every job below one does, so
-    each output below the lowest failing one is built, whatever the order
-    the jobs start in. An output of several jobs is joined (``_join``) into
-    its own file once each of them is built.
+    With one thread, one job or no ``os.fork``, this process runs
+    ``meanwhile``, then builds the jobs in order and stops at the first that
+    fails. Otherwise each job is built in a forked child of its own
+    (``_fork``), at most ``threads`` alive at once, and this process only
+    forks, waits and collects: the jobs of the outputs numbered in ``early``
+    are forked first, in that order, as many as fit while ``meanwhile`` runs,
+    and the other jobs after it, in order. Every job is built, even above a
+    failure, so the lowest-numbered failing output is the one that one
+    process would report. Children are forked, not spawned, because the
+    builders are closures over the command's results; they run only
+    serializers, so no BLAS routine and no lock that another thread may hold
+    at the fork. A job whose fork fails is built in this process at once. An
+    error of ``meanwhile`` is raised once every child is reaped, and no job
+    starts after it.
     """
+    results: list = [None] * len(jobs)  # each job's digest or exception, None until it is built
+    digests: dict[int, str] = {}  # of each output whose jobs are all built
 
-    def __init__(self, jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int):
-        self.jobs, self.fds, self.threads = jobs, fds, threads
-        self.results: list = [None] * len(jobs)  # each job's digest or exception, None until it is built
-        self.digests: dict[int, str] = {}  # of each output whose jobs are all built
-        self.forking = threads > 1 and len(jobs) > 1 and hasattr(os, "fork")
-        self.queue: list[int] = []  # the jobs given and not started, in start order
-        self.children: dict[int, tuple[int, int]] = {}  # read end of each child's report pipe: its job and pid
-        self.ready = select.poll() if self.forking else None
-
-    def start(self, outputs: Iterable[int], wait: bool) -> None:
-        """Queue the jobs of ``outputs``, in that order, and fork queued jobs
-        while fewer than ``threads`` children are alive; with ``wait``, start
-        every queued job and collect every child."""
-        self.queue += [number for output in outputs for number, job in enumerate(self.jobs) if job[0] == output]
-        if not self.forking:
-            if wait:
-                for number in sorted(self.queue):
-                    if not self._failed_below(number):
-                        self._record(number, _outcome(self.jobs[number]))
-                self.queue.clear()
-            return
-        self._collect(0)  # the children done by now free their places
-        while self.queue:
-            if len(self.children) >= self.threads:
-                if not wait:
-                    return
-                self._collect(None)
-                continue
-            number = self.queue.pop(0)
-            if self._failed_below(number):
-                continue
-            child = _fork(self.jobs[number])
-            if child is None:
-                self._record(number, _outcome(self.jobs[number]))
-            else:
-                self.children[child[0]] = (number, child[1])
-                self.ready.register(child[0], select.POLLIN)
-        if wait:
-            self.close()
-
-    def close(self) -> None:
-        """Wait for every child and collect it."""
-        while self.children:
-            self._collect(None)
-
-    def outcomes(self) -> list:
-        """Each output's digest, the exception of its lowest-numbered failed
-        job, or None if it was not built."""
-        failed: dict[int, BaseException] = {}
-        for (output, _, _), result in zip(self.jobs, self.results):
-            if isinstance(result, BaseException):
-                failed.setdefault(output, result)
-        return [failed.get(output, self.digests.get(output)) for output in range(len(self.fds))]
-
-    def _failed_below(self, number: int) -> bool:
-        return any(isinstance(result, BaseException) for result in self.results[:number])
-
-    def _record(self, number: int, result) -> None:
-        """Record the result of job ``number``; once every job of its output
-        is built, the output's digest, joining its jobs' files if they are
-        several."""
-        self.results[number] = result
-        output = self.jobs[number][0]
-        numbers = [n for n, job in enumerate(self.jobs) if job[0] == output]
-        if all(isinstance(self.results[n], str) for n in numbers):
+    def record(number: int, result) -> None:
+        """Record job ``number``'s result, and its output's digest once every job of it is built."""
+        results[number] = result
+        output = jobs[number][0]
+        numbers = [n for n, job in enumerate(jobs) if job[0] == output]
+        if all(isinstance(results[n], str) for n in numbers):
             try:
-                self.digests[output] = (result if len(numbers) == 1 else
-                                        _join([self.jobs[n][2] for n in numbers], self.fds[output]))
+                digests[output] = result if len(numbers) == 1 else _join([jobs[n][2] for n in numbers], fds[output])
             except OSError as exc:
-                self.results[number] = exc
+                results[number] = exc
 
-    def _collect(self, timeout: int | None) -> None:
-        """Collect each child whose report pipe is ready within ``timeout``
-        ms (None: once one is): read the pipe to end of file, then reap the
-        child and record its job's result; a child that left no report fails
-        its job with its exit status. The pipe is read before the child is
-        reaped, because a child cannot leave while its report is larger than
-        the pipe holds."""
-        for read, _ in self.ready.poll(timeout):
-            self.ready.unregister(read)
-            number, pid = self.children.pop(read)
-            try:
-                with open(read, "rb") as report:
-                    message = report.read()
-            finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            try:
-                result = pickle.loads(message)  # written by ``_child`` below
-            except (EOFError, pickle.UnpicklingError):
-                result = ChildProcessError(f"the process writing it ended with exit status {status}")
-            self._record(number, result)
+    if threads < 2 or len(jobs) < 2 or not hasattr(os, "fork"):
+        meanwhile()
+        for number, job in enumerate(jobs):
+            record(number, _outcome(job))
+            if isinstance(results[number], BaseException):
+                break
+    else:
+        queue = [number for output in early for number, job in enumerate(jobs) if job[0] == output]
+        rest = [number for number in range(len(jobs)) if number not in queue]
+        children: dict[int, tuple[int, int]] = {}  # read end of each child's report pipe: its job and pid
+        ready = select.poll()
+
+        def fork() -> None:
+            """Fork queued jobs, in order, while fewer than ``threads`` children are alive."""
+            while queue and len(children) < threads:
+                number = queue.pop(0)
+                child = _fork(jobs[number])
+                if child is None:
+                    record(number, _outcome(jobs[number]))
+                else:
+                    children[child[0]] = (number, child[1])
+                    ready.register(child[0], select.POLLIN)
+
+        def collect() -> None:
+            """Collect each child whose report pipe is ready, once one is: read
+            the pipe to end of file, then reap the child and record its job's
+            result; a child that left no report fails its job with its exit
+            status. The pipe is read before the child is reaped, because a
+            child cannot leave while its report is larger than the pipe holds."""
+            for read, _ in ready.poll():
+                ready.unregister(read)
+                number, pid = children.pop(read)
+                try:
+                    with open(read, "rb") as report:
+                        message = report.read()
+                finally:
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                try:
+                    result = pickle.loads(message)  # written by ``_fork``'s child
+                except (EOFError, pickle.UnpicklingError):
+                    result = ChildProcessError(f"the process writing it ended with exit status {status}")
+                record(number, result)
+
+        try:
+            fork()
+            meanwhile()
+            queue += rest
+            fork()
+            while children:  # ``fork`` leaves a job queued only while ``threads`` children are alive
+                collect()
+                fork()
+        finally:
+            while children:  # after an error: reap every child, fork none
+                collect()
+    failed: dict[int, BaseException] = {}
+    for (output, _, _), result in zip(jobs, results):
+        if isinstance(result, BaseException):
+            failed.setdefault(output, result)
+    return [failed.get(output, digests.get(output)) for output in range(len(fds))]
 
 
 def _outcome(job: tuple[int, _Build, int]):
@@ -413,7 +377,13 @@ def _outcome(job: tuple[int, _Build, int]):
 
 def _fork(job: tuple[int, _Build, int]) -> tuple[int, int] | None:
     """Fork a child that builds ``job``; the read end of its report pipe and
-    its pid, or None if no process can be made."""
+    its pid, or None if no process can be made.
+
+    The child pickles its ``_outcome`` once to the pipe, or a
+    ``RuntimeError`` naming an exception that cannot be pickled or rebuilt,
+    then leaves by ``os._exit``, so that it never returns into the command,
+    flushes the command's stdio or runs its exit handlers.
+    """
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -422,29 +392,22 @@ def _fork(job: tuple[int, _Build, int]) -> tuple[int, int] | None:
         os.close(write)
         return None
     if pid == 0:
-        os.close(read)
-        _child(job, write)
+        code = 1
+        try:
+            os.close(read)
+            result = _outcome(job)
+            try:
+                message = pickle.dumps(result)
+                pickle.loads(message)  # as ``_run`` will
+            except Exception:
+                message = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
+            with open(write, "wb") as report:
+                report.write(message)
+            code = 0
+        finally:
+            os._exit(code)
     os.close(write)  # so that the report reads as end of file once the child has left
     return read, pid
-
-
-def _child(job: tuple[int, _Build, int], write: int) -> NoReturn:
-    """A forked child: ``_outcome`` of ``job``, pickled once to the pipe end
-    ``write``, then ``os._exit``, so that it never returns into the command,
-    flushes the command's stdio or runs its exit handlers."""
-    code = 1
-    try:
-        result = _outcome(job)
-        try:
-            message = pickle.dumps(result)
-            pickle.loads(message)  # as ``_Jobs._collect`` will
-        except Exception:  # an exception that cannot be pickled or rebuilt
-            message = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
-        with open(write, "wb") as report:
-            report.write(message)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _one_file(out_file: str, build: Callable[[], str]) -> tuple[list[_Output], Path]:
@@ -588,12 +551,8 @@ class _Main(click.Group):
               help="Global selection/cohort seed override; no effect on stats, score and eval.")
 @click.option("--config", type=click.Path(), default=None, help="'key value' config file.")
 @click.option("--threads", type=_IntRange(min=1), default=1, show_default=True,
-              help="Up to this many processes build and write the outputs, each one output at a time or one "
-                   "of up to this many parts of simulate's score grid; simulate starts its cohort's outputs "
-                   "while its scenario runs. Outputs are byte-identical for any value. "
-                   "Only commands with several large outputs gain "
-                   "(simulate most, anonymize a little, stats and score not at all); reading, selection, "
-                   "scoring and metrics run in one process.")
+              help="Up to this many processes build and write the outputs; they are byte-identical for any "
+                   "value. Only commands with several large outputs gain (simulate most, anonymize a little).")
 @click.option("--det-out", type=click.Path(), default=None, help="Write DET operating points to this file.")
 @click.pass_context
 def main(ctx, seed, config, threads, det_out):

@@ -2,15 +2,8 @@
 tracer (``perfbench/spans.py``) is its only importer, and the next change to
 the benchmark deletes it.
 
-The command line does not use threads. ``--threads N`` with N > 1 builds
-and writes each of a command's output jobs in a forked child of its own, up
-to N at a time, and the command's process builds none (``cli._Jobs``). Each
-output is one job, except ``simulate``'s score grid, written as up to N
-parts of its enrollment rows that the command's process joins; ``simulate``
-starts its cohort's outputs while its scenario runs. The outputs are
-byte-identical for any N. Only commands with several large outputs gain:
-``simulate`` most, ``anonymize`` a little, ``stats`` and ``score`` not at
-all. Reading, selection, scoring and metrics run in the command's process.
+The command line does not use threads: ``--threads`` sets how many forked
+processes build a command's outputs, as ``cli._run`` says.
 """
 
 from __future__ import annotations

@@ -1180,6 +1180,137 @@ def test_a_child_error_larger_than_a_pipe_holds_ends_the_run(tmp_path, runner, m
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("failing", ["every-fork", "every-other-fork"])
+def test_a_job_whose_fork_fails_is_built_in_this_process(tmp_path, runner, monkeypatch, failing):
+    """A job whose fork fails (``EAGAIN``) is built in the command's own
+    process. Whether every fork fails or every other one, ``simulate`` and
+    ``anonymize`` at ``--threads`` 2 and 3 exit 0 with the trees of
+    ``--threads 1``, and leave no child and no open descriptor; a runner
+    that waits on no child hangs, and the timeout ends the test run."""
+    paths = build_anonymize_inputs(tmp_path)
+    commands = {"simulate": lambda out: ["--seed", "8", "simulate", "--out-dir", str(out)] + SIM_ARGS,
+                "anonymize": lambda out: ["--seed", "8"] + anonymize_args(paths, out, ["--f0", "modified"])}
+    expected = {}
+    for name, args in commands.items():
+        result = runner.invoke(main, ["--threads", "1", *args(tmp_path / f"{name}-1")])
+        assert result.exit_code == 0, result.output
+        expected[name] = read_dir(tmp_path / f"{name}-1")
+    real_fork, calls, forked = cli.os.fork, itertools.count(), []
+
+    def fork():
+        if failing == "every-fork" or next(calls) % 2 == 0:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli.os, "fork", fork)
+    fds = open_fds()
+    faulthandler.dump_traceback_later(120, exit=True)  # a hang ends the test run instead of stalling it
+    try:
+        for name, args in commands.items():
+            for threads in ("2", "3"):
+                out = tmp_path / f"{name}-{threads}"
+                result = runner.invoke(main, ["--threads", threads, *args(out)])
+                assert_no_child_left()
+                assert open_fds() == fds
+                assert result.exit_code == 0, result.output
+                assert read_dir(out) == expected[name]
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert (len(forked) > 0) == (failing == "every-other-fork")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_output_runner_reports_the_same_first_failure_at_any_thread_count(data):
+    """``cli._run`` alone, on synthetic jobs: 1 to 5 outputs of 1 to 3 parts,
+    each part writing known chunks, some raising before or after their first
+    chunk; the jobs of a random ordered subset of the outputs start early,
+    and ``meanwhile`` may raise. At 1, 2 and 3 threads the first outcome that
+    is not a digest is the same exception, every output before it holds the
+    joined bytes of its parts and their SHA-256 digest, and no more than
+    ``threads`` children are alive at once. Before ``meanwhile`` runs, only
+    early jobs have been forked, up to ``threads`` of them, and none built in
+    this process; its error is raised once every child is reaped. No child
+    or descriptor is left."""
+    n_outputs = data.draw(st.integers(1, 5), label="outputs")
+    jobs = []  # output, part, fate, chunks; in output order
+    for output in range(n_outputs):
+        for part in range(data.draw(st.integers(1, 3))):
+            fate = data.draw(st.sampled_from(["builds"] * 4 + ["raises-first", "raises-after-a-chunk"]))
+            chunks = [f"o{output} p{part} c{i} " * size + "\n"
+                      for i, size in enumerate(data.draw(st.lists(st.integers(1, 2000), min_size=1, max_size=3)))]
+            jobs.append((output, part, fate, chunks))
+    early = data.draw(st.permutations(range(n_outputs)))[:data.draw(st.integers(0, n_outputs))]
+    meanwhile_raises = data.draw(st.booleans(), label="meanwhile raises")
+    failed = [job for job in jobs if job[2] != "builds"]
+    expected_failure = None if not failed else (failed[0][0], f"job {failed[0][0]}.{failed[0][1]} refused")
+    joined = [b"".join(chunk.encode() for job in jobs if job[0] == output for chunk in job[3])
+              for output in range(n_outputs)]
+    fds_before = open_fds()
+
+    def builder(output, part, fate, chunks, built):
+        def build():
+            built.append((output, part))  # in this process only: a child's append is its own
+            if fate == "raises-first":
+                raise InvalidValueError(f"job {output}.{part} refused")
+            return rows()
+
+        def rows():
+            for chunk in chunks:
+                yield chunk
+                if fate == "raises-after-a-chunk":
+                    raise InvalidValueError(f"job {output}.{part} refused")
+
+        return build
+
+    for threads in (1, 2, 3):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            count = counted_forks(patch)
+            built = []
+            forking = threads > 1 and len(jobs) > 1
+
+            def meanwhile():
+                early_jobs = sum(job[0] in early for job in jobs)
+                assert count.forks == (min(threads, early_jobs) if forking else 0)
+                assert built == []
+                if meanwhile_raises:
+                    raise InvalidValueError("meanwhile refused")
+
+            def staged(name):
+                return os.open(Path(tmp) / name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+
+            fds = [staged(f"out{output}") for output in range(n_outputs)]
+            multi = {output for output in range(n_outputs) if sum(job[0] == output for job in jobs) > 1}
+            run_jobs = [(job[0], builder(*job, built),
+                         staged(f"out{job[0]}.part{job[1]}") if job[0] in multi else fds[job[0]]) for job in jobs]
+            try:
+                if meanwhile_raises:
+                    with pytest.raises(InvalidValueError, match="meanwhile refused"):
+                        cli._run(run_jobs, fds, threads, early, meanwhile)
+                    assert count.alive == set()
+                else:
+                    outcomes = cli._run(run_jobs, fds, threads, early, meanwhile)
+                    first = next((i for i, outcome in enumerate(outcomes) if not isinstance(outcome, str)), None)
+                    if first is None:
+                        assert expected_failure is None
+                    else:
+                        assert isinstance(outcomes[first], InvalidValueError)
+                        assert (first, str(outcomes[first])) == expected_failure
+                    for output in range(n_outputs if first is None else first):
+                        assert outcomes[output] == hashlib.sha256(joined[output]).hexdigest()
+                        assert os.pread(fds[output], len(joined[output]) + 1, 0) == joined[output]
+                assert count.most <= threads
+                assert count.forks == 0 or forking
+            finally:
+                for fd in fds + [fd for _, _, fd in run_jobs if fd not in fds]:
+                    os.close(fd)
+            assert_no_child_left()
+    assert open_fds() == fds_before
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("simulate", "--seed", "٣"),  # the global flag
     ("simulate", "--k-far", "٥"),
