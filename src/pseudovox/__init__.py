@@ -18,6 +18,7 @@ from .selection import (
     derive_pseudo_speaker,
     filter_by_gender,
     pseudonymize_speaker,
+    pseudonymize_speakers,
     rank_furthest,
     seed_for_speaker,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "rank_furthest",
     "derive_pseudo_speaker",
     "pseudonymize_speaker",
+    "pseudonymize_speakers",
     "TrialScoreSet",
     "EvalReport",
     "eer",

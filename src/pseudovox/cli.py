@@ -59,7 +59,7 @@ from . import formats
 from .f0 import F0Mode, compute_log_f0_stats
 from .metrics import TrialScoreSet, det_points, evaluate
 from .plda import SpeakerEmbedding, plda_score_pairs, project
-from .selection import SelectionConfig, SpeakerPool, pseudonymize_speaker
+from .selection import SelectionConfig, SpeakerPool, _pseudonymize
 from .simulate import (
     AttackModel,
     CohortSpec,
@@ -230,23 +230,34 @@ def _stage(path: Path, mode: int) -> tuple[Path, int]:
     return tmp, os.open(tmp, mode | os.O_CREAT | os.O_EXCL, 0o666)
 
 
-def _build_into(build: _Build, fd: int) -> str:
-    """Build one output into the file open at ``fd``; its SHA-256 hex digest.
+def _encoded(build: _Build) -> Iterable[bytes]:
+    """The chunks of ``build``'s output, encoded one at a time.
 
     A builder returns one text or an iterable of text chunks; each chunk is
-    encoded, hashed and written before the next is made, so the job holds
-    one chunk at a time.
+    encoded only when the one before it has been written, so a job holds one
+    chunk at a time.
     """
     text = build()
     # one text is one chunk: hold its bytes, not the text as well
-    data = [text.encode("utf-8")] if isinstance(text, str) else (chunk.encode("utf-8") for chunk in text)
-    del text
+    return [text.encode("utf-8")] if isinstance(text, str) else (chunk.encode("utf-8") for chunk in text)
+
+
+def _build_into(build: _Build, fd: int) -> str:
+    """Build one output into the file open at ``fd``; its SHA-256 hex digest."""
     digest = hashlib.sha256()
     with open(fd, "wb", closefd=False) as handle:
-        for chunk in data:
+        for chunk in _encoded(build):
             digest.update(chunk)
             handle.write(chunk)
     return digest.hexdigest()
+
+
+def _build_part(build: _Build, fd: int) -> str:
+    """Build one part of an output into the file open at ``fd``, unhashed:
+    ``_join`` hashes the joined output. The empty string marks the part built."""
+    with open(fd, "wb", closefd=False) as handle:
+        handle.writelines(_encoded(build))
+    return ""
 
 
 _JOIN_BLOCK = 1 << 20  # bytes of a part file that ``_join`` holds at a time
@@ -274,8 +285,8 @@ def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, earl
     Each job is the number of its output, its builder and the descriptor it
     is built into (``_build_into``); the jobs are numbered in output order,
     and ``fds`` holds each output's own descriptor. An output of several
-    jobs is joined (``_join``) into its own file as soon as each of them is
-    built.
+    jobs is built in unhashed parts (``_build_part``) and joined (``_join``)
+    into its own file as soon as each of them is built.
 
     With one thread, one job or no ``os.fork``, this process runs
     ``meanwhile``, then builds the jobs in order and stops at the first that
@@ -288,12 +299,14 @@ def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, earl
     process would report. Children are forked, not spawned, because the
     builders are closures over the command's results; they run only
     serializers, so no BLAS routine and no lock that another thread may hold
-    at the fork. A job whose fork fails is built in this process at once. An
-    error of ``meanwhile`` is raised once every child is reaped, and no job
-    starts after it.
+    at the fork. A job whose fork or report pipe fails is built in this
+    process at once. An error of ``meanwhile`` is raised once every child is
+    reaped, and no job starts after it.
     """
-    results: list = [None] * len(jobs)  # each job's digest or exception, None until it is built
+    results: list = [None] * len(jobs)  # each job's digest (or part marker) or exception, None until it is built
     digests: dict[int, str] = {}  # of each output whose jobs are all built
+    outputs = [output for output, _, _ in jobs]
+    parted = [outputs.count(output) > 1 for output in outputs]  # each job: whether it builds a part
 
     def record(number: int, result) -> None:
         """Record job ``number``'s result, and its output's digest once every job of it is built."""
@@ -309,7 +322,7 @@ def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, earl
     if threads < 2 or len(jobs) < 2 or not hasattr(os, "fork"):
         meanwhile()
         for number, job in enumerate(jobs):
-            record(number, _outcome(job))
+            record(number, _outcome(job, parted[number]))
             if isinstance(results[number], BaseException):
                 break
     else:
@@ -322,9 +335,9 @@ def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, earl
             """Fork queued jobs, in order, while fewer than ``threads`` children are alive."""
             while queue and len(children) < threads:
                 number = queue.pop(0)
-                child = _fork(jobs[number])
+                child = _fork(jobs[number], parted[number])
                 if child is None:
-                    record(number, _outcome(jobs[number]))
+                    record(number, _outcome(jobs[number], parted[number]))
                 else:
                     children[child[0]] = (number, child[1])
                     ready.register(child[0], select.POLLIN)
@@ -367,24 +380,28 @@ def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, earl
     return [failed.get(output, digests.get(output)) for output in range(len(fds))]
 
 
-def _outcome(job: tuple[int, _Build, int]):
-    """``_build_into`` of ``job``: its digest, or the exception it raised."""
+def _outcome(job: tuple[int, _Build, int], part: bool):
+    """``_build_into`` of ``job``, or ``_build_part`` of a ``part``: what it
+    returns, or the exception it raised."""
     try:
-        return _build_into(*job[1:])
+        return (_build_part if part else _build_into)(*job[1:])
     except BaseException as exc:  # raised again by ``_write``, after the cleanup
         return exc
 
 
-def _fork(job: tuple[int, _Build, int]) -> tuple[int, int] | None:
-    """Fork a child that builds ``job``; the read end of its report pipe and
-    its pid, or None if no process can be made.
+def _fork(job: tuple[int, _Build, int], part: bool) -> tuple[int, int] | None:
+    """Fork a child that builds ``job`` (a ``part`` or not); the read end of
+    its report pipe and its pid, or None if no pipe or no process can be made.
 
     The child pickles its ``_outcome`` once to the pipe, or a
     ``RuntimeError`` naming an exception that cannot be pickled or rebuilt,
     then leaves by ``os._exit``, so that it never returns into the command,
     flushes the command's stdio or runs its exit handlers.
     """
-    read, write = os.pipe()
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
@@ -395,7 +412,7 @@ def _fork(job: tuple[int, _Build, int]) -> tuple[int, int] | None:
         code = 1
         try:
             os.close(read)
-            result = _outcome(job)
+            result = _outcome(job, part)
             try:
                 message = pickle.dumps(result)
                 pickle.loads(message)  # as ``_run`` will
@@ -631,19 +648,18 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
         by_speaker.setdefault(emb.speaker_id, []).append(emb)
     speakers = sorted(by_speaker)
 
+    sources = [
+        (speaker_id, by_speaker[speaker_id][0].gender, [e.vector for e in by_speaker[speaker_id]],
+         [contour_by_utt[e.utterance_id] for e in by_speaker[speaker_id]])
+        for speaker_id in speakers
+    ]
+    # the speakers before the first that fails: their warnings come before its error
+    done, error = _pseudonymize(pool, sources, sel, mode)
     mapping_rows = []
     xvector_rows = []
     stats_rows = []
     contour_rows = []
-    for speaker_id in speakers:
-        embs = by_speaker[speaker_id]
-        contours = [contour_by_utt[e.utterance_id] for e in embs]
-        try:
-            pseudo, anon_contours = pseudonymize_speaker(
-                pool, speaker_id, embs[0].gender, [e.vector for e in embs], contours, sel, mode
-            )
-        except (PoolTooSmallError, InvalidValueError, ZeroVectorError) as exc:
-            raise type(exc)(f"speaker {speaker_id!r}: {exc}") from None
+    for (speaker_id, gender, _, contours), (pseudo, anon_contours) in zip(sources, done):
         for contour in contours:
             if mode is F0Mode.MODIFIED and not contour.voiced_mask.any():
                 click.echo(
@@ -651,10 +667,14 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
                     err=True,
                 )
         mapping_rows.append((speaker_id, pseudo.seed_used, tuple(pseudo.member_ids)))
-        xvector_rows.append(SpeakerEmbedding(speaker_id, embs[0].gender, pseudo.xvector, "pseudo"))
+        xvector_rows.append(SpeakerEmbedding(speaker_id, gender, pseudo.xvector, "pseudo"))
         stats_rows.append((speaker_id, pseudo.f0_stats))
         contour_rows.extend(anon_contours)
-    del pool  # free its cached latents before the outputs are serialized
+    if isinstance(error, (PoolTooSmallError, InvalidValueError, ZeroVectorError)):
+        raise type(error)(f"speaker {speakers[len(done)]!r}: {error}") from None
+    if error is not None:
+        raise error
+    del pool, sources, done  # free the pool's cached latents before the outputs are serialized
 
     entries.update(_recorded({**asdict(sel), "f0_mode": mode, "n_source_speakers": len(speakers)}))
     out = Path(out_dir)

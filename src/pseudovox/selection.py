@@ -4,7 +4,9 @@ One pseudo-speaker is derived per source speaker: filter the external pool by
 gender policy, rank candidates by scorer dissimilarity to the source x-vector,
 keep the ``k_far`` furthest, sample ``k_sel`` of them with a per-speaker
 deterministic generator, then average the members' x-vectors and aggregate
-their F0 statistics.
+their F0 statistics. :func:`pseudonymize_speakers` runs each step once over
+all the source speakers of a gender; the one-speaker functions are batches
+of one.
 
 Reproducibility contract
 ------------------------
@@ -17,7 +19,11 @@ the 30/27/31-shift finalizer) and ``fnv1a64`` is the 64-bit FNV-1a hash
 (offset basis 0xCBF29CE484222325, prime 0x100000001B3). Sampling uses a
 SplitMix64 stream driving a partial Fisher-Yates shuffle with unbiased bounded
 draws (the biased tail is rejected), so member sets are identical across
-platforms and runs.
+platforms and runs. The batched draw keeps this contract bit for bit: it runs
+the same generator in NumPy ``uint64`` arithmetic, one lane per source
+speaker, and draws again only in the lanes whose value falls in the tail, so
+each lane makes exactly the draws of :class:`SplitMix64` with that speaker's
+seed.
 """
 
 from __future__ import annotations
@@ -33,9 +39,10 @@ from .errors import (
     InvalidSpecError,
     InvalidValueError,
     PoolTooSmallError,
+    PseudovoxError,
 )
 from .f0 import (
-    F0Contour, F0Mode, LogF0Stats, aggregate_target_stats, compute_log_f0_stats, transform_contour,
+    F0Contour, F0Mode, LogF0Stats, compute_log_f0_stats, transform_contour,
 )
 from .plda import (
     Gender,
@@ -62,6 +69,7 @@ __all__ = [
     "rank_furthest",
     "derive_pseudo_speaker",
     "pseudonymize_speaker",
+    "pseudonymize_speakers",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -259,19 +267,24 @@ def filter_by_gender(
 
 @dataclass(frozen=True)
 class _RankView:
-    """What ranking needs of a pool, computed once per (scorer, length_norm)."""
+    """What selection needs of a pool subset, computed once per (scorer, length_norm)."""
 
+    ids: np.ndarray              # each row's speaker id, as an object array
     id_rank: np.ndarray          # position of each row's id in sorted id order
-    by_id: dict[str, PoolSpeaker]
+    id_order: np.ndarray         # the row at each position of sorted id order
     vectors: np.ndarray          # PLDA: projected latents; cosine: raw members (norms taken per call)
+    f0_means: np.ndarray
+    f0_stds: np.ndarray
+    f0_counts: np.ndarray        # int64, or Python ints if a sum of them could overflow int64
 
 
 def _rank_view(pool_subset: SpeakerPool, cfg: SelectionConfig) -> _RankView:
     def build() -> _RankView:
         speakers = pool_subset.speakers
         ids = [s.speaker_id for s in speakers]
+        id_order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
         id_rank = np.empty(len(ids), dtype=np.intp)
-        id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        id_rank[id_order] = np.arange(len(ids))
         vectors = np.stack([s.mean_embedding for s in speakers])
         with np.errstate(over="ignore"):
             overflows = np.linalg.norm(vectors, axis=1) == np.inf
@@ -279,27 +292,88 @@ def _rank_view(pool_subset: SpeakerPool, cfg: SelectionConfig) -> _RankView:
             raise InvalidValueError(f"the x-vector norm of pool speaker {ids[overflows.argmax()]!r} overflows float64")
         if cfg.scorer is Scorer.PLDA:
             vectors = project_many(pool_subset.plda, vectors, length_norm=cfg.length_norm)
-        return _RankView(id_rank, dict(zip(ids, speakers)), vectors)
+        counts = [s.f0_stats.voiced_frame_count for s in speakers]
+        return _RankView(
+            np.array(ids, dtype=object), id_rank, id_order, vectors,
+            np.array([s.f0_stats.mean for s in speakers]), np.array([s.f0_stats.std for s in speakers]),
+            np.array(counts, dtype=np.int64 if max(counts) < (1 << 63) // len(counts) else object),
+        )
 
     return pool_subset._cached(("rank", cfg.scorer, cfg.length_norm), build)
 
 
-def _scores_against_source(
-    pool_subset: SpeakerPool, source_xvector: np.ndarray, cfg: SelectionConfig
-) -> np.ndarray:
-    if cfg.scorer is Scorer.PLDA:
-        model = pool_subset.plda
+def _plda_rows(
+    pool_subset: SpeakerPool, sources: list[np.ndarray], cfg: SelectionConfig
+) -> tuple[np.ndarray, PseudovoxError | None]:
+    """PLDA scores of each source against the pool, one 1 x n
+    :func:`plda_score_matrix` row per source (a gemm over all sources sums in
+    another order), for the sources before the first that fails; that one's
+    error, or None."""
+    model = pool_subset.plda
+    rows, error = [], None
+    try:
         if model is None:
             raise InvalidSpecError("scorer 'plda' requires a PLDA model on the pool")
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
-            src = project(model, source_xvector, length_norm=cfg.length_norm)
-            scores = plda_score_matrix(model, src[None, :], _rank_view(pool_subset, cfg).vectors)[0]
-        non_finite = np.flatnonzero(~np.isfinite(scores))
-        if non_finite.size:
-            pool_id = pool_subset.speakers[non_finite[0]].speaker_id
-            raise InvalidValueError(f"its PLDA score against pool speaker {pool_id!r} is not finite")
-        return scores
-    return cosine_scores(source_xvector, _rank_view(pool_subset, cfg).vectors)
+        for source in sources:
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
+                src = project(model, source, length_norm=cfg.length_norm)
+                scores = plda_score_matrix(model, src[None, :], _rank_view(pool_subset, cfg).vectors)[0]
+            non_finite = np.flatnonzero(~np.isfinite(scores))
+            if non_finite.size:
+                pool_id = pool_subset.speakers[non_finite[0]].speaker_id
+                raise InvalidValueError(f"its PLDA score against pool speaker {pool_id!r} is not finite")
+            rows.append(scores)
+    except PseudovoxError as exc:
+        error = exc
+    return np.array(rows).reshape(len(rows), len(pool_subset)), error
+
+
+def _cosine_rows(
+    pool_subset: SpeakerPool, sources: list[np.ndarray], cfg: SelectionConfig
+) -> tuple[np.ndarray, PseudovoxError | None]:
+    """:func:`cosine_scores` of each source against the pool, as one broadcast
+    ``vecdot`` (the same ``ddot`` per pair), for the sources before the first
+    whose :func:`cosine_scores` raises; that error, or None."""
+    try:
+        members = _rank_view(pool_subset, cfg).vectors
+    except PseudovoxError as exc:
+        return np.empty((0, len(pool_subset))), exc
+    dim = members.shape[1]
+    n = next((k for k, s in enumerate(sources) if s.shape != (dim,)), len(sources))
+    block = np.array(sources[:n]).reshape(n, dim)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(block, block))
+        member_norms = np.sqrt(np.vecdot(members, members))
+    refused = (norms == 0.0) | (norms == np.inf)  # as ``cosine_scores`` refuses them
+    if ((member_norms == 0.0) | (member_norms == np.inf)).any():
+        n = 0
+    elif refused.any():
+        n = int(refused.argmax())
+    error = None
+    if n < len(sources):
+        try:
+            cosine_scores(sources[n], members)  # raises that source's error
+        except PseudovoxError as exc:
+            error = exc
+    scores = np.vecdot(block[:n, None, :], members) / (norms[:n, None] * member_norms)
+    return np.clip(scores, -1.0, 1.0), error
+
+
+def _rank(
+    pool_subset: SpeakerPool, sources: list[np.ndarray], cfg: SelectionConfig
+) -> tuple[np.ndarray, PseudovoxError | None]:
+    """The rows in ``pool_subset`` of the k_far pool speakers least similar
+    to each source, furthest first, ties broken by ascending speaker id: one
+    row per source before the first that cannot be ranked, and that one's
+    error (None if every source is ranked)."""
+    if len(pool_subset) < cfg.k_far:
+        error = PoolTooSmallError(f"k_far={cfg.k_far} exceeds filtered pool size {len(pool_subset)}")
+        return np.empty((0, cfg.k_far), np.intp), error
+    scores, error = (_plda_rows if cfg.scorer is Scorer.PLDA else _cosine_rows)(pool_subset, sources, cfg)
+    if not len(scores):
+        return np.empty((0, cfg.k_far), np.intp), error
+    id_rank = np.broadcast_to(_rank_view(pool_subset, cfg).id_rank, scores.shape)
+    return np.lexsort((id_rank, scores), axis=-1)[:, : cfg.k_far], error
 
 
 def rank_furthest(
@@ -310,13 +384,126 @@ def rank_furthest(
     Ordered ascending by score (furthest first); ties broken by ascending
     speaker_id so rankings are reproducible.
     """
-    if len(pool_subset) < cfg.k_far:
-        raise PoolTooSmallError(
-            f"k_far={cfg.k_far} exceeds filtered pool size {len(pool_subset)}"
-        )
-    scores = _scores_against_source(pool_subset, np.asarray(source_xvector, float), cfg)
-    order = np.lexsort((_rank_view(pool_subset, cfg).id_rank, scores))[: cfg.k_far]
-    return [pool_subset.speakers[i].speaker_id for i in order]
+    order, error = _rank(pool_subset, [np.asarray(source_xvector, float)], cfg)
+    if error is not None:
+        raise error
+    return _rank_view(pool_subset, cfg).ids[order[0]].tolist()
+
+
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _next_u64(states: np.ndarray) -> np.ndarray:
+    """:meth:`SplitMix64.next_u64` of each lane: advances the uint64
+    ``states`` in place and returns the outputs."""
+    states += np.uint64(_GOLDEN)
+    z = states ^ (states >> 30)
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    return z ^ (z >> 31)
+
+
+def _below(states: np.ndarray, n: int) -> np.ndarray:
+    """:meth:`SplitMix64.below` of each lane, for ``0 < n < 2**64``: advances
+    ``states`` in place, drawing again only in the lanes whose draw falls in
+    the rejected tail."""
+    draws = _next_u64(states)
+    tail = (_MASK64 + 1) % n
+    if tail:
+        limit = np.uint64(_MASK64 + 1 - tail)
+        redo = np.flatnonzero(draws >= limit)
+        while redo.size:
+            lanes = states[redo]
+            draws[redo] = _next_u64(lanes)
+            states[redo] = lanes
+            redo = redo[draws[redo] >= limit]
+    return draws % np.uint64(n)
+
+
+def _draw(seeds: list[int], n: int, k: int) -> np.ndarray:
+    """The positions that :func:`sample_without_replacement` draws from ``n``
+    items with each seed: a (seeds, k) matrix, from one generator lane per
+    seed running the same partial Fisher-Yates shuffle."""
+    states = np.array(seeds, dtype=np.uint64)
+    lanes = np.arange(len(seeds))
+    drawn = np.tile(np.arange(n), (len(seeds), 1))
+    for i in range(k):
+        j = i + _below(states, n - i).astype(np.intp)
+        drawn[lanes, i], drawn[lanes, j] = drawn[lanes, j], drawn[lanes, i]
+    return drawn[:, :k]
+
+
+_GATHER_VALUES = 1 << 17  # member x-vector components gathered at once for the means
+
+
+def _derive(
+    pool: SpeakerPool, sources: list[SpeakerEmbedding], cfg: SelectionConfig
+) -> tuple[list[PseudoSpeaker], PseudovoxError | None]:
+    """:func:`derive_pseudo_speaker` of each source, in order, up to the first
+    that fails, and that one's error (None if none fails).
+
+    Each stage runs once per gender over all its sources: the filter and the
+    rank view come from the pool's cache, the ranking is :func:`_rank`, the
+    draw one generator lane per source (:func:`_draw`), and the member
+    x-vectors and F0 statistics are averaged over a (sources, k_sel) matrix
+    of member rows, with the same reductions as the one-source mean. A
+    source that fails a stage leaves the later stages to the sources before
+    it, so the error is the one a loop over the sources would meet first.
+    """
+    groups: dict[Gender, list[int]] = {}
+    for number, source in enumerate(sources):
+        groups.setdefault(source.gender, []).append(number)
+    failed, error = len(sources), None
+    ranked = []  # per gender: its pool subset, its sources' numbers and their ranking rows
+    for gender, numbers in groups.items():
+        try:
+            subset = filter_by_gender(pool, gender, cfg.gender_policy)
+        except PseudovoxError as exc:
+            subset, order, first_error = None, (), exc
+        else:
+            order, first_error = _rank(subset, [sources[k].vector for k in numbers], cfg)
+        if first_error is not None and numbers[len(order)] < failed:
+            failed, error = numbers[len(order)], first_error
+        ranked.append((subset, numbers, order))
+
+    picks = {}  # each source's seed, member ids, x-vector and F0 statistics
+    for subset, numbers, order in ranked:
+        numbers = [k for k in numbers if k < failed]
+        if not numbers:
+            continue
+        view = _rank_view(subset, cfg)
+        seeds = [seed_for_speaker(cfg.global_seed, sources[k].speaker_id) for k in numbers]
+        rows = np.take_along_axis(order[: len(numbers)], _draw(seeds, cfg.k_far, cfg.k_sel), axis=1)
+        # ids are unique, so any sort gives this order; the stable one loads the least code
+        members = view.id_order[np.sort(view.id_rank[rows], axis=1, kind="stable")]
+        # the pool x-vectors: PLDA's rank view holds latents, and a second
+        # cached matrix beside them raised the peak memory of ``anonymize``
+        embeddings = view.vectors if cfg.scorer is Scorer.COSINE else np.stack(
+            [s.mean_embedding for s in subset.speakers])
+        step = max(1, _GATHER_VALUES // (cfg.k_sel * embeddings.shape[1]))
+        xvectors = np.concatenate([
+            np.mean(embeddings[members[i: i + step]], axis=1) for i in range(0, len(numbers), step)
+        ])
+        del embeddings
+        with np.errstate(over="ignore"):
+            f0_means = view.f0_means[members].mean(axis=1)
+            f0_stds = view.f0_stds[members].mean(axis=1)
+        counts = view.f0_counts[members].sum(axis=1)
+        ids = view.ids[members]
+        for j, k in enumerate(numbers):
+            picks[k] = (seeds[j], ids[j].tolist(), xvectors[j], f0_means[j], f0_stds[j], counts[j])
+
+    pseudos = []
+    for k in range(failed):
+        seed, member_ids, xvector, mean, std, count = picks[k]
+        try:
+            stats = LogF0Stats(mean, std, count)
+        except InvalidValueError:
+            return pseudos, InvalidValueError("the mean of its pool members' log-F0 statistics is not finite")
+        pseudos.append(PseudoSpeaker(sources[k].speaker_id, xvector, stats, member_ids, seed))
+    return pseudos, error
 
 
 def derive_pseudo_speaker(
@@ -327,21 +514,65 @@ def derive_pseudo_speaker(
     The k_sel members are drawn uniformly without replacement from the k_far
     furthest candidates, seeded by ``seed_for_speaker(cfg.global_seed,
     source.speaker_id)``; every utterance of a speaker therefore maps to the
-    same pseudo-speaker within one run.
+    same pseudo-speaker within one run. A batch of one source.
     """
-    subset = filter_by_gender(pool, source.gender, cfg.gender_policy)
-    ranked = rank_furthest(subset, source.vector, cfg)
-    seed = seed_for_speaker(cfg.global_seed, source.speaker_id)
-    member_ids = sorted(sample_without_replacement(ranked, cfg.k_sel, seed))
-    by_id = _rank_view(subset, cfg).by_id
-    members = [by_id[m] for m in member_ids]
-    xvector = np.mean([m.mean_embedding for m in members], axis=0)
-    try:
+    pseudos, error = _derive(pool, [source], cfg)
+    if error is not None:
+        raise error
+    return pseudos[0]
+
+
+# one source speaker: its id, gender, utterance x-vectors and F0 contours
+_Source = tuple[str, Gender, Sequence[np.ndarray], Sequence[F0Contour]]
+
+
+def _pseudonymize(
+    pool: SpeakerPool, speakers: Sequence[_Source], cfg: SelectionConfig, f0_mode: F0Mode
+) -> tuple[list[tuple[PseudoSpeaker, list[F0Contour]]], PseudovoxError | None]:
+    """:func:`pseudonymize_speakers` of the speakers before the first that
+    fails, and that one's error (None if none fails)."""
+    sources, error = [], None
+    for speaker_id, gender, vectors, _ in speakers:
         with np.errstate(over="ignore"):
-            stats = aggregate_target_stats([m.f0_stats for m in members])
-    except InvalidValueError:
-        raise InvalidValueError("the mean of its pool members' log-F0 statistics is not finite") from None
-    return PseudoSpeaker(source.speaker_id, xvector, stats, member_ids, seed)
+            mean = np.mean(vectors, axis=0)
+        try:
+            if not np.isfinite(mean).all():
+                raise InvalidValueError("the mean of its utterance x-vectors is not finite")
+            sources.append(SpeakerEmbedding(speaker_id, gender, mean))
+        except PseudovoxError as exc:
+            error = exc
+            break
+    pseudos, derive_error = _derive(pool, sources, cfg)
+    if derive_error is not None:  # of a speaker before the one that ``error`` is of
+        error = derive_error
+    done = []
+    for pseudo, (_, _, _, contours) in zip(pseudos, speakers):
+        try:
+            done.append((pseudo, [
+                transform_contour(c, compute_log_f0_stats(c), pseudo.f0_stats)
+                if f0_mode is F0Mode.MODIFIED and c.voiced_mask.any() else c
+                for c in contours
+            ]))
+        except PseudovoxError as exc:
+            return done, exc
+    return done, error
+
+
+def pseudonymize_speakers(
+    pool: SpeakerPool, speakers: Sequence[_Source], cfg: SelectionConfig, f0_mode: F0Mode,
+) -> list[tuple[PseudoSpeaker, list[F0Contour]]]:
+    """:func:`pseudonymize_speaker` of each ``(speaker_id, gender, vectors,
+    contours)`` in ``speakers``, in one batch: the speakers of a gender are
+    ranked, drawn and averaged together, with results bit-equal to a loop of
+    :func:`pseudonymize_speaker`.
+
+    Raises the error of the first speaker that fails, with the type and text
+    that the loop would raise.
+    """
+    done, error = _pseudonymize(pool, speakers, cfg, f0_mode)
+    if error is not None:
+        raise error
+    return done
 
 
 def pseudonymize_speaker(
@@ -350,15 +581,6 @@ def pseudonymize_speaker(
 ) -> tuple[PseudoSpeaker, list[F0Contour]]:
     """The pseudo-speaker derived from the mean of ``vectors``, and ``contours``
     in order, renormalized toward its F0 statistics under ``F0Mode.MODIFIED``.
-    A contour with no voiced frames, or any under ``ORIGINAL``, is returned as is."""
-    with np.errstate(over="ignore"):
-        mean = np.mean(vectors, axis=0)
-    if not np.isfinite(mean).all():
-        raise InvalidValueError("the mean of its utterance x-vectors is not finite")
-    source = SpeakerEmbedding(speaker_id, gender, mean)
-    pseudo = derive_pseudo_speaker(pool, source, cfg)
-    return pseudo, [
-        transform_contour(c, compute_log_f0_stats(c), pseudo.f0_stats)
-        if f0_mode is F0Mode.MODIFIED and c.voiced_mask.any() else c
-        for c in contours
-    ]
+    A contour with no voiced frames, or any under ``ORIGINAL``, is returned as
+    is. A batch of one speaker of :func:`pseudonymize_speakers`."""
+    return pseudonymize_speakers(pool, [(speaker_id, gender, vectors, contours)], cfg, f0_mode)[0]

@@ -35,7 +35,7 @@ from .selection import (
     PoolSpeaker,
     SelectionConfig,
     SpeakerPool,
-    pseudonymize_speaker,
+    pseudonymize_speakers,
     seed_for_speaker,
 )
 
@@ -244,14 +244,13 @@ def _anonymize_side(
     which: str,
 ) -> list[SimUtterance]:
     spec = cohort.spec
-    side_sel = replace(sel, global_seed=side_seed)
+    sides = [[user.enrollment] if which == "enroll" else user.trial_utterances for user in cohort.users]
+    pseudonymized = pseudonymize_speakers(cohort.pool, [
+        (user.speaker_id, user.gender, [u.embedding for u in user.utterances], [u.contour for u in utts])
+        for user, utts in zip(cohort.users, sides)
+    ], replace(sel, global_seed=side_seed), cfg.f0_mode)
     out = []
-    for user in cohort.users:
-        utts = [user.enrollment] if which == "enroll" else user.trial_utterances
-        pseudo, contours = pseudonymize_speaker(
-            cohort.pool, user.speaker_id, user.gender, [u.embedding for u in user.utterances],
-            [u.contour for u in utts], side_sel, cfg.f0_mode,
-        )
+    for utts, (pseudo, contours) in zip(sides, pseudonymized):
         for utt, contour in zip(utts, contours):
             rng = np.random.default_rng(seed_for_speaker(side_seed, "noise/" + utt.utterance_id))
             embedding = pseudo.xvector + rng.normal(0.0, np.sqrt(spec.within_var), spec.embed_dim)

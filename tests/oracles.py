@@ -7,7 +7,11 @@ dense grid; the F0 oracle is a frame-by-frame pure-Python loop.
 
 The scalar scoring and ranking oracles are the per-pair code that the
 library's batched paths replaced, kept verbatim so tests can require the
-batched results to be bit-identical to it.
+batched results to be bit-identical to it. The per-speaker selection loop
+after them is the code that ``selection.pseudonymize_speakers`` replaced:
+one source speaker at a time, with the Python ``SplitMix64`` draw; the
+selection tests require the same members, seeds, vector and contour bits,
+or the same error for the first speaker that fails.
 
 The per-token text parsers and serializers at the end are the format code
 that the one-pass fast paths replaced, with LF-only lines and ASCII-only
@@ -196,6 +200,83 @@ def rank_furthest_scalar(pool_subset, source_xvector, cfg):
     else:
         scores = scalar_cosine_scores(source, members)
     return sorted_ranking(scores, [s.speaker_id for s in pool_subset.speakers], cfg.k_far)
+
+
+# --- per-speaker selection -------------------------------------------------------
+
+
+def _loop_scores_against_source(pool_subset, source_xvector, cfg):
+    from pseudovox.errors import InvalidSpecError, InvalidValueError
+    from pseudovox.plda import cosine_scores
+    from pseudovox.selection import Scorer, _rank_view
+
+    if cfg.scorer is Scorer.PLDA:
+        model = pool_subset.plda
+        if model is None:
+            raise InvalidSpecError("scorer 'plda' requires a PLDA model on the pool")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
+            src = project(model, source_xvector, length_norm=cfg.length_norm)
+            scores = plda_score_matrix(model, src[None, :], _rank_view(pool_subset, cfg).vectors)[0]
+        non_finite = np.flatnonzero(~np.isfinite(scores))
+        if non_finite.size:
+            pool_id = pool_subset.speakers[non_finite[0]].speaker_id
+            raise InvalidValueError(f"its PLDA score against pool speaker {pool_id!r} is not finite")
+        return scores
+    return cosine_scores(source_xvector, _rank_view(pool_subset, cfg).vectors)
+
+
+def loop_rank_furthest(pool_subset, source_xvector, cfg):
+    """``rank_furthest`` of one source, as the per-speaker code computed it."""
+    from pseudovox.selection import _rank_view
+
+    if len(pool_subset) < cfg.k_far:
+        raise errors.PoolTooSmallError(f"k_far={cfg.k_far} exceeds filtered pool size {len(pool_subset)}")
+    scores = _loop_scores_against_source(pool_subset, np.asarray(source_xvector, float), cfg)
+    order = np.lexsort((_rank_view(pool_subset, cfg).id_rank, scores))[: cfg.k_far]
+    return [pool_subset.speakers[i].speaker_id for i in order]
+
+
+def loop_derive_pseudo_speaker(pool, source, cfg):
+    """``derive_pseudo_speaker`` as the per-speaker code computed it."""
+    from pseudovox.f0 import aggregate_target_stats
+    from pseudovox.selection import PseudoSpeaker, filter_by_gender, sample_without_replacement, seed_for_speaker
+
+    subset = filter_by_gender(pool, source.gender, cfg.gender_policy)
+    ranked = loop_rank_furthest(subset, source.vector, cfg)
+    seed = seed_for_speaker(cfg.global_seed, source.speaker_id)
+    member_ids = sorted(sample_without_replacement(ranked, cfg.k_sel, seed))
+    by_id = {s.speaker_id: s for s in subset.speakers}
+    members = [by_id[m] for m in member_ids]
+    xvector = np.mean([m.mean_embedding for m in members], axis=0)
+    try:
+        with np.errstate(over="ignore"):
+            stats = aggregate_target_stats([m.f0_stats for m in members])
+    except errors.InvalidValueError:
+        raise errors.InvalidValueError("the mean of its pool members' log-F0 statistics is not finite") from None
+    return PseudoSpeaker(source.speaker_id, xvector, stats, member_ids, seed)
+
+
+def loop_pseudonymize_speaker(pool, speaker_id, gender, vectors, contours, cfg, f0_mode):
+    """``pseudonymize_speaker`` as the per-speaker code computed it."""
+    from pseudovox.f0 import F0Mode, transform_contour
+
+    with np.errstate(over="ignore"):
+        mean = np.mean(vectors, axis=0)
+    if not np.isfinite(mean).all():
+        raise errors.InvalidValueError("the mean of its utterance x-vectors is not finite")
+    source = SpeakerEmbedding(speaker_id, gender, mean)
+    pseudo = loop_derive_pseudo_speaker(pool, source, cfg)
+    return pseudo, [
+        transform_contour(c, compute_log_f0_stats(c), pseudo.f0_stats)
+        if f0_mode is F0Mode.MODIFIED and c.voiced_mask.any() else c
+        for c in contours
+    ]
+
+
+def loop_pseudonymize_speakers(pool, speakers, cfg, f0_mode):
+    """``loop_pseudonymize_speaker`` of each ``(speaker_id, gender, vectors,
+    contours)``, in order; it raises the first speaker's error."""
+    return [loop_pseudonymize_speaker(pool, *speaker, cfg, f0_mode) for speaker in speakers]
 
 
 # --- per-token text formats ---------------------------------------------------

@@ -2,18 +2,21 @@
 replaced (``tests/oracles.py``), and the per-pair loops stay gone."""
 
 import dataclasses
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import pseudovox.plda
 from pseudovox import formats, selection
 from pseudovox.cli import main
-from pseudovox.f0 import LogF0Stats
+from pseudovox.errors import PseudovoxError
+from pseudovox.f0 import F0Contour, F0Mode, LogF0Stats
 from pseudovox.plda import (
     Gender,
     PldaModel,
@@ -24,16 +27,24 @@ from pseudovox.plda import (
     project,
 )
 from pseudovox.selection import (
+    GenderPolicy,
     PoolSpeaker,
     Scorer,
     SelectionConfig,
     SpeakerPool,
     derive_pseudo_speaker,
     filter_by_gender,
+    pseudonymize_speakers,
     rank_furthest,
 )
 
-from oracles import rank_furthest_scalar, scalar_cosine_scores, scalar_plda_score, sorted_ranking
+from oracles import (
+    loop_pseudonymize_speaker,
+    rank_furthest_scalar,
+    scalar_cosine_scores,
+    scalar_plda_score,
+    sorted_ranking,
+)
 
 STATS = LogF0Stats(5.0, 0.2, 100)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -144,6 +155,134 @@ def test_pool_and_its_cached_subsets_are_frozen():
         subset.speakers = pool.speakers
     with pytest.raises(dataclasses.FrozenInstanceError):
         pool.speakers[0].gender = Gender.FEMALE
+
+
+# --- the batched pseudonymization equals the per-speaker loop -------------------
+
+# up to two planted faults per case, each source fault in a speaker of its
+# own, so that batches fail in each way a speaker can fail, after speakers
+# that succeed, and in more than one gender group
+PLANTS = st.lists(st.sampled_from([
+    "source mean overflows", "source norm overflows", "zero source", "tied pool", "zero pool speaker",
+    "pool norm overflows", "pool log-F0 means overflow", "k_far above a pool", "no male pool",
+    "no PLDA model", "one voiced frame", "transform overflows",
+]), min_size=1, max_size=2, unique=True)
+POOL_VECTORS = {"tied pool", "zero pool speaker", "pool norm overflows"}
+
+
+def selection_case(seed, d, data):
+    """A pool, a batch of source speakers, a config and an F0 mode."""
+    rng = np.random.default_rng(seed)
+    plants = set(data.draw(PLANTS, label="plants")) if data.draw(st.booleans()) else set()
+    scorer = data.draw(st.sampled_from(Scorer), label="scorer")
+    # sizes drawn evenly, so that k_sel often exceeds the 8 terms that NumPy's pairwise sum adds one by one
+    sizes = {Gender.MALE: 0 if "no male pool" in plants else data.draw(st.sampled_from(range(1, 25))),
+             Gender.FEMALE: data.draw(st.sampled_from(range(1, 25)))}
+    log_f0 = 1e308 if "pool log-F0 means overflow" in plants else 700.0 if "transform overflows" in plants else None
+    speakers = []
+    for gender, tag in ((Gender.MALE, "m"), (Gender.FEMALE, "f")):
+        for i in rng.permutation(sizes[gender]):  # ids not in row order
+            count = data.draw(st.sampled_from([int(rng.integers(1, 500))] * 9 + [2**62]))  # sums beyond int64
+            std = data.draw(st.sampled_from([0.0, 0.1, rng.uniform(0.0, 0.5)]))
+            stats = LogF0Stats(rng.uniform(4.0, 6.0) if log_f0 is None else log_f0, std, count)
+            speakers.append(PoolSpeaker(f"p{tag}{i}", gender, rng.normal(size=d), stats))
+    for plant in sorted(plants & POOL_VECTORS):
+        at = data.draw(st.integers(0, len(speakers) - 1))
+        vector = {"tied pool": speakers[0].mean_embedding, "zero pool speaker": np.zeros(d),
+                  "pool norm overflows": np.full(d, 1e200)}[plant]
+        speakers[at] = dataclasses.replace(speakers[at], mean_embedding=vector)
+    model = None if scorer is Scorer.PLDA and "no PLDA model" in plants else random_model(rng, d)
+    k_far = data.draw(st.sampled_from(range(1, min(sizes[Gender.FEMALE], sizes[Gender.MALE] or 24) + 1)), label="k_far")
+    if "k_far above a pool" in plants:
+        k_far = min(sizes.values()) + 1
+    cfg = SelectionConfig(
+        k_far=k_far, k_sel=data.draw(st.sampled_from(range(1, k_far + 1)), label="k_sel"),
+        gender_policy=data.draw(st.sampled_from(GenderPolicy), label="policy"), scorer=scorer,
+        global_seed=data.draw(st.integers(0, 2**64 - 1)), length_norm=data.draw(st.booleans()),
+    )
+    n_sources = data.draw(st.integers(0, 8), label="sources")
+    planted = {plant: data.draw(st.integers(0, max(0, n_sources - 1)), label=plant) for plant in sorted(plants)}
+    sources = []
+    for i in range(n_sources):
+        vectors = [rng.normal(size=d) * data.draw(st.sampled_from([1.0, 1e-3, 1e3]))
+                   for _ in range(data.draw(st.integers(1, 3)))]
+        frames = []
+        for u in range(data.draw(st.integers(0, 2))):
+            values = np.zeros(4) if data.draw(st.booleans()) and u else rng.uniform(60.0, 400.0, 12)
+            values[::3] = 0.0
+            frames.append(values)
+        for plant in (plant for plant, at in planted.items() if at == i):
+            vectors = {"source mean overflows": [np.full(d, 1e308)] * 2, "source norm overflows": [np.full(d, 1e200)],
+                       "zero source": [np.zeros(d)]}.get(plant, vectors)
+            if plant == "one voiced frame":
+                frames.append(np.array([0.0, 150.0]))
+        contours = [F0Contour(f"s{i}-u{u}", values) for u, values in enumerate(frames)]
+        sources.append((f"s{i}", data.draw(st.sampled_from(Gender)), vectors, contours))
+    return speakers, model, sources, cfg, data.draw(st.sampled_from(F0Mode), label="mode")
+
+
+def bits(result):
+    pseudo, contours = result
+    stats = pseudo.f0_stats
+    return (pseudo.source_speaker_id, pseudo.member_ids, pseudo.seed_used, pseudo.xvector.dtype,
+            pseudo.xvector.shape, pseudo.xvector.tobytes(), repr(stats.mean), repr(stats.std),
+            stats.voiced_frame_count, [(c.utterance_id, c.values.tobytes()) for c in contours])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, d=st.sampled_from([1, 2, 5]), data=st.data())
+def test_pseudonymize_speakers_equals_the_per_speaker_loop(seed, d, data):
+    """For both scorers, gender policies and F0 modes, the batch gives the
+    loop's member ids, seeds, x-vector, F0 statistics and contour bits for
+    every speaker before the first that fails, returns each contour it does
+    not transform as given, and raises that speaker's error with the same
+    type and text; the same numeric warnings are issued."""
+    speakers, model, sources, cfg, mode = selection_case(seed, d, data)
+    expected, error = [], None
+    with warnings.catch_warnings(record=True) as loop_warnings:
+        warnings.simplefilter("always")
+        pool = SpeakerPool(speakers, model)
+        for source in sources:
+            try:
+                expected.append(loop_pseudonymize_speaker(pool, *source, cfg, mode))
+            except PseudovoxError as exc:
+                error = exc
+                break
+    with warnings.catch_warnings(record=True) as batch_warnings:
+        warnings.simplefilter("always")
+        pool = SpeakerPool(speakers, model)
+        done, batch_error = selection._pseudonymize(pool, sources, cfg, mode)
+        try:
+            results = pseudonymize_speakers(SpeakerPool(speakers, model), sources, cfg, mode)
+        except PseudovoxError as exc:
+            results = exc
+    event("fails" if error else "succeeds")
+    assert [bits(r) for r in done] == [bits(r) for r in expected]
+    for (_, _, _, given_contours), (_, contours) in zip(sources, done):
+        for given, contour in zip(given_contours, contours):
+            assert (contour is given) == (mode is F0Mode.ORIGINAL or not given.voiced_mask.any())
+    if error is None:
+        assert batch_error is None and [bits(r) for r in results] == [bits(r) for r in expected]
+    else:
+        event(type(error).__name__ + ": " + re.sub(r"'[^']*'|[0-9]+", "_", str(error)))
+        for raised in (batch_error, results):
+            assert type(raised) is type(error) and str(raised) == str(error)
+    assert {str(w.message) for w in batch_warnings} == {str(w.message) for w in loop_warnings}
+
+
+@pytest.mark.parametrize("scorer", list(Scorer))
+@pytest.mark.parametrize("d", [1, 2, 512])
+def test_batched_member_means_equal_the_loop_at_every_dimension(d, scorer):
+    """With more members than NumPy's pairwise sum adds one by one (8), the
+    member x-vector means are the loop's bits at every dimension: at d = 1
+    NumPy sums each mean pairwise, at d > 1 row by row."""
+    rng = np.random.default_rng(d)
+    pool = random_pool(rng, 60, d, random_model(rng, d))
+    cfg = SelectionConfig(k_far=50, k_sel=40, scorer=scorer, global_seed=7)
+    sources = [(f"s{i}", Gender.MALE, [rng.normal(size=d) * 10.0 ** rng.integers(-3, 4)], []) for i in range(12)]
+    batch = pseudonymize_speakers(pool, sources, cfg, F0Mode.ORIGINAL)
+    loop = [loop_pseudonymize_speaker(SpeakerPool(pool.speakers, pool.plda), *s, cfg, F0Mode.ORIGINAL) for s in sources]
+    assert [bits(r) for r in batch] == [bits(r) for r in loop]
 
 
 # --- counts: the pool is projected once per gender, no per-pair calls ----------

@@ -22,11 +22,11 @@ import oracles
 import pseudovox
 from pseudovox import cli, formats
 from pseudovox.cli import main
-from pseudovox.errors import InvalidValueError
+from pseudovox.errors import InvalidValueError, PseudovoxError
 from pseudovox.f0 import F0Contour, F0Mode, LogF0Stats, compute_log_f0_stats
 from pseudovox.metrics import TrialScoreSet, det_points, evaluate
 from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding, plda_score, project
-from pseudovox.selection import PoolSpeaker, Scorer, SelectionConfig
+from pseudovox.selection import PoolSpeaker, Scorer, SelectionConfig, SpeakerPool
 from pseudovox.simulate import AttackerModel, AttackModel, CohortSpec, ScenarioConfig, generate_cohort, run_scenario
 
 
@@ -416,6 +416,74 @@ def test_anonymize_error_names_the_source_speaker_and_the_pool(tmp_path, runner,
     assert result.exit_code == 1
     assert result.stderr == f"error: {message}\n"
     assert not out.exists()
+
+
+def _later_speaker_edit(case):
+    """Inputs of four speakers (src0 to src3), each with an unvoiced
+    utterance, whose third fails in ``case``."""
+    def apply(paths, tmp_path):
+        embeddings = formats.parse_embeddings(Path(paths["embeddings"]).read_text())
+        for emb in embeddings:
+            if emb.speaker_id == "src2" and case != "pool too small":
+                emb.vector[:] = {"mean overflows": 1e308, "zero source": 0.0}[case]
+            if case == "pool too small":  # src2 is the only female source, and the female pool is small
+                emb.gender = Gender.FEMALE if emb.speaker_id == "src2" else Gender.MALE
+        write(tmp_path / "embeddings.txt", formats.serialize_embeddings(embeddings))
+        pool = formats.parse_pool(Path(paths["pool"]).read_text())
+        if case == "pool too small":
+            pool = [p for p in pool if p.gender is Gender.MALE or p.speaker_id < "poolf03"]
+        write(tmp_path / "pool.txt", formats.serialize_pool(pool))
+        contours = formats.parse_contours(Path(paths["contours"]).read_text())
+        for contour in contours:
+            if contour.utterance_id in ("src0-u1", "src1-u0", "src1-u3", "src2-u1", "src3-u2"):
+                contour.values[:] = 0.0
+        write(tmp_path / "contours.txt", formats.serialize_contours(contours))
+    return apply
+
+
+@pytest.mark.parametrize("case, extra", [
+    ("mean overflows", []), ("pool too small", []), ("zero source", ["--scorer", "cosine"]),
+])
+def test_anonymize_failing_at_a_later_speaker_writes_the_per_speaker_loops_stderr(tmp_path, runner, case, extra):
+    """When the third of four speakers fails, ``anonymize`` writes what the
+    per-speaker loop wrote: the warnings of the unvoiced utterances of the
+    speakers before it (not its own, nor the fourth's), then one error line
+    that names it, with the text
+    the loop raised; it exits 1 and leaves an earlier run's outputs as they
+    were."""
+    paths = build_anonymize_inputs(tmp_path, n_speakers=4)
+    out = tmp_path / "anon"
+    args = anonymize_args(paths, out, ["--f0", "modified", *extra])
+    assert runner.invoke(main, args).exit_code == 0
+    before = read_dir(out)
+    _later_speaker_edit(case)(paths, tmp_path)
+    # the loop, one speaker at a time, on the edited files
+    pool = SpeakerPool(formats.parse_pool(Path(paths["pool"]).read_text()),
+                       formats.parse_plda(Path(paths["plda"]).read_text()))
+    cfg = SelectionConfig(k_far=8, k_sel=4, scorer=Scorer(extra[-1]) if extra else Scorer.PLDA)
+    contours = {c.utterance_id: c for c in formats.parse_contours(Path(paths["contours"]).read_text())}
+    by_speaker = {}
+    for emb in formats.parse_embeddings(Path(paths["embeddings"]).read_text()):
+        by_speaker.setdefault(emb.speaker_id, []).append(emb)
+    expected = ""
+    for speaker_id, embs in sorted(by_speaker.items()):
+        utterances = [contours[e.utterance_id] for e in embs]
+        try:
+            oracles.loop_pseudonymize_speaker(pool, speaker_id, embs[0].gender, [e.vector for e in embs],
+                                              utterances, cfg, F0Mode.MODIFIED)
+        except PseudovoxError as exc:
+            expected += f"error: speaker {speaker_id!r}: {exc}\n"
+            break
+        expected += "".join(f"warning: {c.utterance_id} has no voiced frames, copied unchanged\n"
+                            for c in utterances if not c.voiced_mask.any())
+    assert expected.startswith("warning: src0-u1") and expected.count("warning") == 3
+    ending = {"mean overflows": "x-vectors is not finite", "pool too small": "pool size 3", "zero source": "undefined"}
+    assert expected.endswith(ending[case] + "\n")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == expected
+    assert read_dir(out) == before
 
 
 # --- score ---------------------------------------------------------------------
@@ -1220,6 +1288,69 @@ def test_a_job_whose_fork_fails_is_built_in_this_process(tmp_path, runner, monke
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert (len(forked) > 0) == (failing == "every-other-fork")
+
+
+def test_a_job_whose_report_pipe_fails_is_built_in_this_process(tmp_path, runner, monkeypatch):
+    """A report pipe that cannot be made (``EMFILE`` on the second
+    ``os.pipe``) is a fork that fails: ``--threads 2 simulate`` builds that
+    job in its own process, exits 0 with the tree of ``--threads 1``, and
+    leaves no child and no open descriptor."""
+    args = ["--seed", "8", "simulate"] + SIM_ARGS
+    result = runner.invoke(main, ["--threads", "1", *args, "--out-dir", str(tmp_path / "one")])
+    assert result.exit_code == 0, result.output
+    real_pipe, calls = cli.os.pipe, itertools.count()
+
+    def pipe():
+        if next(calls) == 1:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return real_pipe()
+
+    monkeypatch.setattr(cli.os, "pipe", pipe)
+    fds = open_fds()
+    faulthandler.dump_traceback_later(120, exit=True)  # a hang ends the test run instead of stalling it
+    try:
+        result = runner.invoke(main, ["--threads", "2", *args, "--out-dir", str(tmp_path / "two")])
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert_no_child_left()
+    assert open_fds() == fds
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    assert next(calls) > 2  # the pipes after the failed one were made
+    assert read_dir(tmp_path / "two") == read_dir(tmp_path / "one")
+
+
+def test_score_grid_parts_are_hashed_once_joined(monkeypatch):
+    """The parts of an output are not hashed on their own: the only bytes
+    hashed are the joined file's, once, and its digest is the output's."""
+    hashed = []
+    real_sha256 = cli.hashlib.sha256
+
+    class Counted:
+        def __init__(self):
+            self.digest = real_sha256()
+
+        def update(self, data):
+            hashed.append(bytes(data))
+            self.digest.update(data)
+
+        def hexdigest(self):
+            return self.digest.hexdigest()
+
+    monkeypatch.setattr(cli.hashlib, "sha256", Counted)
+    with tempfile.TemporaryDirectory() as tmp:
+        fds = [os.open(Path(tmp) / name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+               for name in ("one", "parted", "part0", "part1")]
+        try:
+            jobs = [(0, lambda: "single\n", fds[0]), (1, lambda: iter(["a\n", "b\n"]), fds[2]),
+                    (1, lambda: "c\n", fds[3])]
+            outcomes = cli._run(jobs, fds[:2], 1, (), lambda: None)
+            assert outcomes == [real_sha256(b"single\n").hexdigest(), real_sha256(b"a\nb\nc\n").hexdigest()]
+            assert os.pread(fds[1], 100, 0) == b"a\nb\nc\n"
+        finally:
+            for fd in fds:
+                os.close(fd)
+    assert b"".join(hashed) == b"single\na\nb\nc\n"
 
 
 @settings(max_examples=100, deadline=None)

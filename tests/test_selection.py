@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pseudovox.errors import (
     EmptyAfterFilterError,
@@ -8,6 +10,7 @@ from pseudovox.errors import (
 )
 from pseudovox.f0 import F0Contour, F0Mode, LogF0Stats, compute_log_f0_stats, transform_contour
 from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding
+from pseudovox import selection
 from pseudovox.selection import (
     GenderPolicy,
     PoolSpeaker,
@@ -236,6 +239,52 @@ def test_splitmix64_and_fnv1a64_known_answers():
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+U64 = st.integers(0, 2**64 - 1)
+# bounds of the k_far size, which almost never reject, and bounds just above
+# 2**63, where about half the draws fall in the rejected tail
+BOUNDS = st.one_of(st.integers(1, 300), st.integers(2**63 - 2**10, 2**63 + 2**10), st.integers(1, 2**64 - 1))
+
+
+def draws_made(states, seeds):
+    """How many outputs each lane's generator made since its seed: each adds
+    the odd increment to the state, so it is a product by the increment's
+    inverse modulo 2**64."""
+    inverse = pow(selection._GOLDEN, -1, 2**64)
+    return [(state - seed) * inverse % 2**64 for state, seed in zip(states.tolist(), seeds)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds=st.lists(U64, min_size=1, max_size=24), bounds=st.lists(BOUNDS, min_size=1, max_size=6))
+def test_batched_bounded_draw_equals_splitmix64_below_lane_by_lane(seeds, bounds):
+    states = np.array(seeds, dtype=np.uint64)
+    generators = [SplitMix64(seed) for seed in seeds]
+    for n in bounds:
+        assert selection._below(states, n).tolist() == [rng.below(n) for rng in generators]
+        assert states.tolist() == [rng._state for rng in generators]
+    steps = draws_made(states, seeds)
+    event("a lane drew again" if max(steps) > len(bounds) else "no lane drew again")
+
+
+def test_batched_bounded_draw_redraws_only_the_lanes_that_reject():
+    seeds = list(range(64))
+    n = 2**63 + 1  # the tail is 2**63 - 1 values: about half the draws reject
+    states = np.array(seeds, dtype=np.uint64)
+    generators = [SplitMix64(seed) for seed in seeds]
+    assert selection._below(states, n).tolist() == [rng.below(n) for rng in generators]
+    steps = draws_made(states, seeds)
+    assert min(steps) == 1 and max(steps) > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds=st.lists(U64, max_size=12), data=st.data())
+def test_batched_draw_equals_sample_without_replacement(seeds, data):
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, n))
+    drawn = selection._draw(seeds, n, k)
+    assert drawn.shape == (len(seeds), k)
+    assert drawn.tolist() == [sample_without_replacement(list(range(n)), k, seed) for seed in seeds]
 
 
 def test_seed_for_speaker_is_pure_and_collision_free():

@@ -296,14 +296,14 @@ def test_simulate_trial_side_is_what_anonymize_ships(tmp_path):
     # a pool much larger than k_far, so that the ranking decides the members
     selection = ["--k-far", "4", "--k-sel", "2", "--scorer", "plda"]
     calls = []
-    real = simulate.pseudonymize_speaker
+    real = simulate.pseudonymize_speakers
 
     def recorded(*args):
         calls.append((args, real(*args)))
         return calls[-1][1]
 
     runner = CliRunner()
-    with patch.object(simulate, "pseudonymize_speaker", recorded):
+    with patch.object(simulate, "pseudonymize_speakers", recorded):
         result = runner.invoke(main, [
             "simulate", "--out-dir", str(sim), "--attack", "a-a", "--enroll-seed", "11",
             "--trial-seed", "12", "--f0-mode", "modified", "--gender-policy", "opposite",
@@ -311,8 +311,14 @@ def test_simulate_trial_side_is_what_anonymize_ships(tmp_path):
             "--frames-per-utt", "40", *selection,
         ])
     assert result.exit_code == 0, result.output
-    trial_side = {args[1]: out for args, out in calls if args[5].global_seed == 12}
-    assert len(calls) == 40 and len(trial_side) == 20
+    # one batch per side, one result per speaker
+    assert len(calls) == 2 and [len(out) for _, out in calls] == [20, 20]
+    trial_side = {
+        speaker[0]: result
+        for args, out in calls if args[2].global_seed == 12
+        for speaker, result in zip(args[1], out, strict=True)
+    }
+    assert len(trial_side) == 20
 
     result = runner.invoke(main, [
         "--seed", "12", "anonymize", "--pool", str(sim / "pool.txt"),
