@@ -702,7 +702,8 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
     The key is read as columns. A missing id fails on the first trial in key
     order that has one, enroll id first, and a score that is not finite on
     the first such trial. The columns are then put in pair order, so any key
-    order gives the same bytes, and written a chunk of lines at a time.
+    order gives the same bytes, and written a chunk of lines at a time by
+    ``formats._score_chunks``, which ``serialize_scores`` writes with too.
     """
     entries = _recorded({"length_norm": length_norm})
     model = _read(plda_file, "plda", entries, formats.parse_plda)
@@ -740,7 +741,7 @@ def score(plda_file, enroll_file, trial_embeddings, trial_key, out_scores, lengt
         raise InvalidValueError(f"score of trial ({enroll_ids[i]!r}, {test_ids[i]!r}) is not finite")
 
     entries["n_trials"] = str(len(llrs))
-    enroll_ids, test_ids, llrs = _in_pair_order(enroll_ids, test_ids, llrs, in_order)
+    enroll_ids, test_ids, llrs = formats._in_pair_order(enroll_ids, test_ids, llrs, in_order)
     _write("score", entries, *_one_file(out_scores, lambda: formats._score_chunks(enroll_ids, test_ids, llrs)))
 
 
@@ -770,29 +771,11 @@ def eval_cmd(obj, score_file, trial_key, out_file):
     """EER / Cllr / min-Cllr report from a score file and its trial key."""
     entries: dict[str, str] = {}
     score_set = _key_scores(_read(score_file, "scores", entries, formats._score_columns)[:3],
-                            _in_pair_order(*_read(trial_key, "trial_key", entries, formats._trial_columns)))
+                            formats._in_pair_order(*_read(trial_key, "trial_key", entries, formats._trial_columns)))
     report_text = formats.serialize_report(evaluate(score_set))
     outputs, manifest = ([], None) if out_file is None else _one_file(out_file, lambda: report_text)
     _write("eval", entries, outputs + _det_output(obj, lambda: score_set), manifest)
     click.echo(report_text, nl=False)
-
-
-def _in_pair_order(enroll: list[str], test: list[str], values: np.ndarray,
-                   in_order: bool) -> tuple[list[str], list[str], np.ndarray]:
-    """The columns of a column reader, or of ids and values in the same
-    form, in (enroll, test) order; ``in_order`` is the reader's flag that
-    they already are. The pairs must not repeat.
-
-    Two stable sorts, test then enroll, give the order of ``_sorted_text``.
-    ``score`` writes its scores in that order. ``eval`` puts its key in it
-    because the Cllr sums add the trials in key order and their last bits
-    depend on that order; a key in pair order gives each trial set one report.
-    """
-    if in_order:
-        return enroll, test, values
-    order = sorted(range(len(enroll)), key=test.__getitem__)
-    order.sort(key=enroll.__getitem__)
-    return [enroll[i] for i in order], [test[i] for i in order], values[order]
 
 
 def _key_scores(scores: tuple[list[str], list[str], np.ndarray],

@@ -159,7 +159,7 @@ def aggregate_target_stats(per_speaker_stats: list[LogF0Stats]) -> LogF0Stats:
 
     Mean and std are arithmetic means of the per-speaker means and stds
     (each speaker weighs equally regardless of frame count); frame counts
-    are summed.
+    are summed exactly. A one-row call of :func:`_aggregate`.
     """
     if not per_speaker_stats:
         raise EmptySpeakerSetError("cannot aggregate statistics of zero speakers")
@@ -168,7 +168,19 @@ def aggregate_target_stats(per_speaker_stats: list[LogF0Stats]) -> LogF0Stats:
             raise InvalidValueError(
                 "aggregate requires voiced_frame_count >= 1 for every speaker"
             )
-    mean = float(np.mean([s.mean for s in per_speaker_stats]))
-    std = float(np.mean([s.std for s in per_speaker_stats]))
-    count = int(sum(s.voiced_frame_count for s in per_speaker_stats))
-    return LogF0Stats(mean, std, count)
+    means, stds, counts = _aggregate(
+        np.array([[s.mean for s in per_speaker_stats]]), np.array([[s.std for s in per_speaker_stats]]),
+        _count_array([s.voiced_frame_count for s in per_speaker_stats])[None],
+    )
+    return LogF0Stats(means[0], stds[0], counts[0])
+
+
+def _aggregate(means: np.ndarray, stds: np.ndarray, counts: np.ndarray):
+    """:func:`aggregate_target_stats` of each row of (rows, members) arrays of
+    member log-F0 means, stds and :func:`_count_array` voiced counts."""
+    return means.mean(axis=1), stds.mean(axis=1), counts.sum(axis=1)
+
+
+def _count_array(counts: list[int]) -> np.ndarray:
+    """Voiced counts as int64, or as Python ints if a sum of them could overflow int64."""
+    return np.array(counts, dtype=np.int64 if max(counts) < (1 << 63) // len(counts) else object)

@@ -12,7 +12,7 @@ Every format with a record key follows three record rules, each written once:
 - a parse error names the first bad (1-based) line;
 - output is sorted by key, and each distinct id is checked once
   (``_sorted_text``; the grid writers sort two id lists, not rows, and
-  ``_score_chunks`` takes columns already in key order).
+  ``_score_chunks`` takes columns put in key order by ``_in_pair_order``).
 
 The keys: contours the utterance id, stats the stats id, embeddings
 (speaker, utterance), pool the pool speaker id, scores and trials (enroll,
@@ -42,9 +42,10 @@ set. Whatever these checks do not accept goes through the per-token code,
 which accepts the same records and raises the first error with its line
 number. ``parse_scores`` and ``parse_trials`` return those columns as
 tuples. Serializers write reals as ``repr`` of Python floats.
-``_score_chunks`` writes the score lines of columns in pair order, a fixed
-number of lines per chunk; ``score`` writes its output with it. The grid
-writers (``serialize_score_grid``, ``serialize_trial_grid``) write the all-pairs rows
+``_score_chunks`` is the one writer of score lines: it writes columns in
+pair order, a fixed number of lines per chunk, for ``score`` and
+``serialize_scores``. The grid writers (``serialize_score_grid``,
+``serialize_trial_grid``) write the all-pairs rows
 of an (enroll, utt) matrix without building them: they sort each id list once,
 reorder the matrix to match and write each enrollment row from precomputed
 ``" <utt> ..."`` tails, with the bytes and errors of the row writers. Each
@@ -151,8 +152,9 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _data_lines(text: str):
-    """(line number, tokens) of each data line, cut from ``text`` one at a time.
+def _data_lines(text: str, split: bool = True):
+    """(line number, tokens) of each data line, cut from ``text`` one at a
+    time; (line number, stripped line) if not ``split``.
 
     ``text.split("\n")`` would put every line of a large file in the heap at
     once, beside the records parsed from it; whether a later file of similar
@@ -164,7 +166,7 @@ def _data_lines(text: str):
         end = text.find("\n", start)
         stripped = text[start:end if end >= 0 else None].strip()
         if stripped and not stripped.startswith("#"):
-            yield lineno, stripped.split()
+            yield lineno, stripped.split() if split else stripped
         if end < 0:
             return
         start = end + 1
@@ -357,38 +359,40 @@ def serialize_pool(records: list[PoolSpeaker]) -> str:
 
 
 def parse_plda(text: str) -> PldaModel:
-    rows = list(_data_lines(text))
-    if not rows:
+    """The model of a PLDA file. A first pass numbers the data lines without
+    splitting them; then each vector line is split and parsed as it is read."""
+    numbers = [lineno for lineno, _ in _data_lines(text, split=False)]
+    if not numbers:
         raise LineSyntaxError("PLDA file is empty", 1)
-    lineno, tokens = rows[0]
+    rows = _data_lines(text)
+    lineno, tokens = next(rows)
     if len(tokens) != 2 or tokens[0] != "dim":
         raise LineSyntaxError("first PLDA line must be 'dim <d>'", lineno)
     dim = _parse_uint(tokens[1], lineno)
     if dim < 1:
         raise InvalidValueError("PLDA dimension must be >= 1", lineno)
-    if len(rows) != dim + 3:
-        last = rows[-1][0]
+    if len(numbers) != dim + 3:
         raise LineSyntaxError(
-            f"PLDA file needs {dim + 3} data lines for dim {dim}, got {len(rows)}", last
+            f"PLDA file needs {dim + 3} data lines for dim {dim}, got {len(numbers)}", numbers[-1]
         )
 
-    def vector_line(index: int, label: str) -> np.ndarray:
-        lineno, tokens = rows[index]
+    def vector_line(label: str) -> np.ndarray:
+        lineno, tokens = next(rows)
         if len(tokens) != dim + 1 or tokens[0] != label:
             raise LineSyntaxError(
                 f"expected '{label}' followed by {dim} reals", lineno
             )
         return _parse_reals(tokens[1:], lineno)
 
-    mean = vector_line(1, "mean")
-    transform = np.stack([vector_line(2 + i, "transform") for i in range(dim)])
-    psi = vector_line(dim + 2, "psi")
+    mean = vector_line("mean")
+    transform = np.stack([vector_line("transform") for _ in range(dim)])
+    psi = vector_line("psi")
     if np.any(psi < 0.0):
-        raise InvalidValueError("psi components must be >= 0", rows[dim + 2][0])
+        raise InvalidValueError("psi components must be >= 0", numbers[-1])
     try:
         return PldaModel(mean, transform, psi)
     except PseudovoxError as exc:
-        raise _with_line(exc, rows[0][0]) from None
+        raise _with_line(exc, numbers[0]) from None
 
 
 def serialize_plda(model: PldaModel) -> str:
@@ -414,11 +418,28 @@ def _score_columns(text: str) -> tuple[list[str], list[str], np.ndarray, bool]:
     return _pair_columns(text, _SCORE_LINE_RE, float, np.float64, _score_key, _parse_float)
 
 
+def _in_pair_order(enroll: list[str], test: list[str], values: np.ndarray,
+                   in_order: bool) -> tuple[list[str], list[str], np.ndarray]:
+    """The columns of a column reader, or of ids and values in the same
+    form, in (enroll, test) order; ``in_order`` is the reader's flag that
+    they already are. The pairs must not repeat.
+
+    Two stable sorts, test then enroll, give the order of ``_sorted_text``.
+    Score lines are written in that order. ``eval`` puts its key in it
+    because the Cllr sums add the trials in key order and their last bits
+    depend on that order; a key in pair order gives each trial set one report.
+    """
+    if in_order:
+        return enroll, test, values
+    order = sorted(range(len(enroll)), key=test.__getitem__)
+    order.sort(key=enroll.__getitem__)
+    return [enroll[i] for i in order], [test[i] for i in order], values[order]
+
+
 def _score_chunks(enroll: list[str], test: list[str], scores: np.ndarray):
-    """The text of ``serialize_scores`` of the rows ``(enroll[i], test[i],
-    scores[i])``, which must be in pair order with no repeat, as chunks of
-    ``_CHUNK_LINES`` lines. Each distinct id is checked once, in written
-    order, before the first chunk is made."""
+    """The score lines of the rows ``(enroll[i], test[i], scores[i])`` in
+    chunks of ``_CHUNK_LINES`` lines; the rows must be in pair order with no
+    repeat. Each distinct id is checked once, in written order, first."""
     _check_out_ids(chain.from_iterable(zip(enroll, test)))
     for i in range(0, len(enroll), _CHUNK_LINES):
         rows = zip(enroll[i:i + _CHUNK_LINES], test[i:i + _CHUNK_LINES], scores[i:i + _CHUNK_LINES].tolist())
@@ -432,8 +453,9 @@ def _score_key(tokens: list[str], line: int) -> tuple[str, str]:
 
 
 def serialize_scores(records: list[tuple[str, str, float]]) -> str:
-    return _sorted_text(records, itemgetter, (0, 1), _pair,
-                        lambda rows: [f"{e} {t} {float(s)!r}" for e, t, s in rows])
+    enroll, test = [r[0] for r in records], [r[1] for r in records]
+    in_order = _strictly_up(zip(enroll, test)) or _require_unique(zip(enroll, test))  # raises on a repeat
+    return "".join(_score_chunks(*_in_pair_order(enroll, test, np.array([float(r[2]) for r in records]), in_order)))
 
 
 def parse_trials(text: str) -> list[tuple[str, str, bool]]:

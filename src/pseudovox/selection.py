@@ -16,14 +16,14 @@ Per-speaker seeds are derived as::
 
 where ``mix64`` is one SplitMix64 step (increment by 0x9E3779B97F4A7C15, then
 the 30/27/31-shift finalizer) and ``fnv1a64`` is the 64-bit FNV-1a hash
-(offset basis 0xCBF29CE484222325, prime 0x100000001B3). Sampling uses a
-SplitMix64 stream driving a partial Fisher-Yates shuffle with unbiased bounded
-draws (the biased tail is rejected), so member sets are identical across
-platforms and runs. The batched draw keeps this contract bit for bit: it runs
-the same generator in NumPy ``uint64`` arithmetic, one lane per source
-speaker, and draws again only in the lanes whose value falls in the tail, so
-each lane makes exactly the draws of :class:`SplitMix64` with that speaker's
-seed.
+(offset basis 0xCBF29CE484222325, prime 0x100000001B3). Sampling is a partial
+Fisher-Yates shuffle fed by a SplitMix64 stream: its state starts at the seed
+modulo 2**64, and each output is ``mix64`` of the state, which then grows by
+the increment. Draw i swaps position i with ``i + below(n - i)``, where
+``below(m)`` rejects outputs at or above the largest multiple of m not above
+2**64 and reduces the first other one modulo m, so member sets are identical
+across platforms and runs. :func:`_draw` runs one generator lane per seed in
+NumPy ``uint64`` arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     PseudovoxError,
 )
 from .f0 import (
-    F0Contour, F0Mode, LogF0Stats, compute_log_f0_stats, transform_contour,
+    F0Contour, F0Mode, LogF0Stats, _aggregate, _count_array, compute_log_f0_stats, transform_contour,
 )
 from .plda import (
     Gender,
@@ -61,7 +61,6 @@ __all__ = [
     "SpeakerPool",
     "SelectionConfig",
     "PseudoSpeaker",
-    "SplitMix64",
     "fnv1a64",
     "seed_for_speaker",
     "sample_without_replacement",
@@ -98,39 +97,11 @@ def seed_for_speaker(global_seed: int, speaker_id: str) -> int:
     return _mix64(_mix64(g) ^ fnv1a64(speaker_id.encode("utf-8")))
 
 
-class SplitMix64:
-    """Tiny deterministic 64-bit generator (SplitMix64)."""
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
-
-    def next_u64(self) -> int:
-        z = _mix64(self._state)
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return z
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n) without modulo bias."""
-        if n <= 0:
-            raise InvalidValueError("bound must be positive")
-        span = _MASK64 + 1
-        limit = span - (span % n)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
-
-
 def sample_without_replacement(items: Sequence[str], k: int, seed: int) -> list[str]:
-    """Draw k distinct items uniformly, via a seeded partial Fisher-Yates."""
+    """Draw k distinct items uniformly: one lane of :func:`_draw`."""
     if k > len(items):
         raise PoolTooSmallError(f"cannot draw {k} items from {len(items)}")
-    pool = list(items)
-    rng = SplitMix64(seed)
-    for i in range(k):
-        j = i + rng.below(len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    return [items[j] for j in _draw([int(seed) & _MASK64], len(items), k)[0].tolist()]
 
 
 class GenderPolicy(enum.Enum):
@@ -275,7 +246,7 @@ class _RankView:
     vectors: np.ndarray          # PLDA: projected latents; cosine: raw members (norms taken per call)
     f0_means: np.ndarray
     f0_stds: np.ndarray
-    f0_counts: np.ndarray        # int64, or Python ints if a sum of them could overflow int64
+    f0_counts: np.ndarray        # from ``_count_array``
 
 
 def _rank_view(pool_subset: SpeakerPool, cfg: SelectionConfig) -> _RankView:
@@ -292,11 +263,10 @@ def _rank_view(pool_subset: SpeakerPool, cfg: SelectionConfig) -> _RankView:
             raise InvalidValueError(f"the x-vector norm of pool speaker {ids[overflows.argmax()]!r} overflows float64")
         if cfg.scorer is Scorer.PLDA:
             vectors = project_many(pool_subset.plda, vectors, length_norm=cfg.length_norm)
-        counts = [s.f0_stats.voiced_frame_count for s in speakers]
         return _RankView(
             np.array(ids, dtype=object), id_rank, id_order, vectors,
             np.array([s.f0_stats.mean for s in speakers]), np.array([s.f0_stats.std for s in speakers]),
-            np.array(counts, dtype=np.int64 if max(counts) < (1 << 63) // len(counts) else object),
+            _count_array([s.f0_stats.voiced_frame_count for s in speakers]),
         )
 
     return pool_subset._cached(("rank", cfg.scorer, cfg.length_norm), build)
@@ -395,8 +365,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _next_u64(states: np.ndarray) -> np.ndarray:
-    """:meth:`SplitMix64.next_u64` of each lane: advances the uint64
-    ``states`` in place and returns the outputs."""
+    """The next generator output of each lane: adds the increment to the
+    uint64 ``states`` in place and returns the finalizer of each new state."""
     states += np.uint64(_GOLDEN)
     z = states ^ (states >> 30)
     z *= _MIX1
@@ -406,9 +376,9 @@ def _next_u64(states: np.ndarray) -> np.ndarray:
 
 
 def _below(states: np.ndarray, n: int) -> np.ndarray:
-    """:meth:`SplitMix64.below` of each lane, for ``0 < n < 2**64``: advances
-    ``states`` in place, drawing again only in the lanes whose draw falls in
-    the rejected tail."""
+    """``below(n)`` of the module docstring in each lane, for ``0 < n <
+    2**64``: advances ``states`` in place, drawing again only in the lanes
+    whose output is rejected."""
     draws = _next_u64(states)
     tail = (_MASK64 + 1) % n
     if tail:
@@ -423,9 +393,9 @@ def _below(states: np.ndarray, n: int) -> np.ndarray:
 
 
 def _draw(seeds: list[int], n: int, k: int) -> np.ndarray:
-    """The positions that :func:`sample_without_replacement` draws from ``n``
-    items with each seed: a (seeds, k) matrix, from one generator lane per
-    seed running the same partial Fisher-Yates shuffle."""
+    """The positions of the ``k`` of ``n`` items that the partial
+    Fisher-Yates shuffle draws with each seed, in draw order: a (seeds, k)
+    matrix, from one generator lane per seed."""
     states = np.array(seeds, dtype=np.uint64)
     lanes = np.arange(len(seeds))
     drawn = np.tile(np.arange(n), (len(seeds), 1))
@@ -488,9 +458,7 @@ def _derive(
         ])
         del embeddings
         with np.errstate(over="ignore"):
-            f0_means = view.f0_means[members].mean(axis=1)
-            f0_stds = view.f0_stds[members].mean(axis=1)
-        counts = view.f0_counts[members].sum(axis=1)
+            f0_means, f0_stds, counts = _aggregate(view.f0_means[members], view.f0_stds[members], view.f0_counts[members])
         ids = view.ids[members]
         for j, k in enumerate(numbers):
             picks[k] = (seeds[j], ids[j].tolist(), xvectors[j], f0_means[j], f0_stds[j], counts[j])

@@ -9,14 +9,20 @@ The scalar scoring and ranking oracles are the per-pair code that the
 library's batched paths replaced, kept verbatim so tests can require the
 batched results to be bit-identical to it. The per-speaker selection loop
 after them is the code that ``selection.pseudonymize_speakers`` replaced:
-one source speaker at a time, with the Python ``SplitMix64`` draw; the
-selection tests require the same members, seeds, vector and contour bits,
-or the same error for the first speaker that fails.
+one source speaker at a time, with the Python ``SplitMix64`` generator, its
+``sample_without_replacement`` draw and the list ``aggregate_target_stats``,
+which the library now runs as batches of one of its batched code. The loop
+uses these scalar bodies, not the library functions they check; the
+selection and F0 tests require the same draws and statistics or the same
+error, and the same members, seeds, vector and contour bits, or the same
+error for the first speaker that fails.
 
 The per-token text parsers and serializers at the end are the format code
 that the one-pass fast paths replaced, with LF-only lines and ASCII-only
 digits; the formats tests require the library to accept, reject (same error
-type and message) and write exactly what they do.
+type and message) and write exactly what they do. ``serialize_scores`` here
+is the reference for the library's, which writes through the same score-line
+writer as ``score``.
 
 The metric loops and the sort-built simulate rows at the very end are the
 code that the one-sweep metrics and the one trial table of ``simulate``
@@ -236,10 +242,69 @@ def loop_rank_furthest(pool_subset, source_xvector, cfg):
     return [pool_subset.speakers[i].speaker_id for i in order]
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(x):
+    z = (x + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """Tiny deterministic 64-bit generator (SplitMix64): the scalar generator
+    that each lane of ``selection._draw`` runs."""
+
+    def __init__(self, seed):
+        self._state = int(seed) & _MASK64
+
+    def next_u64(self):
+        z = _mix64(self._state)
+        self._state = (self._state + _GOLDEN) & _MASK64
+        return z
+
+    def below(self, n):
+        """Uniform integer in [0, n) without modulo bias."""
+        if n <= 0:
+            raise errors.InvalidValueError("bound must be positive")
+        span = _MASK64 + 1
+        limit = span - (span % n)
+        while True:
+            v = self.next_u64()
+            if v < limit:
+                return v % n
+
+
+def sample_without_replacement(items, k, seed):
+    """``selection.sample_without_replacement`` as one ``SplitMix64`` drove it."""
+    if k > len(items):
+        raise errors.PoolTooSmallError(f"cannot draw {k} items from {len(items)}")
+    pool = list(items)
+    rng = SplitMix64(seed)
+    for i in range(k):
+        j = i + rng.below(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def aggregate_target_stats(per_speaker_stats):
+    """``f0.aggregate_target_stats`` as the list code computed it."""
+    if not per_speaker_stats:
+        raise errors.EmptySpeakerSetError("cannot aggregate statistics of zero speakers")
+    for stats in per_speaker_stats:
+        if stats.voiced_frame_count < 1:
+            raise errors.InvalidValueError("aggregate requires voiced_frame_count >= 1 for every speaker")
+    mean = float(np.mean([s.mean for s in per_speaker_stats]))
+    std = float(np.mean([s.std for s in per_speaker_stats]))
+    count = int(sum(s.voiced_frame_count for s in per_speaker_stats))
+    return LogF0Stats(mean, std, count)
+
+
 def loop_derive_pseudo_speaker(pool, source, cfg):
     """``derive_pseudo_speaker`` as the per-speaker code computed it."""
-    from pseudovox.f0 import aggregate_target_stats
-    from pseudovox.selection import PseudoSpeaker, filter_by_gender, sample_without_replacement, seed_for_speaker
+    from pseudovox.selection import PseudoSpeaker, filter_by_gender, seed_for_speaker
 
     subset = filter_by_gender(pool, source.gender, cfg.gender_policy)
     ranked = loop_rank_furthest(subset, source.vector, cfg)

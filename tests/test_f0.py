@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudovox.errors import (
     DegenerateSourceStatsError,
@@ -17,6 +19,7 @@ from pseudovox.f0 import (
     transform_contour,
 )
 
+import oracles
 from oracles import transform_frames, two_pass_log_stats
 
 
@@ -163,6 +166,31 @@ def test_aggregate_examples():
 def test_aggregate_empty_raises():
     with pytest.raises(EmptySpeakerSetError):
         aggregate_target_stats([])
+
+
+def aggregate_outcome(aggregate, stats):
+    try:
+        return repr(aggregate(stats))  # repr tells -0.0 from 0.0
+    except Exception as exc:  # the overflow warning too: the test config makes it an error
+        return type(exc), str(exc)
+
+
+STATS = st.builds(
+    LogF0Stats,
+    st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308)),
+    st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e308)),
+    # counts: a zero, small ones, and ones whose sum needs more than 63 bits
+    st.one_of(st.integers(0, 1000), st.integers(2**62, 2**64), st.integers(1, 2**70)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stats=st.one_of(st.lists(STATS, max_size=300), st.lists(STATS, min_size=1, max_size=3)))
+def test_aggregate_equals_the_list_code(stats):
+    """A one-row call of the aggregation that selection runs gives the list
+    code's statistics bit for bit, with counts summed exactly, or its error."""
+    assert aggregate_outcome(aggregate_target_stats, stats) == aggregate_outcome(
+        oracles.aggregate_target_stats, stats)
 
 
 def test_contour_validation():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from pseudovox.errors import (
     EmptyAfterFilterError,
     InvalidSpecError,
@@ -17,7 +18,6 @@ from pseudovox.selection import (
     Scorer,
     SelectionConfig,
     SpeakerPool,
-    SplitMix64,
     derive_pseudo_speaker,
     fnv1a64,
     filter_by_gender,
@@ -230,11 +230,11 @@ def test_pseudonymize_speaker_renormalizes_voiced_contours_only():
 
 
 def test_splitmix64_and_fnv1a64_known_answers():
-    rng = SplitMix64(0)
+    rng = oracles.SplitMix64(0)
     assert [rng.next_u64() for _ in range(3)] == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
     ]
-    rng = SplitMix64(1234567)
+    rng = oracles.SplitMix64(1234567)
     assert [rng.next_u64() for _ in range(2)] == [6457827717110365317, 3203168211198807973]
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
@@ -259,7 +259,7 @@ def draws_made(states, seeds):
 @given(seeds=st.lists(U64, min_size=1, max_size=24), bounds=st.lists(BOUNDS, min_size=1, max_size=6))
 def test_batched_bounded_draw_equals_splitmix64_below_lane_by_lane(seeds, bounds):
     states = np.array(seeds, dtype=np.uint64)
-    generators = [SplitMix64(seed) for seed in seeds]
+    generators = [oracles.SplitMix64(seed) for seed in seeds]
     for n in bounds:
         assert selection._below(states, n).tolist() == [rng.below(n) for rng in generators]
         assert states.tolist() == [rng._state for rng in generators]
@@ -271,7 +271,7 @@ def test_batched_bounded_draw_redraws_only_the_lanes_that_reject():
     seeds = list(range(64))
     n = 2**63 + 1  # the tail is 2**63 - 1 values: about half the draws reject
     states = np.array(seeds, dtype=np.uint64)
-    generators = [SplitMix64(seed) for seed in seeds]
+    generators = [oracles.SplitMix64(seed) for seed in seeds]
     assert selection._below(states, n).tolist() == [rng.below(n) for rng in generators]
     steps = draws_made(states, seeds)
     assert min(steps) == 1 and max(steps) > 1
@@ -284,7 +284,32 @@ def test_batched_draw_equals_sample_without_replacement(seeds, data):
     k = data.draw(st.integers(1, n))
     drawn = selection._draw(seeds, n, k)
     assert drawn.shape == (len(seeds), k)
-    assert drawn.tolist() == [sample_without_replacement(list(range(n)), k, seed) for seed in seeds]
+    assert drawn.tolist() == [oracles.sample_without_replacement(list(range(n)), k, seed) for seed in seeds]
+
+
+def draw_outcome(draw, items, k, seed):
+    try:
+        return draw(items, k, seed)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=st.lists(st.text(max_size=3), max_size=60), data=st.data(),
+       seed=st.one_of(U64, st.integers(-2**70, 2**70)))
+def test_sample_without_replacement_equals_the_scalar_draw(items, data, seed):
+    """The public draw, one lane of the batched draw, gives the scalar
+    generator's list or raises its error, for any k from -3 to n + 1 and for
+    seeds outside [0, 2**64), which both reduce modulo 2**64."""
+    k = data.draw(st.integers(-3, len(items) + 1))
+    assert draw_outcome(sample_without_replacement, items, k, seed) == draw_outcome(
+        oracles.sample_without_replacement, items, k, seed)
+
+
+def test_sample_without_replacement_known_answers():
+    assert sample_without_replacement([f"p{i}" for i in range(12)], 5, 2024) == ["p1", "p9", "p3", "p10", "p6"]
+    assert sample_without_replacement(list(range(200)), 8, 2**64 - 1) == [136, 16, 105, 149, 138, 135, 69, 147]
+    assert sample_without_replacement(list("abcdefgh"), 3, -5) == ["c", "a", "f"]
 
 
 def test_seed_for_speaker_is_pure_and_collision_free():

@@ -391,7 +391,9 @@ WRITER_RECORDS = {
     ),
     "pool": st.builds(lambda i: with_ids(PoolSpeaker("x", Gender.FEMALE, [1.0], F0_STATS), speaker_id=i), WRITER_IDS),
     "mapping": st.tuples(WRITER_IDS, st.integers(0, 9), st.lists(WRITER_IDS, min_size=1, max_size=3).map(tuple)),
-    "scores": st.tuples(WRITER_IDS, st.sampled_from(["a", "b", "#c"]), st.booleans()),
+    # int, float and np.float64 scores: the score-line writer converts each as ``float`` does
+    "scores": st.tuples(WRITER_IDS, st.sampled_from(["a", "b", "#c"]),
+                        st.one_of(st.integers(-10**6, 10**6), FLOATS, FLOATS.map(np.float64))),
     "trials": st.tuples(WRITER_IDS, st.sampled_from(["a", "b", "#c"]), st.booleans()),
 }
 
@@ -570,10 +572,11 @@ def test_pair_serializers_in_pair_order_equal_the_sorting_path(name, rows, data)
     assert outcome(serialize, rows) == sorting
 
 
-@pytest.mark.parametrize("name", ["scores", "trials"])
+@pytest.mark.parametrize("name", ["trials"])
 def test_pair_serializers_do_not_sort_sorted_rows(monkeypatch, name):
     """Sorted rows pass one strictly-up check and are written as given;
-    reversed rows fail it and pass it again only as a sorted copy."""
+    reversed rows fail it and pass it again only as a sorted copy. Scores
+    take the pair-order step of ``score`` instead (the test below)."""
     checked = []
     real = formats._strictly_up
     monkeypatch.setattr(formats, "_strictly_up",
@@ -586,6 +589,20 @@ def test_pair_serializers_do_not_sort_sorted_rows(monkeypatch, name):
     backwards = rows[::-1]
     assert serialize(backwards) == text
     assert checked == [(backwards, False), (rows, True)] and checked[1][0] is not backwards
+
+
+def test_serialize_scores_does_not_sort_sorted_rows(monkeypatch):
+    """Sorted score rows reach the score-line writer through the pair-order
+    step with its in-order flag set, so they are written as given; reversed
+    rows clear the flag and are sorted there, to the same bytes."""
+    flags = []
+    real = formats._in_pair_order
+    monkeypatch.setattr(formats, "_in_pair_order", lambda *columns: flags.append(bool(columns[3])) or real(*columns))
+    rows = [(f"spk{e}", f"utt{t:02d}", float(e - t)) for e in range(10) for t in range(40)]
+    text = formats.serialize_scores(rows)
+    assert flags == [True]
+    assert formats.serialize_scores(rows[::-1]) == text
+    assert flags == [True, False]
 
 
 # --- grid writers ----------------------------------------------------------------
