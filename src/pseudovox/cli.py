@@ -57,7 +57,7 @@ from .errors import (
 )
 from . import formats
 from .f0 import F0Mode, compute_log_f0_stats
-from .metrics import TrialScoreSet, det_points, evaluate
+from .metrics import TrialScoreSet, _det_rates, evaluate
 from .plda import SpeakerEmbedding, plda_score_pairs, project
 from .selection import SelectionConfig, SpeakerPool, _pseudonymize
 from .simulate import (
@@ -125,8 +125,8 @@ def _of_dim(parse: Callable[[str], list[SpeakerEmbedding]], dim: int | None, of:
 
 # builder of an output's text or its text chunks
 _Build = Callable[[], str | Iterable[str]]
-# path, builder (or builders of its parts, joined in order), hashed in the manifest
-_Output = tuple[Path, _Build | list[_Build], bool]
+# path, builder, hashed in the manifest
+_Output = tuple[Path, _Build, bool]
 
 
 def _write(command: str, entries: dict[str, str], outputs: list[_Output], manifest: Path | None,
@@ -134,11 +134,10 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
     """Write ``outputs``, then the manifest at ``manifest`` unless it is None.
 
     Each output is its path, the builder of its text, and whether the
-    manifest records its ``output_sha256_<stem>``; a list of builders builds
-    the output in parts, which are joined in order. First every path is
-    checked and a hidden temp file is opened beside it, in the given order,
-    then one beside its output for each part; no path may name a directory
-    or an input read by ``_read``, and no two may resolve to the same file.
+    manifest records its ``output_sha256_<stem>``. First every path is
+    checked and a hidden temp file is opened beside it, in the given order;
+    no path may name a directory or an input read by ``_read``, and no two
+    may resolve to the same file.
     Then each builder runs as one job, streaming into its temp file, and
     ``meanwhile`` runs in this process, as ``_run`` says; the jobs of the
     outputs numbered in ``early`` may start before ``meanwhile``. Last the
@@ -152,8 +151,7 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
     """
     meta = click.get_current_context().meta
     paths = [path for path, _, _ in outputs] + ([] if manifest is None else [manifest])
-    parts = [build if isinstance(build, list) else [build] for _, build, _ in outputs]
-    staged: list[tuple[Path, int]] = []  # temp file and open descriptor of each path, then of each part
+    staged: list[tuple[Path, int]] = []  # temp file and open descriptor of each path
     created: list[Path] = []
     targets: set[str] = set()
     written = False
@@ -169,19 +167,14 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
                 if target in targets:
                     raise OSError("another output of this command is the same file")
                 targets.add(target)
-                staged.append(_stage(path, os.O_WRONLY))
-            for path, builds in zip(paths, parts):
-                if len(builds) > 1:  # read back by ``_join``
-                    staged += [_stage(path, os.O_RDWR) for _ in builds]
+                staged.append(_stage(path))
             for path in paths:
                 if path.is_dir():
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         except OSError as exc:
             _fail(f"cannot write {path}: {exc}")
-        part_fds = iter([fd for _, fd in staged[len(paths):]])
-        outcomes = _run([(output, build, staged[output][1] if len(builds) == 1 else next(part_fds))
-                         for output, builds in enumerate(parts) for build in builds],
-                        [fd for _, fd in staged[:len(outputs)]], meta["threads"], early, meanwhile)
+        outcomes = _run([(build, fd) for (_, build, _), (_, fd) in zip(outputs, staged)], meta["threads"], early,
+                        meanwhile)
         for (path, _, hashed), result in zip(outputs, outcomes):
             if isinstance(result, OSError):
                 _fail(f"cannot write {path}: {result}")
@@ -224,10 +217,10 @@ def _make_dirs(directory: Path, created: list[Path]) -> None:
         created.append(directory)
 
 
-def _stage(path: Path, mode: int) -> tuple[Path, int]:
-    """A new hidden temp file beside ``path``, opened with ``mode``, and its descriptor."""
+def _stage(path: Path) -> tuple[Path, int]:
+    """A new hidden temp file beside ``path``, opened for writing, and its descriptor."""
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    return tmp, os.open(tmp, mode | os.O_CREAT | os.O_EXCL, 0o666)
+    return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
 
 
 def _encoded(build: _Build) -> Iterable[bytes]:
@@ -252,49 +245,21 @@ def _build_into(build: _Build, fd: int) -> str:
     return digest.hexdigest()
 
 
-def _build_part(build: _Build, fd: int) -> str:
-    """Build one part of an output into the file open at ``fd``, unhashed:
-    ``_join`` hashes the joined output. The empty string marks the part built."""
-    with open(fd, "wb", closefd=False) as handle:
-        handle.writelines(_encoded(build))
-    return ""
-
-
-_JOIN_BLOCK = 1 << 20  # bytes of a part file that ``_join`` holds at a time
-
-
-def _join(parts: list[int], fd: int) -> str:
-    """Copy the files open at ``parts``, in order, into the file open at
-    ``fd`` a block at a time, hashing each block; the SHA-256 hex digest."""
-    digest = hashlib.sha256()
-    with open(fd, "wb", closefd=False) as handle:
-        for part in parts:
-            with open(part, "rb", closefd=False) as source:
-                source.seek(0)
-                while block := source.read(_JOIN_BLOCK):
-                    digest.update(block)
-                    handle.write(block)
-    return digest.hexdigest()
-
-
-def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, early: Iterable[int],
+def _run(jobs: list[tuple[_Build, int]], threads: int, early: Iterable[int],
          meanwhile: Callable[[], None]) -> list:
-    """Build ``jobs`` and run ``meanwhile``; each output's digest, the
-    exception of its lowest-numbered failed job, or None if it was not built.
+    """Build ``jobs`` and run ``meanwhile``; each job's digest, the
+    exception it raised, or None if it was not built.
 
-    Each job is the number of its output, its builder and the descriptor it
-    is built into (``_build_into``); the jobs are numbered in output order,
-    and ``fds`` holds each output's own descriptor. An output of several
-    jobs is built in unhashed parts (``_build_part``) and joined (``_join``)
-    into its own file as soon as each of them is built.
+    Each job is one output's builder and the descriptor it is built into
+    (``_build_into``), numbered in output order.
 
     With one thread, one job or no ``os.fork``, this process runs
     ``meanwhile``, then builds the jobs in order and stops at the first that
     fails. Otherwise each job is built in a forked child of its own
     (``_fork``), at most ``threads`` alive at once, and this process only
-    forks, waits and collects: the jobs of the outputs numbered in ``early``
-    are forked first, in that order, as many as fit while ``meanwhile`` runs,
-    and the other jobs after it, in order. Every job is built, even above a
+    forks, waits and collects: the jobs numbered in ``early`` are forked
+    first, in that order, as many as fit while ``meanwhile`` runs, and the
+    other jobs after it, in order. Every job is built, even above a
     failure, so the lowest-numbered failing output is the one that one
     process would report. Children are forked, not spawned, because the
     builders are closures over the command's results; they run only
@@ -303,30 +268,15 @@ def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, earl
     process at once. An error of ``meanwhile`` is raised once every child is
     reaped, and no job starts after it.
     """
-    results: list = [None] * len(jobs)  # each job's digest (or part marker) or exception, None until it is built
-    digests: dict[int, str] = {}  # of each output whose jobs are all built
-    outputs = [output for output, _, _ in jobs]
-    parted = [outputs.count(output) > 1 for output in outputs]  # each job: whether it builds a part
-
-    def record(number: int, result) -> None:
-        """Record job ``number``'s result, and its output's digest once every job of it is built."""
-        results[number] = result
-        output = jobs[number][0]
-        numbers = [n for n, job in enumerate(jobs) if job[0] == output]
-        if all(isinstance(results[n], str) for n in numbers):
-            try:
-                digests[output] = result if len(numbers) == 1 else _join([jobs[n][2] for n in numbers], fds[output])
-            except OSError as exc:
-                results[number] = exc
-
+    results: list = [None] * len(jobs)  # each job's digest or exception, None until it is built
     if threads < 2 or len(jobs) < 2 or not hasattr(os, "fork"):
         meanwhile()
         for number, job in enumerate(jobs):
-            record(number, _outcome(job, parted[number]))
+            results[number] = _outcome(job)
             if isinstance(results[number], BaseException):
                 break
     else:
-        queue = [number for output in early for number, job in enumerate(jobs) if job[0] == output]
+        queue = list(early)
         rest = [number for number in range(len(jobs)) if number not in queue]
         children: dict[int, tuple[int, int]] = {}  # read end of each child's report pipe: its job and pid
         ready = select.poll()
@@ -335,9 +285,9 @@ def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, earl
             """Fork queued jobs, in order, while fewer than ``threads`` children are alive."""
             while queue and len(children) < threads:
                 number = queue.pop(0)
-                child = _fork(jobs[number], parted[number])
+                child = _fork(jobs[number])
                 if child is None:
-                    record(number, _outcome(jobs[number], parted[number]))
+                    results[number] = _outcome(jobs[number])
                 else:
                     children[child[0]] = (number, child[1])
                     ready.register(child[0], select.POLLIN)
@@ -357,10 +307,9 @@ def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, earl
                 finally:
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 try:
-                    result = pickle.loads(message)  # written by ``_fork``'s child
+                    results[number] = pickle.loads(message)  # written by ``_fork``'s child
                 except (EOFError, pickle.UnpicklingError):
-                    result = ChildProcessError(f"the process writing it ended with exit status {status}")
-                record(number, result)
+                    results[number] = ChildProcessError(f"the process writing it ended with exit status {status}")
 
         try:
             fork()
@@ -373,25 +322,20 @@ def _run(jobs: list[tuple[int, _Build, int]], fds: list[int], threads: int, earl
         finally:
             while children:  # after an error: reap every child, fork none
                 collect()
-    failed: dict[int, BaseException] = {}
-    for (output, _, _), result in zip(jobs, results):
-        if isinstance(result, BaseException):
-            failed.setdefault(output, result)
-    return [failed.get(output, digests.get(output)) for output in range(len(fds))]
+    return results
 
 
-def _outcome(job: tuple[int, _Build, int], part: bool):
-    """``_build_into`` of ``job``, or ``_build_part`` of a ``part``: what it
-    returns, or the exception it raised."""
+def _outcome(job: tuple[_Build, int]):
+    """``_build_into`` of ``job``: what it returns, or the exception it raised."""
     try:
-        return (_build_part if part else _build_into)(*job[1:])
+        return _build_into(*job)
     except BaseException as exc:  # raised again by ``_write``, after the cleanup
         return exc
 
 
-def _fork(job: tuple[int, _Build, int], part: bool) -> tuple[int, int] | None:
-    """Fork a child that builds ``job`` (a ``part`` or not); the read end of
-    its report pipe and its pid, or None if no pipe or no process can be made.
+def _fork(job: tuple[_Build, int]) -> tuple[int, int] | None:
+    """Fork a child that builds ``job``; the read end of its report pipe and
+    its pid, or None if no pipe or no process can be made.
 
     The child pickles its ``_outcome`` once to the pipe, or a
     ``RuntimeError`` naming an exception that cannot be pickled or rebuilt,
@@ -412,7 +356,7 @@ def _fork(job: tuple[int, _Build, int], part: bool) -> tuple[int, int] | None:
         code = 1
         try:
             os.close(read)
-            result = _outcome(job, part)
+            result = _outcome(job)
             try:
                 message = pickle.dumps(result)
                 pickle.loads(message)  # as ``_run`` will
@@ -549,7 +493,7 @@ def _det_output(obj, scores: Callable[[], TrialScoreSet]) -> list[_Output]:
     """The ``--det-out`` output, if the flag was given."""
     if obj.det_out is None:
         return []
-    return [(Path(obj.det_out), lambda: formats._det_chunks(det_points(scores())), False)]
+    return [(Path(obj.det_out), lambda: formats._det_chunks(_det_rates(scores())), False)]
 
 
 class _Main(click.Group):
@@ -840,16 +784,14 @@ def simulate(obj, out_dir, **flags):
 
     out = Path(out_dir)
     utterances = [u for speaker in cohort.users for u in speaker.utterances]
-    # the score grid in up to --threads parts of its enrollment rows, one row per user
-    parts = min(click.get_current_context().meta["threads"], len(cohort.users))
     _write("simulate", entries, [
         (out / "pool.txt", lambda: formats.serialize_pool(cohort.pool.speakers), True),
         (out / "user_embeddings.txt", lambda: formats.serialize_embeddings(
             [SpeakerEmbedding(u.speaker_id, u.gender, u.embedding, u.utterance_id) for u in utterances]), True),
         (out / "user_contours.txt", lambda: formats.serialize_contours([u.contour for u in utterances]), True),
         (out / "plda.txt", lambda: formats.serialize_plda(cohort.plda), True),
-        (out / "scores.txt", [lambda part=part: formats._score_grid_rows(
-            result.enroll_ids, result.utt_ids, result.score_matrix, part, parts) for part in range(parts)], True),
+        (out / "scores.txt", lambda: formats._score_grid_rows(result.enroll_ids, result.utt_ids, result.score_matrix),
+         True),
         (out / "trials.txt", lambda: formats._trial_grid_rows(result.enroll_ids, result.utt_ids, result.label_matrix),
          True),
         (out / "report.txt", lambda: formats.serialize_report(result.report), True),

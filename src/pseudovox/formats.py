@@ -41,7 +41,9 @@ pass, whose answer is that order flag; only pairs that are not sorted build a
 set. Whatever these checks do not accept goes through the per-token code,
 which accepts the same records and raises the first error with its line
 number. ``parse_scores`` and ``parse_trials`` return those columns as
-tuples. Serializers write reals as ``repr`` of Python floats.
+tuples. Serializers write every real through ``_real_fields``, in
+``repr``'s spelling of a Python float: made in C by ``orjson`` for finite
+magnitudes in [1e-4, 1e16) and zeros, and by ``repr`` outside that band.
 ``_score_chunks`` is the one writer of score lines: it writes columns in
 pair order, a fixed number of lines per chunk, for ``score`` and
 ``serialize_scores``. The grid writers (``serialize_score_grid``,
@@ -149,7 +151,7 @@ def sha256_hex(data: bytes | str) -> str:
 
 def format_float(value: float) -> str:
     """Shortest decimal that round-trips to the exact float64 value."""
-    return repr(float(value))
+    return _real_fields([float(value)])[0]
 
 
 def _data_lines(text: str, split: bool = True):
@@ -224,10 +226,28 @@ def _parse_reals(tokens: list[str], line: int) -> np.ndarray:
     return np.array([_parse_float(t, line) for t in tokens], dtype=np.float64)
 
 
-def _real_fields(values) -> map:
-    """Shortest round-trip decimals of ``values``, as ``format_float`` writes
-    them: ``repr`` of Python floats, never of ``np.float64``."""
-    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+def _real_fields(values) -> list[str]:
+    """The text of each value of ``values`` as a float64, in C order: the
+    one writer of reals. Its spelling is ``repr`` of a Python float (the
+    shortest decimal that round-trips), never of ``np.float64``.
+
+    One ``orjson`` call writes the whole array in compiled code. For finite
+    values with magnitude in [1e-4, 1e16), and for zeros, its shortest
+    digits in positional form are ``repr``'s; the values outside that band
+    (where ``orjson`` writes ``1e16``, ``0.00001`` or ``null``), found with one
+    vectorized mask, are written by ``repr``. ``orjson`` is imported on first
+    use, so a command that writes no real never loads it.
+    """
+    import orjson
+
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if not values.size:
+        return []
+    fields = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    for i in np.flatnonzero(((size < 1e-4) & (values != 0)) | ~(size < 1e16)).tolist():
+        fields[i] = repr(values[i].item())
+    return fields
 
 
 def _check_out_ids(ids) -> None:
@@ -292,7 +312,7 @@ def _log_f0_stats(tokens: list[str], line: int) -> LogF0Stats:
 
 
 def _stats_fields(stats: LogF0Stats) -> list[str]:
-    return [format_float(stats.mean), format_float(stats.std), str(stats.voiced_frame_count)]
+    return [*_real_fields([stats.mean, stats.std]), str(stats.voiced_frame_count)]
 
 
 # --- embeddings -------------------------------------------------------------
@@ -442,8 +462,8 @@ def _score_chunks(enroll: list[str], test: list[str], scores: np.ndarray):
     repeat. Each distinct id is checked once, in written order, first."""
     _check_out_ids(chain.from_iterable(zip(enroll, test)))
     for i in range(0, len(enroll), _CHUNK_LINES):
-        rows = zip(enroll[i:i + _CHUNK_LINES], test[i:i + _CHUNK_LINES], scores[i:i + _CHUNK_LINES].tolist())
-        yield _joined([f"{e} {t} {s!r}" for e, t, s in rows])
+        rows = zip(enroll[i:i + _CHUNK_LINES], test[i:i + _CHUNK_LINES], _real_fields(scores[i:i + _CHUNK_LINES]))
+        yield _joined([f"{e} {t} {s}" for e, t, s in rows])
 
 
 def _score_key(tokens: list[str], line: int) -> tuple[str, str]:
@@ -533,12 +553,11 @@ def serialize_trial_grid(enroll_ids: list[str], utt_ids: list[str], labels) -> s
     return "".join(_trial_grid_rows(enroll_ids, utt_ids, labels))
 
 
-def _score_grid_rows(enroll_ids, utt_ids, scores, part: int = 0, parts: int = 1):
-    """The text of ``serialize_score_grid``, one enrollment row at a time;
-    with ``parts``, only the rows of part ``part`` (``_sorted_grid``)."""
-    enroll, utts, matrix = _sorted_grid(enroll_ids, utt_ids, scores, np.float64, part, parts)
+def _score_grid_rows(enroll_ids, utt_ids, scores):
+    """The text of ``serialize_score_grid``, one enrollment row at a time."""
+    enroll, utts, matrix = _sorted_grid(enroll_ids, utt_ids, scores, np.float64)
     tails = [f" {u} " for u in utts]
-    return _grid_rows(enroll, (map(add, tails, map(repr, row.tolist())) for row in matrix))
+    return _grid_rows(enroll, (map(add, tails, _real_fields(row)) for row in matrix))
 
 
 def _trial_grid_rows(enroll_ids, utt_ids, labels):
@@ -591,13 +610,15 @@ def parse_det(text: str) -> list[tuple[float, float]]:
 
 
 def serialize_det(points: list[tuple[float, float]]) -> str:
-    return "".join(_det_chunks(points))
+    return "".join(_det_chunks(np.array([(float(x), float(y)) for x, y in points]).reshape(-1, 2)))
 
 
-def _det_chunks(points: list[tuple[float, float]]):
-    """The text of ``serialize_det`` as chunks of ``_CHUNK_LINES`` lines."""
+def _det_chunks(points: np.ndarray):
+    """The text of ``serialize_det`` of the (p_fa, p_miss) rows of the
+    (n, 2) array ``points``, as chunks of ``_CHUNK_LINES`` lines."""
     for i in range(0, len(points), _CHUNK_LINES):
-        yield _joined([f"{float(x)!r} {float(y)!r}" for x, y in points[i:i + _CHUNK_LINES]])
+        fields = _real_fields(points[i:i + _CHUNK_LINES])
+        yield _joined([f"{x} {y}" for x, y in zip(fields[0::2], fields[1::2])])
 
 
 # --- evaluation report ------------------------------------------------------
@@ -748,17 +769,11 @@ def _joined(lines: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _sorted_grid(enroll_ids, utt_ids, matrix, dtype, part: int = 0,
-                 parts: int = 1) -> tuple[list[str], list[str], np.ndarray]:
+def _sorted_grid(enroll_ids, utt_ids, matrix, dtype) -> tuple[list[str], list[str], np.ndarray]:
     """Both id lists sorted and ``matrix`` reordered to match, after the checks
     the row writers make on the enrollment-major rows: a repeated pair raises
     ``_require_unique``'s error, then each distinct id is checked once in the
     order the rows write them. No cells: nothing to write, nothing checked.
-
-    With ``parts``, only the sorted rows ``[part * n // parts, (part + 1) *
-    n // parts)`` of the n come back, so the parts in order are the whole
-    grid. Every part makes all the checks, so each raises the whole grid's
-    error.
     """
     enroll_ids, utt_ids = list(enroll_ids), list(utt_ids)
     matrix = np.asarray(matrix, dtype=dtype)
@@ -773,8 +788,7 @@ def _sorted_grid(enroll_ids, utt_ids, matrix, dtype, part: int = 0,
     enroll = [enroll_ids[i] for i in enroll_order]
     utts = [utt_ids[j] for j in utt_order]
     _check_out_ids(chain(enroll[:1], utts, enroll[1:]))  # the first row, then the other rows
-    rows = slice(part * len(enroll) // parts, (part + 1) * len(enroll) // parts)
-    return enroll[rows], utts, matrix[np.ix_(enroll_order[rows], utt_order)]
+    return enroll, utts, matrix[np.ix_(enroll_order, utt_order)]
 
 
 def _grid_rows(enroll: list[str], row_tails):

@@ -193,10 +193,16 @@ def det_points(scores: TrialScoreSet) -> list[tuple[float, float]]:
     Sweeps a threshold through every gap between distinct pooled score values;
     includes the reject-all (0, 1) and accept-all (1, 0) endpoints.
     """
+    return list(map(tuple, _det_rates(scores).tolist()))
+
+
+def _det_rates(scores: TrialScoreSet) -> np.ndarray:
+    """The points of ``det_points`` as the rows of an (n, 2) array: 16 bytes
+    a point, where the list of tuples takes over 100."""
     _require_populations(scores)
     _, trials, targets = _tied_groups(scores)
     p_fa, p_miss = _sweep(trials, targets)
-    return list(zip(p_fa[::-1].tolist(), p_miss[::-1].tolist()))
+    return np.column_stack([p_fa[::-1], p_miss[::-1]])
 
 
 @dataclass(frozen=True)

@@ -1107,10 +1107,10 @@ def test_simulate_failing_in_mid_stream_leaves_the_tree_as_it_was(tmp_path, runn
 def test_simulate_failing_after_the_cohort_jobs_start_leaves_the_tree_as_it_was(tmp_path, runner, monkeypatch,
                                                                                   threads, failure):
     """Above one thread the cohort's outputs start building before the
-    scenario runs. A scenario that then raises, or a score grid part that
+    scenario runs. A scenario that then raises, or a score grid that
     raises after its first row, ends the run with one ``error:`` line and
     exit 1, and leaves the tree, the open descriptors and the children as
-    they were: no temp file, part file or new directory."""
+    they were: no temp file or new directory."""
     out = tmp_path / "sim"
     assert runner.invoke(main, ["simulate", "--out-dir", str(out)] + SIM_ARGS).exit_code == 0
     before = tree(tmp_path)
@@ -1320,80 +1320,44 @@ def test_a_job_whose_report_pipe_fails_is_built_in_this_process(tmp_path, runner
     assert read_dir(tmp_path / "two") == read_dir(tmp_path / "one")
 
 
-def test_score_grid_parts_are_hashed_once_joined(monkeypatch):
-    """The parts of an output are not hashed on their own: the only bytes
-    hashed are the joined file's, once, and its digest is the output's."""
-    hashed = []
-    real_sha256 = cli.hashlib.sha256
-
-    class Counted:
-        def __init__(self):
-            self.digest = real_sha256()
-
-        def update(self, data):
-            hashed.append(bytes(data))
-            self.digest.update(data)
-
-        def hexdigest(self):
-            return self.digest.hexdigest()
-
-    monkeypatch.setattr(cli.hashlib, "sha256", Counted)
-    with tempfile.TemporaryDirectory() as tmp:
-        fds = [os.open(Path(tmp) / name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
-               for name in ("one", "parted", "part0", "part1")]
-        try:
-            jobs = [(0, lambda: "single\n", fds[0]), (1, lambda: iter(["a\n", "b\n"]), fds[2]),
-                    (1, lambda: "c\n", fds[3])]
-            outcomes = cli._run(jobs, fds[:2], 1, (), lambda: None)
-            assert outcomes == [real_sha256(b"single\n").hexdigest(), real_sha256(b"a\nb\nc\n").hexdigest()]
-            assert os.pread(fds[1], 100, 0) == b"a\nb\nc\n"
-        finally:
-            for fd in fds:
-                os.close(fd)
-    assert b"".join(hashed) == b"single\na\nb\nc\n"
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_the_output_runner_reports_the_same_first_failure_at_any_thread_count(data):
-    """``cli._run`` alone, on synthetic jobs: 1 to 5 outputs of 1 to 3 parts,
-    each part writing known chunks, some raising before or after their first
-    chunk; the jobs of a random ordered subset of the outputs start early,
-    and ``meanwhile`` may raise. At 1, 2 and 3 threads the first outcome that
-    is not a digest is the same exception, every output before it holds the
-    joined bytes of its parts and their SHA-256 digest, and no more than
-    ``threads`` children are alive at once. Before ``meanwhile`` runs, only
-    early jobs have been forked, up to ``threads`` of them, and none built in
-    this process; its error is raised once every child is reaped. No child
-    or descriptor is left."""
+    """``cli._run`` alone, on synthetic jobs: 1 to 5 outputs, each writing
+    known chunks, some raising before or after their first chunk; the jobs of
+    a random ordered subset of the outputs start early, and ``meanwhile`` may
+    raise. At 1, 2 and 3 threads the first outcome that is not a digest is
+    the same exception, every output before it holds its bytes and their
+    SHA-256 digest, and no more than ``threads`` children are alive at once.
+    Before ``meanwhile`` runs, only early jobs have been forked, up to
+    ``threads`` of them, and none built in this process; its error is raised
+    once every child is reaped. No child or descriptor is left."""
     n_outputs = data.draw(st.integers(1, 5), label="outputs")
-    jobs = []  # output, part, fate, chunks; in output order
+    jobs = []  # output, fate, chunks; in output order
     for output in range(n_outputs):
-        for part in range(data.draw(st.integers(1, 3))):
-            fate = data.draw(st.sampled_from(["builds"] * 4 + ["raises-first", "raises-after-a-chunk"]))
-            chunks = [f"o{output} p{part} c{i} " * size + "\n"
-                      for i, size in enumerate(data.draw(st.lists(st.integers(1, 2000), min_size=1, max_size=3)))]
-            jobs.append((output, part, fate, chunks))
+        fate = data.draw(st.sampled_from(["builds"] * 4 + ["raises-first", "raises-after-a-chunk"]))
+        chunks = [f"o{output} c{i} " * size + "\n"
+                  for i, size in enumerate(data.draw(st.lists(st.integers(1, 2000), min_size=1, max_size=3)))]
+        jobs.append((output, fate, chunks))
     early = data.draw(st.permutations(range(n_outputs)))[:data.draw(st.integers(0, n_outputs))]
     meanwhile_raises = data.draw(st.booleans(), label="meanwhile raises")
-    failed = [job for job in jobs if job[2] != "builds"]
-    expected_failure = None if not failed else (failed[0][0], f"job {failed[0][0]}.{failed[0][1]} refused")
-    joined = [b"".join(chunk.encode() for job in jobs if job[0] == output for chunk in job[3])
-              for output in range(n_outputs)]
+    failed = [job for job in jobs if job[1] != "builds"]
+    expected_failure = None if not failed else (failed[0][0], f"job {failed[0][0]} refused")
+    written = [b"".join(chunk.encode() for chunk in job[2]) for job in jobs]
     fds_before = open_fds()
 
-    def builder(output, part, fate, chunks, built):
+    def builder(output, fate, chunks, built):
         def build():
-            built.append((output, part))  # in this process only: a child's append is its own
+            built.append(output)  # in this process only: a child's append is its own
             if fate == "raises-first":
-                raise InvalidValueError(f"job {output}.{part} refused")
+                raise InvalidValueError(f"job {output} refused")
             return rows()
 
         def rows():
             for chunk in chunks:
                 yield chunk
                 if fate == "raises-after-a-chunk":
-                    raise InvalidValueError(f"job {output}.{part} refused")
+                    raise InvalidValueError(f"job {output} refused")
 
         return build
 
@@ -1404,26 +1368,21 @@ def test_the_output_runner_reports_the_same_first_failure_at_any_thread_count(da
             forking = threads > 1 and len(jobs) > 1
 
             def meanwhile():
-                early_jobs = sum(job[0] in early for job in jobs)
-                assert count.forks == (min(threads, early_jobs) if forking else 0)
+                assert count.forks == (min(threads, len(early)) if forking else 0)
                 assert built == []
                 if meanwhile_raises:
                     raise InvalidValueError("meanwhile refused")
 
-            def staged(name):
-                return os.open(Path(tmp) / name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
-
-            fds = [staged(f"out{output}") for output in range(n_outputs)]
-            multi = {output for output in range(n_outputs) if sum(job[0] == output for job in jobs) > 1}
-            run_jobs = [(job[0], builder(*job, built),
-                         staged(f"out{job[0]}.part{job[1]}") if job[0] in multi else fds[job[0]]) for job in jobs]
+            fds = [os.open(Path(tmp) / f"out{output}", os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+                   for output in range(n_outputs)]
+            run_jobs = [(builder(*job, built), fd) for job, fd in zip(jobs, fds)]
             try:
                 if meanwhile_raises:
                     with pytest.raises(InvalidValueError, match="meanwhile refused"):
-                        cli._run(run_jobs, fds, threads, early, meanwhile)
+                        cli._run(run_jobs, threads, early, meanwhile)
                     assert count.alive == set()
                 else:
-                    outcomes = cli._run(run_jobs, fds, threads, early, meanwhile)
+                    outcomes = cli._run(run_jobs, threads, early, meanwhile)
                     first = next((i for i, outcome in enumerate(outcomes) if not isinstance(outcome, str)), None)
                     if first is None:
                         assert expected_failure is None
@@ -1431,12 +1390,12 @@ def test_the_output_runner_reports_the_same_first_failure_at_any_thread_count(da
                         assert isinstance(outcomes[first], InvalidValueError)
                         assert (first, str(outcomes[first])) == expected_failure
                     for output in range(n_outputs if first is None else first):
-                        assert outcomes[output] == hashlib.sha256(joined[output]).hexdigest()
-                        assert os.pread(fds[output], len(joined[output]) + 1, 0) == joined[output]
+                        assert outcomes[output] == hashlib.sha256(written[output]).hexdigest()
+                        assert os.pread(fds[output], len(written[output]) + 1, 0) == written[output]
                 assert count.most <= threads
                 assert count.forks == 0 or forking
             finally:
-                for fd in fds + [fd for _, _, fd in run_jobs if fd not in fds]:
+                for fd in fds:
                     os.close(fd)
             assert_no_child_left()
     assert open_fds() == fds_before
@@ -2208,15 +2167,12 @@ def test_threads_fork_one_child_per_output_and_at_most_threads_at_once(contract_
                                                                        monkeypatch):
     """``--threads 1`` forks nothing. Above it, a command with one output
     (``stats``, ``score``) forks nothing either, and any other forks exactly
-    one child per output job, with no more than ``--threads`` alive at once,
-    even when ``--threads`` exceeds the jobs. Each output is one job, but
-    ``simulate``'s score grid is ``min(threads, rows)`` part jobs, one for
-    each range of its enrollment rows. The outputs are byte-identical."""
+    one child per output, with no more than ``--threads`` alive at once,
+    even when ``--threads`` exceeds the jobs. The outputs are byte-identical."""
     inp = {name: str(tmp_path / f"{name}.txt") for name in contract_inputs[command]}
     for name, path in inp.items():
         Path(path).write_bytes(contract_inputs[command][name])
     n_outputs = {"stats": 1, "anonymize": 4, "score": 1, "eval": 2, "simulate": 8}[command]  # with --det-out
-    rows = 8  # the users of the contract cohort, 4 per gender: the score grid's enrollment rows
     trees = {}
     for threads in (1, 2, 3, 64):
         count = counted_forks(monkeypatch)
@@ -2226,8 +2182,7 @@ def test_threads_fork_one_child_per_output_and_at_most_threads_at_once(contract_
         result = CliRunner().invoke(main, ["--threads", str(threads), *contract_args(command, inp, out)])
         assert result.exit_code == 0, result.output
         assert_no_child_left()
-        jobs = n_outputs + (min(threads, rows) - 1 if command == "simulate" else 0)
-        assert count.forks == (0 if threads == 1 or n_outputs == 1 else jobs)
+        assert count.forks == (0 if threads == 1 or n_outputs == 1 else n_outputs)
         assert count.most <= threads
         trees[threads] = file_tree(out_root)
     assert trees[2] == trees[3] == trees[64] == trees[1]
@@ -2239,7 +2194,7 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
     """Small valid inputs, changed: edited bytes, swapped files, outputs that
     collide with an input, with each other or with existing files, one-file
     outputs that name no file (``.``, ``""``), ``simulate`` float settings at
-    the ends of float64, and a ``simulate`` scenario or score grid part that
+    the ends of float64, and a ``simulate`` scenario or score grid that
     raises once the cohort's outputs have started, written by 1 to 3
     processes. Either the
     run exits 0 and every output parses and its manifest hashes hold, or it

@@ -3,6 +3,7 @@ every module-level private name is referenced by some package module."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import pseudovox
 
 MODULES = sorted(Path(pseudovox.__file__).parent.glob("*.py"))
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -101,3 +103,46 @@ def test_cli_loads_no_thread_pool():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def third_party_imports(source: str) -> set[str]:
+    """The top-level names of the modules that ``source`` imports by absolute
+    name, anywhere in it, that are not in the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - sys.stdlib_module_names
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """The distribution names of ``[project] dependencies``, lower case, ``-`` as ``_``."""
+    tomllib = pytest.importorskip("tomllib")
+    return {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+            for requirement in tomllib.loads(pyproject)["project"]["dependencies"]}
+
+
+def test_detects_third_party_imports():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\nfrom . import formats\n"
+              "def f():\n    import orjson\n    from click.types import INT\n")
+    assert third_party_imports(source) == {"numpy", "orjson", "click"}
+    assert declared_dependencies('[project]\ndependencies = ["NumPy>=2.0", "typing-extensions"]\n') == {
+        "numpy", "typing_extensions"}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    imported = set().union(*(third_party_imports(path.read_text(encoding="utf-8")) for path in MODULES))
+    assert imported >= {"numpy", "click", "orjson"}
+    assert imported - declared_dependencies(PYPROJECT.read_text(encoding="utf-8")) == set()
+
+
+def test_cli_import_loads_no_orjson():
+    """``orjson`` is imported where reals are first written, so ``--version``
+    and every command that writes none start without it."""
+    code = "import sys, pseudovox.cli; print('orjson' in sys.modules)"
+    src = str(Path(pseudovox.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -641,50 +641,6 @@ def test_grid_writers_equal_the_row_writers(enroll, utts, data):
     )
 
 
-def _part_outcome(enroll, utts, scores, part, parts):
-    try:
-        return "".join(formats._score_grid_rows(enroll, utts, scores, part, parts))
-    except PseudovoxError as exc:
-        return type(exc), str(exc)
-
-
-def _assert_parts_join_to_the_whole_grid(enroll, utts, scores):
-    """For every part count from 1 to rows + 1, the parts of the score grid,
-    joined in order, are the bytes of ``serialize_score_grid``; when the whole
-    grid raises, every part raises the same error."""
-    whole = _write_outcome(formats.serialize_score_grid, enroll, utts, scores)
-    for parts in range(1, len(enroll) + 2):
-        outcomes = [_part_outcome(enroll, utts, scores, part, parts) for part in range(parts)]
-        if isinstance(whole, str):
-            assert "".join(outcomes) == whole
-        else:
-            assert outcomes == [whole] * parts
-
-
-@PROPERTY
-@given(enroll=st.one_of(st.just([]), st.lists(GRID_ID, min_size=1, max_size=1), GRID_IDS), utts=GRID_IDS,
-       data=st.data())
-def test_score_grid_parts_join_to_the_whole_grid(enroll, utts, data):
-    """Grids of 0, 1 and several enrollment rows, with ids in any order,
-    repeated, unwritable or none (``_assert_parts_join_to_the_whole_grid``)."""
-    size = len(enroll) * len(utts)
-    values = data.draw(st.lists(st.floats(width=64), min_size=size, max_size=size))
-    _assert_parts_join_to_the_whole_grid(enroll, utts, np.array(values, dtype=np.float64).reshape(len(enroll),
-                                                                                                 len(utts)))
-
-
-@pytest.mark.parametrize("enroll", [
-    ["b", "a", "c", "d"],  # every id writes
-    ["c", "a b", "d", "e"],  # an unwritable id in the first sorted row
-    ["a", "x\ty", "c", "d"],  # in the last
-    ["c", "a", "a", "d"],  # an id repeated in the first row
-    ["a", "d", "c", "d"],  # in the last
-])
-def test_score_grid_parts_raise_the_whole_grids_error_from_any_row(enroll):
-    utts = ["u2", "u1", "u3"]
-    _assert_parts_join_to_the_whole_grid(enroll, utts, np.arange(12, dtype=np.float64).reshape(4, 3) / 8)
-
-
 @pytest.mark.parametrize("write", [formats.serialize_score_grid, formats.serialize_trial_grid])
 def test_grid_writers_check_each_distinct_id_once(monkeypatch, write):
     checked = []
@@ -693,6 +649,54 @@ def test_grid_writers_check_each_distinct_id_once(monkeypatch, write):
     write(["spk3", "spk1", "utt1", "spk2"], ["utt2", "utt0", "utt1"], np.zeros((4, 3)))
     # in the order the rows write them: the first row, then the other rows
     assert checked == ["spk1", "utt0", "utt1", "utt2", "spk2", "spk3"]
+
+
+# --- the writer of reals --------------------------------------------------------
+
+FLOAT_BITS = st.lists(st.integers(0, 2**64 - 1), max_size=40).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def layouts(values):
+    """``values`` (1-D), a non-contiguous view of them, and a matrix of them,
+    transposed and reordered with ``np.ix_``."""
+    spread = np.zeros(2 * values.size)
+    spread[::2] = values
+    matrix = values.reshape(2 if values.size % 2 == 0 else 1, -1)
+    reordered = matrix[np.ix_(np.arange(matrix.shape[0])[::-1], np.arange(matrix.shape[1])[::-1])]
+    return [values, spread[::2], matrix.T, reordered]
+
+
+@settings(PROPERTY, max_examples=500)
+@given(values=FLOAT_BITS)
+@example(values=np.array([]))
+@example(values=np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308]))
+@example(values=np.array([np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16]))
+@example(values=np.array([2.0**53 - 1, 2.0**53, 2.0**53 + 2]))
+@example(values=np.array([1e22, 1e23, np.finfo(np.float64).max]))
+@example(values=np.array([math.inf, -math.inf, math.nan]))
+def test_real_fields_spell_every_real_as_repr(values):
+    """Any float64 bit pattern, in any memory layout, is written in C order
+    as ``repr`` of a Python float writes it, inside and outside the band that
+    ``orjson`` writes; ``format_float`` is the same writer on one value."""
+    for layout in layouts(values):
+        assert formats._real_fields(layout) == [oracles._format_float(v) for v in layout.ravel()]
+    assert [formats.format_float(v) for v in values] == [oracles._format_float(v) for v in values]
+
+
+@pytest.mark.parametrize("points", [
+    [(0.5, "x")],
+    [(None, 0.5)],
+    [(0.25, 0.75), (1j, 0.0)],
+    [(0.25, 0.75), (0.5, object())],
+])
+def test_det_writer_raises_the_error_of_float_on_a_point_it_rejects(points):
+    with pytest.raises(Exception) as expected:
+        oracles.serialize_det(points)
+    with pytest.raises(type(expected.value)) as raised:
+        formats.serialize_det(points)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
 
 
 # --- grammar: ASCII digits, LF-only lines --------------------------------------
