@@ -22,9 +22,10 @@ is one ``ddot`` per dot product, reached through ``np.vecdot`` (NumPy >=
 a 160,000-trial key, :func:`plda_score_matrix` over all pairs differs from
 the scalar scores in 123,217 of them (by up to 5.4e-15). So
 :func:`plda_score_pairs` loops over rows in BLAS, not over pairs in Python,
-and :func:`cosine_scores` is one ``ddot`` per member row, as
-:func:`cosine_score` is for its one pair. Selection keeps its per-source
-1 x n :func:`plda_score_matrix` row, unchanged.
+and :func:`cosine_scores` is one ``ddot`` per (source, member) pair and per
+norm, as :func:`cosine_score` is for its one pair, whether it is given one
+source or a block of them. Selection keeps its per-source 1 x n
+:func:`plda_score_matrix` row, unchanged.
 """
 
 from __future__ import annotations
@@ -286,27 +287,30 @@ def plda_score(model: PldaModel, enroll, test) -> float:
 
 def cosine_score(a, b) -> float:
     """Cosine similarity in [-1, 1] between two embeddings or raw vectors."""
-    return float(cosine_scores(a, _as_vector(b)[None, :])[0])
+    return float(cosine_scores(_as_vector(a), _as_vector(b)[None, :])[0])
 
 
 def cosine_scores(source, members) -> np.ndarray:
-    """Cosine similarity in [-1, 1] of ``source`` with each row of ``members``.
+    """Cosine similarity in [-1, 1] of each source with each row of ``members``:
+    a value per member for one source (a vector or an embedding), a row of
+    them per source for an (n, d) block of sources.
 
-    One ``ddot`` per row, for the row's norm and for its dot product with
-    ``source`` (see the module docstring), so each value equals
-    :func:`cosine_score` of that row.
+    One ``ddot`` per norm and per (source, member) pair (see the module
+    docstring), so each value equals :func:`cosine_score` of its pair.
     """
-    s = _as_vector(source)
-    m = np.asarray(members, dtype=np.float64)
+    s = source.vector if isinstance(source, SpeakerEmbedding) else source
+    if isinstance(s, (list, tuple)) and len({np.shape(v) for v in s}) > 1:
+        raise DimensionMismatchError("cosine sources must share one dimension")
+    s, m = np.asarray(s, dtype=np.float64), np.asarray(members, dtype=np.float64)
+    if s.ndim not in (1, 2):
+        raise InvalidValueError("expected a 1-D vector or an (n, d) block")
     if m.ndim != 2:
         raise DimensionMismatchError("cosine members must be an (n, d) matrix")
-    if s.size != m.shape[1]:
-        raise DimensionMismatchError(
-            f"cosine of vectors with dimensions {s.size} and {m.shape[1]}"
-        )
+    if s.shape[-1] != m.shape[1]:
+        raise DimensionMismatchError(f"cosine of vectors with dimensions {s.shape[-1]} and {m.shape[1]}")
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.vecdot(m, m))
-        norm = float(np.linalg.norm(s))
-    for n, vectors in ((norm, s), (norms, m)):
+        source_norms = np.sqrt(np.vecdot(s, s))
+    for n, vectors in ((source_norms, s), (norms, m)):
         _check_norms(n, vectors, "cosine similarity of an all-zero vector is undefined")
-    return np.clip(np.vecdot(s, m) / (norm * norms), -1.0, 1.0)
+    return np.clip(np.vecdot(s[..., None, :], m) / (source_norms[..., None] * norms), -1.0, 1.0)

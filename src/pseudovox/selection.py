@@ -6,7 +6,11 @@ keep the ``k_far`` furthest, sample ``k_sel`` of them with a per-speaker
 deterministic generator, then average the members' x-vectors and aggregate
 their F0 statistics. :func:`pseudonymize_speakers` runs each step once over
 all the source speakers of a gender; the one-speaker functions are batches
-of one.
+of one. The batch checks, the per-speaker loop reports: a batch that raises
+is run again one speaker at a time, in order, up to the first that raises,
+so the error is the one a loop over the speakers meets first. A failing
+batch so costs up to one one-speaker batch per speaker before the failing
+one.
 
 Reproducibility contract
 ------------------------
@@ -35,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EmptyAfterFilterError,
     InvalidSpecError,
     InvalidValueError,
@@ -272,78 +277,38 @@ def _rank_view(pool_subset: SpeakerPool, cfg: SelectionConfig) -> _RankView:
     return pool_subset._cached(("rank", cfg.scorer, cfg.length_norm), build)
 
 
-def _plda_rows(
-    pool_subset: SpeakerPool, sources: list[np.ndarray], cfg: SelectionConfig
-) -> tuple[np.ndarray, PseudovoxError | None]:
+def _plda_rows(pool_subset: SpeakerPool, sources: list[np.ndarray], cfg: SelectionConfig) -> np.ndarray:
     """PLDA scores of each source against the pool, one 1 x n
     :func:`plda_score_matrix` row per source (a gemm over all sources sums in
-    another order), for the sources before the first that fails; that one's
-    error, or None."""
+    another order)."""
     model = pool_subset.plda
-    rows, error = [], None
-    try:
-        if model is None:
-            raise InvalidSpecError("scorer 'plda' requires a PLDA model on the pool")
-        for source in sources:
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
-                src = project(model, source, length_norm=cfg.length_norm)
-                scores = plda_score_matrix(model, src[None, :], _rank_view(pool_subset, cfg).vectors)[0]
-            non_finite = np.flatnonzero(~np.isfinite(scores))
-            if non_finite.size:
-                pool_id = pool_subset.speakers[non_finite[0]].speaker_id
-                raise InvalidValueError(f"its PLDA score against pool speaker {pool_id!r} is not finite")
-            rows.append(scores)
-    except PseudovoxError as exc:
-        error = exc
-    return np.array(rows).reshape(len(rows), len(pool_subset)), error
+    if model is None:
+        raise InvalidSpecError("scorer 'plda' requires a PLDA model on the pool")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below
+        scores = np.array([
+            plda_score_matrix(model, project(model, source, length_norm=cfg.length_norm)[None, :],
+                              _rank_view(pool_subset, cfg).vectors)[0]
+            for source in sources
+        ])
+    non_finite = np.argwhere(~np.isfinite(scores))
+    if non_finite.size:
+        pool_id = pool_subset.speakers[non_finite[0, 1]].speaker_id
+        raise InvalidValueError(f"its PLDA score against pool speaker {pool_id!r} is not finite")
+    return scores
 
 
-def _cosine_rows(
-    pool_subset: SpeakerPool, sources: list[np.ndarray], cfg: SelectionConfig
-) -> tuple[np.ndarray, PseudovoxError | None]:
-    """:func:`cosine_scores` of each source against the pool, as one broadcast
-    ``vecdot`` (the same ``ddot`` per pair), for the sources before the first
-    whose :func:`cosine_scores` raises; that error, or None."""
-    try:
-        members = _rank_view(pool_subset, cfg).vectors
-    except PseudovoxError as exc:
-        return np.empty((0, len(pool_subset))), exc
-    dim = members.shape[1]
-    n = next((k for k, s in enumerate(sources) if s.shape != (dim,)), len(sources))
-    block = np.array(sources[:n]).reshape(n, dim)
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.vecdot(block, block))
-        member_norms = np.sqrt(np.vecdot(members, members))
-    refused = (norms == 0.0) | (norms == np.inf)  # as ``cosine_scores`` refuses them
-    if ((member_norms == 0.0) | (member_norms == np.inf)).any():
-        n = 0
-    elif refused.any():
-        n = int(refused.argmax())
-    error = None
-    if n < len(sources):
-        try:
-            cosine_scores(sources[n], members)  # raises that source's error
-        except PseudovoxError as exc:
-            error = exc
-    scores = np.vecdot(block[:n, None, :], members) / (norms[:n, None] * member_norms)
-    return np.clip(scores, -1.0, 1.0), error
-
-
-def _rank(
-    pool_subset: SpeakerPool, sources: list[np.ndarray], cfg: SelectionConfig
-) -> tuple[np.ndarray, PseudovoxError | None]:
+def _rank(pool_subset: SpeakerPool, sources: list[np.ndarray], cfg: SelectionConfig) -> np.ndarray:
     """The rows in ``pool_subset`` of the k_far pool speakers least similar
     to each source, furthest first, ties broken by ascending speaker id: one
-    row per source before the first that cannot be ranked, and that one's
-    error (None if every source is ranked)."""
+    row per source."""
     if len(pool_subset) < cfg.k_far:
-        error = PoolTooSmallError(f"k_far={cfg.k_far} exceeds filtered pool size {len(pool_subset)}")
-        return np.empty((0, cfg.k_far), np.intp), error
-    scores, error = (_plda_rows if cfg.scorer is Scorer.PLDA else _cosine_rows)(pool_subset, sources, cfg)
-    if not len(scores):
-        return np.empty((0, cfg.k_far), np.intp), error
+        raise PoolTooSmallError(f"k_far={cfg.k_far} exceeds filtered pool size {len(pool_subset)}")
+    if cfg.scorer is Scorer.PLDA:
+        scores = _plda_rows(pool_subset, sources, cfg)
+    else:
+        scores = cosine_scores(sources, _rank_view(pool_subset, cfg).vectors)
     id_rank = np.broadcast_to(_rank_view(pool_subset, cfg).id_rank, scores.shape)
-    return np.lexsort((id_rank, scores), axis=-1)[:, : cfg.k_far], error
+    return np.lexsort((id_rank, scores), axis=-1)[:, : cfg.k_far]
 
 
 def rank_furthest(
@@ -354,10 +319,8 @@ def rank_furthest(
     Ordered ascending by score (furthest first); ties broken by ascending
     speaker_id so rankings are reproducible.
     """
-    order, error = _rank(pool_subset, [np.asarray(source_xvector, float)], cfg)
-    if error is not None:
-        raise error
-    return _rank_view(pool_subset, cfg).ids[order[0]].tolist()
+    order = _rank(pool_subset, [np.asarray(source_xvector, float)], cfg)[0]
+    return _rank_view(pool_subset, cfg).ids[order].tolist()
 
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -408,44 +371,25 @@ def _draw(seeds: list[int], n: int, k: int) -> np.ndarray:
 _GATHER_VALUES = 1 << 17  # member x-vector components gathered at once for the means
 
 
-def _derive(
-    pool: SpeakerPool, sources: list[SpeakerEmbedding], cfg: SelectionConfig
-) -> tuple[list[PseudoSpeaker], PseudovoxError | None]:
-    """:func:`derive_pseudo_speaker` of each source, in order, up to the first
-    that fails, and that one's error (None if none fails).
+def _derive(pool: SpeakerPool, sources: list[SpeakerEmbedding], cfg: SelectionConfig) -> list[PseudoSpeaker]:
+    """:func:`derive_pseudo_speaker` of each source, in order.
 
     Each stage runs once per gender over all its sources: the filter and the
     rank view come from the pool's cache, the ranking is :func:`_rank`, the
     draw one generator lane per source (:func:`_draw`), and the member
     x-vectors and F0 statistics are averaged over a (sources, k_sel) matrix
-    of member rows, with the same reductions as the one-source mean. A
-    source that fails a stage leaves the later stages to the sources before
-    it, so the error is the one a loop over the sources would meet first.
+    of member rows, with the same reductions as the one-source mean.
     """
     groups: dict[Gender, list[int]] = {}
     for number, source in enumerate(sources):
         groups.setdefault(source.gender, []).append(number)
-    failed, error = len(sources), None
-    ranked = []  # per gender: its pool subset, its sources' numbers and their ranking rows
+    pseudos = [None] * len(sources)
     for gender, numbers in groups.items():
-        try:
-            subset = filter_by_gender(pool, gender, cfg.gender_policy)
-        except PseudovoxError as exc:
-            subset, order, first_error = None, (), exc
-        else:
-            order, first_error = _rank(subset, [sources[k].vector for k in numbers], cfg)
-        if first_error is not None and numbers[len(order)] < failed:
-            failed, error = numbers[len(order)], first_error
-        ranked.append((subset, numbers, order))
-
-    picks = {}  # each source's seed, member ids, x-vector and F0 statistics
-    for subset, numbers, order in ranked:
-        numbers = [k for k in numbers if k < failed]
-        if not numbers:
-            continue
+        subset = filter_by_gender(pool, gender, cfg.gender_policy)
+        order = _rank(subset, [sources[k].vector for k in numbers], cfg)
         view = _rank_view(subset, cfg)
         seeds = [seed_for_speaker(cfg.global_seed, sources[k].speaker_id) for k in numbers]
-        rows = np.take_along_axis(order[: len(numbers)], _draw(seeds, cfg.k_far, cfg.k_sel), axis=1)
+        rows = np.take_along_axis(order, _draw(seeds, cfg.k_far, cfg.k_sel), axis=1)
         # ids are unique, so any sort gives this order; the stable one loads the least code
         members = view.id_order[np.sort(view.id_rank[rows], axis=1, kind="stable")]
         # the pool x-vectors: PLDA's rank view holds latents, and a second
@@ -461,17 +405,12 @@ def _derive(
             f0_means, f0_stds, counts = _aggregate(view.f0_means[members], view.f0_stds[members], view.f0_counts[members])
         ids = view.ids[members]
         for j, k in enumerate(numbers):
-            picks[k] = (seeds[j], ids[j].tolist(), xvectors[j], f0_means[j], f0_stds[j], counts[j])
-
-    pseudos = []
-    for k in range(failed):
-        seed, member_ids, xvector, mean, std, count = picks[k]
-        try:
-            stats = LogF0Stats(mean, std, count)
-        except InvalidValueError:
-            return pseudos, InvalidValueError("the mean of its pool members' log-F0 statistics is not finite")
-        pseudos.append(PseudoSpeaker(sources[k].speaker_id, xvector, stats, member_ids, seed))
-    return pseudos, error
+            try:
+                stats = LogF0Stats(f0_means[j], f0_stds[j], counts[j])
+            except InvalidValueError:
+                raise InvalidValueError("the mean of its pool members' log-F0 statistics is not finite") from None
+            pseudos[k] = PseudoSpeaker(sources[k].speaker_id, xvectors[j], stats, ids[j].tolist(), seeds[j])
+    return pseudos
 
 
 def derive_pseudo_speaker(
@@ -484,46 +423,57 @@ def derive_pseudo_speaker(
     source.speaker_id)``; every utterance of a speaker therefore maps to the
     same pseudo-speaker within one run. A batch of one source.
     """
-    pseudos, error = _derive(pool, [source], cfg)
-    if error is not None:
-        raise error
-    return pseudos[0]
+    return _derive(pool, [source], cfg)[0]
 
 
 # one source speaker: its id, gender, utterance x-vectors and F0 contours
 _Source = tuple[str, Gender, Sequence[np.ndarray], Sequence[F0Contour]]
 
 
+def _batch(
+    pool: SpeakerPool, speakers: Sequence[_Source], cfg: SelectionConfig, f0_mode: F0Mode
+) -> list[tuple[PseudoSpeaker, list[F0Contour]]]:
+    """:func:`pseudonymize_speakers` of ``speakers``; raises the error of
+    one of them that fails, not always the first's."""
+    sources = []
+    for speaker_id, gender, vectors, _ in speakers:
+        if not len(vectors):
+            raise InvalidValueError("it has no utterance x-vectors")
+        if len({np.shape(v) for v in vectors}) > 1:
+            raise DimensionMismatchError("its utterance x-vectors differ in dimension")
+        with np.errstate(over="ignore"):
+            mean = np.mean(vectors, axis=0)
+        if not np.isfinite(mean).all():
+            raise InvalidValueError("the mean of its utterance x-vectors is not finite")
+        sources.append(SpeakerEmbedding(speaker_id, gender, mean))
+    return [
+        (pseudo, [
+            transform_contour(c, compute_log_f0_stats(c), pseudo.f0_stats)
+            if f0_mode is F0Mode.MODIFIED and c.voiced_mask.any() else c
+            for c in contours
+        ])
+        for pseudo, (_, _, _, contours) in zip(_derive(pool, sources, cfg), speakers)
+    ]
+
+
 def _pseudonymize(
     pool: SpeakerPool, speakers: Sequence[_Source], cfg: SelectionConfig, f0_mode: F0Mode
 ) -> tuple[list[tuple[PseudoSpeaker, list[F0Contour]]], PseudovoxError | None]:
     """:func:`pseudonymize_speakers` of the speakers before the first that
-    fails, and that one's error (None if none fails)."""
-    sources, error = [], None
-    for speaker_id, gender, vectors, _ in speakers:
-        with np.errstate(over="ignore"):
-            mean = np.mean(vectors, axis=0)
+    fails, and that one's error (None if none fails): one :func:`_batch` of
+    all the speakers checks, and only if it raises does a :func:`_batch` of
+    each speaker in turn report, at the cost of up to one one-speaker batch
+    per speaker before the failing one."""
+    try:
+        return _batch(pool, speakers, cfg, f0_mode), None
+    except PseudovoxError:
+        done = []
+    for speaker in speakers:
         try:
-            if not np.isfinite(mean).all():
-                raise InvalidValueError("the mean of its utterance x-vectors is not finite")
-            sources.append(SpeakerEmbedding(speaker_id, gender, mean))
-        except PseudovoxError as exc:
-            error = exc
-            break
-    pseudos, derive_error = _derive(pool, sources, cfg)
-    if derive_error is not None:  # of a speaker before the one that ``error`` is of
-        error = derive_error
-    done = []
-    for pseudo, (_, _, _, contours) in zip(pseudos, speakers):
-        try:
-            done.append((pseudo, [
-                transform_contour(c, compute_log_f0_stats(c), pseudo.f0_stats)
-                if f0_mode is F0Mode.MODIFIED and c.voiced_mask.any() else c
-                for c in contours
-            ]))
+            done += _batch(pool, [speaker], cfg, f0_mode)
         except PseudovoxError as exc:
             return done, exc
-    return done, error
+    return done, None
 
 
 def pseudonymize_speakers(
@@ -535,7 +485,7 @@ def pseudonymize_speakers(
     :func:`pseudonymize_speaker`.
 
     Raises the error of the first speaker that fails, with the type and text
-    that the loop would raise.
+    that the loop would raise: a failing batch reports through the loop.
     """
     done, error = _pseudonymize(pool, speakers, cfg, f0_mode)
     if error is not None:

@@ -325,6 +325,10 @@ def loop_pseudonymize_speaker(pool, speaker_id, gender, vectors, contours, cfg, 
     """``pseudonymize_speaker`` as the per-speaker code computed it."""
     from pseudovox.f0 import F0Mode, transform_contour
 
+    if not len(vectors):
+        raise errors.InvalidValueError("it has no utterance x-vectors")
+    if len({np.shape(v) for v in vectors}) > 1:
+        raise errors.DimensionMismatchError("its utterance x-vectors differ in dimension")
     with np.errstate(over="ignore"):
         mean = np.mean(vectors, axis=0)
     if not np.isfinite(mean).all():

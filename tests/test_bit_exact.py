@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import pseudovox.plda
 from pseudovox import formats, selection
 from pseudovox.cli import main
-from pseudovox.errors import PseudovoxError
+from pseudovox.errors import DimensionMismatchError, PseudovoxError
 from pseudovox.f0 import F0Contour, F0Mode, LogF0Stats
 from pseudovox.plda import (
     Gender,
@@ -99,6 +99,53 @@ def test_cosine_scores_equal_scalar_oracle(seed, d, n):
     expected = scalar_cosine_scores(source, members).tolist()
     assert cosine_scores(source, members).tolist() == expected
     assert [cosine_score(source, m) for m in members] == expected
+
+
+COSINE_FAULTS = [None, "zero source", "source norm overflows", "source norm underflows", "zero member",
+                 "member of another dimension"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, d=st.sampled_from([1, 7, 64]), n_sources=st.integers(1, 5), n=st.integers(1, 8),
+       fault=st.sampled_from(COSINE_FAULTS))
+def test_a_block_of_cosine_sources_equals_the_one_source_calls(seed, d, n_sources, n, fault):
+    """Each row of a block call is bit-equal to the one-source call, which
+    also takes an embedding; a one-row block raises the one-source call's
+    error type and text, and a block with a failing source raises."""
+    rng = np.random.default_rng(seed)
+    sources = rng.normal(size=(n_sources, d)) * 10.0 ** rng.integers(-3, 4, (n_sources, 1))
+    members = rng.normal(size=(n, d + (fault == "member of another dimension")))
+    at = rng.integers(n_sources)
+    sources[at] = {"zero source": 0.0, "source norm overflows": 1e200, "source norm underflows": 1e-200}.get(
+        fault, sources[at])
+    if fault == "zero member":
+        members[rng.integers(n)] = 0.0
+    outcomes = []
+    for source in sources:
+        try:
+            outcomes.append(cosine_scores(source, members))
+        except PseudovoxError as exc:
+            outcomes.append(exc)
+            with pytest.raises(type(exc)) as raised:
+                cosine_scores(source[None, :], members)
+            assert str(raised.value) == str(exc)
+        else:
+            embedding = SpeakerEmbedding("s", Gender.MALE, source)
+            assert cosine_scores(embedding, members).tobytes() == outcomes[-1].tobytes()
+            assert cosine_scores(source[None, :], members).tobytes() == outcomes[-1][None, :].tobytes()
+            assert [cosine_score(embedding, m) for m in members] == outcomes[-1].tolist()
+    event(str(fault))
+    if any(isinstance(o, PseudovoxError) for o in outcomes):
+        with pytest.raises(PseudovoxError):
+            cosine_scores(sources, members)
+    else:
+        assert cosine_scores(sources, members).tobytes() == np.array(outcomes).tobytes()
+        assert cosine_scores(list(sources), members).tobytes() == np.array(outcomes).tobytes()
+
+
+def test_a_block_of_cosine_sources_of_two_dimensions_is_refused():
+    with pytest.raises(DimensionMismatchError, match=r"^cosine sources must share one dimension$"):
+        cosine_scores([np.ones(3), np.ones(2)], np.ones((2, 3)))
 
 
 @settings(max_examples=30, deadline=None)

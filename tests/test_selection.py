@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -5,9 +7,12 @@ from hypothesis import strategies as st
 
 import oracles
 from pseudovox.errors import (
+    DimensionMismatchError,
     EmptyAfterFilterError,
     InvalidSpecError,
+    InvalidValueError,
     PoolTooSmallError,
+    ZeroVectorError,
 )
 from pseudovox.f0 import F0Contour, F0Mode, LogF0Stats, compute_log_f0_stats, transform_contour
 from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding
@@ -227,6 +232,48 @@ def test_pseudonymize_speaker_renormalizes_voiced_contours_only():
     assert out[0] == transform_contour(voiced, compute_log_f0_stats(voiced), pseudo.f0_stats)
     assert out[1] is unvoiced
     assert np.array_equal(unvoiced.values, [0.0, 0.0])
+
+
+MALFORMED = pytest.mark.parametrize("pseudonymize", [pseudonymize_speaker, oracles.loop_pseudonymize_speaker],
+                                    ids=["batch", "loop"])
+
+
+@MALFORMED
+def test_a_speaker_without_x_vectors_is_refused_before_the_mean(pseudonymize):
+    cfg = SelectionConfig(k_far=2, k_sel=1, scorer=Scorer.COSINE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice"
+        with pytest.raises(InvalidValueError, match=r"^it has no utterance x-vectors$"):
+            pseudonymize(small_pool(), "s", Gender.MALE, [], [], cfg, F0Mode.ORIGINAL)
+
+
+@MALFORMED
+def test_a_speaker_with_x_vectors_of_two_dimensions_is_refused_before_the_mean(pseudonymize):
+    cfg = SelectionConfig(k_far=2, k_sel=1, scorer=Scorer.COSINE)
+    with pytest.raises(DimensionMismatchError, match=r"^its utterance x-vectors differ in dimension$"):
+        pseudonymize(small_pool(), "s", Gender.MALE, [np.ones(2), np.ones(3)], [], cfg, F0Mode.ORIGINAL)
+
+
+@pytest.mark.parametrize("failing", [None, 0, 2, 4])
+def test_the_per_speaker_loop_runs_only_when_the_batch_fails(failing, monkeypatch):
+    """A batch of N speakers that succeeds is one ``_batch`` call; one whose
+    speaker k fails first is that call and then one per speaker up to k."""
+    calls = []
+    batch = selection._batch
+
+    def counting(pool, speakers, cfg, f0_mode):
+        calls.append(len(speakers))
+        return batch(pool, speakers, cfg, f0_mode)
+
+    monkeypatch.setattr(selection, "_batch", counting)
+    cfg = SelectionConfig(k_far=2, k_sel=1, scorer=Scorer.COSINE)
+    speakers = [(f"s{i}", Gender.MALE, [np.zeros(2) if i == failing else np.array([1.0, i])], []) for i in range(5)]
+    done, error = selection._pseudonymize(small_pool(), speakers, cfg, F0Mode.ORIGINAL)
+    if failing is None:
+        assert calls == [5] and error is None and len(done) == 5
+    else:
+        assert calls == [5] + [1] * (failing + 1)
+        assert len(done) == failing and isinstance(error, ZeroVectorError)
 
 
 def test_splitmix64_and_fnv1a64_known_answers():
