@@ -51,7 +51,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidValueError,
     NoVoicedFramesError,
-    PoolTooSmallError,
     PseudovoxError,
     ZeroVectorError,
 )
@@ -129,8 +128,7 @@ _Build = Callable[[], str | Iterable[str]]
 _Output = tuple[Path, _Build, bool]
 
 
-def _write(command: str, entries: dict[str, str], outputs: list[_Output], manifest: Path | None,
-           early: tuple[int, ...] = (), meanwhile: Callable[[], None] = lambda: None) -> None:
+def _write(command: str, entries: dict[str, str], outputs: list[_Output], manifest: Path | None) -> None:
     """Write ``outputs``, then the manifest at ``manifest`` unless it is None.
 
     Each output is its path, the builder of its text, and whether the
@@ -138,16 +136,15 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
     checked and a hidden temp file is opened beside it, in the given order;
     no path may name a directory or an input read by ``_read``, and no two
     may resolve to the same file.
-    Then each builder runs as one job, streaming into its temp file, and
-    ``meanwhile`` runs in this process, as ``_run`` says; the jobs of the
-    outputs numbered in ``early`` may start before ``meanwhile``. Last the
-    manifest is built from the digests and every temp file is renamed into
-    place in the given order, manifest last.
+    Then each builder runs as one job, streaming into its temp file, as
+    ``_run`` says. Last the manifest is built from the digests and every temp
+    file is renamed into place in the given order, manifest last. A command
+    calls this once it has computed everything its outputs hold, so every
+    path is checked after the command's own errors.
 
     A failed run replaces nothing and reports the lowest-numbered failing
-    output, whichever process built it; an error of ``meanwhile`` is raised
-    once every child is reaped. The temp files are always removed, and so
-    are the directories made here if the set is not written.
+    output, whichever process built it. The temp files are always removed,
+    and so are the directories made here if the set is not written.
     """
     meta = click.get_current_context().meta
     paths = [path for path, _, _ in outputs] + ([] if manifest is None else [manifest])
@@ -173,8 +170,7 @@ def _write(command: str, entries: dict[str, str], outputs: list[_Output], manife
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         except OSError as exc:
             _fail(f"cannot write {path}: {exc}")
-        outcomes = _run([(build, fd) for (_, build, _), (_, fd) in zip(outputs, staged)], meta["threads"], early,
-                        meanwhile)
+        outcomes = _run([(build, fd) for (_, build, _), (_, fd) in zip(outputs, staged)], meta["threads"])
         for (path, _, hashed), result in zip(outputs, outcomes):
             if isinstance(result, OSError):
                 _fail(f"cannot write {path}: {result}")
@@ -245,39 +241,32 @@ def _build_into(build: _Build, fd: int) -> str:
     return digest.hexdigest()
 
 
-def _run(jobs: list[tuple[_Build, int]], threads: int, early: Iterable[int],
-         meanwhile: Callable[[], None]) -> list:
-    """Build ``jobs`` and run ``meanwhile``; each job's digest, the
-    exception it raised, or None if it was not built.
+def _run(jobs: list[tuple[_Build, int]], threads: int) -> list:
+    """Build ``jobs``; each job's digest, the exception it raised, or None
+    if it was not built.
 
     Each job is one output's builder and the descriptor it is built into
     (``_build_into``), numbered in output order.
 
-    With one thread, one job or no ``os.fork``, this process runs
-    ``meanwhile``, then builds the jobs in order and stops at the first that
-    fails. Otherwise each job is built in a forked child of its own
-    (``_fork``), at most ``threads`` alive at once, and this process only
-    forks, waits and collects: the jobs numbered in ``early`` are forked
-    first, in that order, as many as fit while ``meanwhile`` runs, and the
-    other jobs after it, in order. Every job is built, even above a
-    failure, so the lowest-numbered failing output is the one that one
-    process would report. Children are forked, not spawned, because the
-    builders are closures over the command's results; they run only
-    serializers, so no BLAS routine and no lock that another thread may hold
-    at the fork. A job whose fork or report pipe fails is built in this
-    process at once. An error of ``meanwhile`` is raised once every child is
-    reaped, and no job starts after it.
+    With one thread, one job or no ``os.fork``, this process builds the jobs
+    in order and stops at the first that fails. Otherwise each job is built
+    in a forked child of its own (``_fork``), forked in output order with at
+    most ``threads`` alive at once, and this process only forks, waits and
+    collects. Every job is built, even above a failure, so the
+    lowest-numbered failing output is the one that one process would report.
+    Children are forked, not spawned, because the builders are closures over
+    the command's results; they run only serializers, so no BLAS routine and
+    no lock that another thread may hold at the fork. A job whose fork or
+    report pipe fails is built in this process at once.
     """
     results: list = [None] * len(jobs)  # each job's digest or exception, None until it is built
     if threads < 2 or len(jobs) < 2 or not hasattr(os, "fork"):
-        meanwhile()
         for number, job in enumerate(jobs):
             results[number] = _outcome(job)
             if isinstance(results[number], BaseException):
                 break
     else:
-        queue = list(early)
-        rest = [number for number in range(len(jobs)) if number not in queue]
+        queue = list(range(len(jobs)))
         children: dict[int, tuple[int, int]] = {}  # read end of each child's report pipe: its job and pid
         ready = select.poll()
 
@@ -312,9 +301,6 @@ def _run(jobs: list[tuple[_Build, int]], threads: int, early: Iterable[int],
                     results[number] = ChildProcessError(f"the process writing it ended with exit status {status}")
 
         try:
-            fork()
-            meanwhile()
-            queue += rest
             fork()
             while children:  # ``fork`` leaves a job queued only while ``threads`` children are alive
                 collect()
@@ -614,8 +600,6 @@ def anonymize(obj, pool_file, embeddings_file, contours_file, plda_file, out_dir
         xvector_rows.append(SpeakerEmbedding(speaker_id, gender, pseudo.xvector, "pseudo"))
         stats_rows.append((speaker_id, pseudo.f0_stats))
         contour_rows.extend(anon_contours)
-    if isinstance(error, (PoolTooSmallError, InvalidValueError, ZeroVectorError)):
-        raise type(error)(f"speaker {speakers[len(done)]!r}: {error}") from None
     if error is not None:
         raise error
     del pool, sources, done  # free the pool's cached latents before the outputs are serialized
@@ -768,35 +752,32 @@ def simulate(obj, out_dir, **flags):
     sel = _build(SelectionConfig, resolved, k_far=12, k_sel=6, length_norm=False)
 
     cohort = generate_cohort(spec)
-    result = None
-
-    def run():  # in this process while the cohort's outputs are built
-        nonlocal result
-        result = run_scenario(cohort, scenario, sel)
-        settings = {**asdict(sel), **asdict(spec), **asdict(scenario)}
-        del settings["global_seed"], settings["f0_weight"]
-        settings.update({
-            "cohort_seed": settings.pop("seed"),
-            "f0_weight_used": result.f0_weight_used,
-            "n_trials": result.score_matrix.size,
-        })
-        entries.update(_recorded(settings))
+    result = run_scenario(cohort, scenario, sel)
+    settings = {**asdict(sel), **asdict(spec), **asdict(scenario)}
+    del settings["global_seed"], settings["f0_weight"]
+    settings.update({
+        "cohort_seed": settings.pop("seed"),
+        "f0_weight_used": result.f0_weight_used,
+        "n_trials": result.score_matrix.size,
+    })
+    entries.update(_recorded(settings))
 
     out = Path(out_dir)
     utterances = [u for speaker in cohort.users for u in speaker.utterances]
     _write("simulate", entries, [
         (out / "pool.txt", lambda: formats.serialize_pool(cohort.pool.speakers), True),
+        # the longest job second, so that above one thread it starts in the first round of forks
+        (out / "scores.txt", lambda: formats._score_grid_rows(result.enroll_ids, result.utt_ids, result.score_matrix),
+         True),
         (out / "user_embeddings.txt", lambda: formats.serialize_embeddings(
             [SpeakerEmbedding(u.speaker_id, u.gender, u.embedding, u.utterance_id) for u in utterances]), True),
         (out / "user_contours.txt", lambda: formats.serialize_contours([u.contour for u in utterances]), True),
         (out / "plda.txt", lambda: formats.serialize_plda(cohort.plda), True),
-        (out / "scores.txt", lambda: formats._score_grid_rows(result.enroll_ids, result.utt_ids, result.score_matrix),
-         True),
         (out / "trials.txt", lambda: formats._trial_grid_rows(result.enroll_ids, result.utt_ids, result.label_matrix),
          True),
         (out / "report.txt", lambda: formats.serialize_report(result.report), True),
         *_det_output(obj, lambda: result.scores),
-    ], out / "manifest.txt", early=(2, 1, 0, 3), meanwhile=run)  # the cohort's outputs, largest first
+    ], out / "manifest.txt")
 
 
 if __name__ == "__main__":

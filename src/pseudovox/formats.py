@@ -778,7 +778,8 @@ def _sorted_grid(enroll_ids, utt_ids, matrix, dtype) -> tuple[list[str], list[st
     enroll_ids, utt_ids = list(enroll_ids), list(utt_ids)
     matrix = np.asarray(matrix, dtype=dtype)
     if matrix.shape != (len(enroll_ids), len(utt_ids)):
-        raise ValueError(f"matrix shape {matrix.shape} does not match {len(enroll_ids)} x {len(utt_ids)} ids")
+        raise DimensionMismatchError(
+            f"matrix shape {matrix.shape} does not match {len(enroll_ids)} x {len(utt_ids)} ids")
     if not matrix.size:
         return [], [], matrix
     if len(set(enroll_ids)) < len(enroll_ids) or len(set(utt_ids)) < len(utt_ids):

@@ -8,9 +8,9 @@ their F0 statistics. :func:`pseudonymize_speakers` runs each step once over
 all the source speakers of a gender; the one-speaker functions are batches
 of one. The batch checks, the per-speaker loop reports: a batch that raises
 is run again one speaker at a time, in order, up to the first that raises,
-so the error is the one a loop over the speakers meets first. A failing
-batch so costs up to one one-speaker batch per speaker before the failing
-one.
+so the error is the one a loop over the speakers meets first, and the loop
+names its speaker. A failing batch so costs up to one one-speaker batch per
+speaker before the failing one.
 
 Reproducibility contract
 ------------------------
@@ -45,6 +45,7 @@ from .errors import (
     InvalidValueError,
     PoolTooSmallError,
     PseudovoxError,
+    ZeroVectorError,
 )
 from .f0 import (
     F0Contour, F0Mode, LogF0Stats, _aggregate, _count_array, compute_log_f0_stats, transform_contour,
@@ -456,6 +457,10 @@ def _batch(
     ]
 
 
+# errors about one source speaker, whose texts ("it", "its") name it only after a prefix
+_OF_A_SPEAKER = (PoolTooSmallError, InvalidValueError, ZeroVectorError, DimensionMismatchError)
+
+
 def _pseudonymize(
     pool: SpeakerPool, speakers: Sequence[_Source], cfg: SelectionConfig, f0_mode: F0Mode
 ) -> tuple[list[tuple[PseudoSpeaker, list[F0Contour]]], PseudovoxError | None]:
@@ -463,7 +468,8 @@ def _pseudonymize(
     fails, and that one's error (None if none fails): one :func:`_batch` of
     all the speakers checks, and only if it raises does a :func:`_batch` of
     each speaker in turn report, at the cost of up to one one-speaker batch
-    per speaker before the failing one."""
+    per speaker before the failing one. An error about the failing speaker
+    is prefixed ``speaker '<id>': ``."""
     try:
         return _batch(pool, speakers, cfg, f0_mode), None
     except PseudovoxError:
@@ -472,6 +478,8 @@ def _pseudonymize(
         try:
             done += _batch(pool, [speaker], cfg, f0_mode)
         except PseudovoxError as exc:
+            if isinstance(exc, _OF_A_SPEAKER):
+                exc.args = (f"speaker {speaker[0]!r}: {exc}",)
             return done, exc
     return done, None
 
@@ -485,7 +493,8 @@ def pseudonymize_speakers(
     :func:`pseudonymize_speaker`.
 
     Raises the error of the first speaker that fails, with the type and text
-    that the loop would raise: a failing batch reports through the loop.
+    that the loop would raise, naming that speaker: a failing batch reports
+    through the loop.
     """
     done, error = _pseudonymize(pool, speakers, cfg, f0_mode)
     if error is not None:

@@ -322,29 +322,37 @@ def loop_derive_pseudo_speaker(pool, source, cfg):
 
 
 def loop_pseudonymize_speaker(pool, speaker_id, gender, vectors, contours, cfg, f0_mode):
-    """``pseudonymize_speaker`` as the per-speaker code computed it."""
+    """``pseudonymize_speaker`` as the per-speaker code computed it; an error
+    about the speaker (its texts say "it" and "its") is prefixed
+    ``speaker '<id>': ``."""
     from pseudovox.f0 import F0Mode, transform_contour
 
-    if not len(vectors):
-        raise errors.InvalidValueError("it has no utterance x-vectors")
-    if len({np.shape(v) for v in vectors}) > 1:
-        raise errors.DimensionMismatchError("its utterance x-vectors differ in dimension")
-    with np.errstate(over="ignore"):
-        mean = np.mean(vectors, axis=0)
-    if not np.isfinite(mean).all():
-        raise errors.InvalidValueError("the mean of its utterance x-vectors is not finite")
-    source = SpeakerEmbedding(speaker_id, gender, mean)
-    pseudo = loop_derive_pseudo_speaker(pool, source, cfg)
-    return pseudo, [
-        transform_contour(c, compute_log_f0_stats(c), pseudo.f0_stats)
-        if f0_mode is F0Mode.MODIFIED and c.voiced_mask.any() else c
-        for c in contours
-    ]
+    try:
+        if not len(vectors):
+            raise errors.InvalidValueError("it has no utterance x-vectors")
+        if len({np.shape(v) for v in vectors}) > 1:
+            raise errors.DimensionMismatchError("its utterance x-vectors differ in dimension")
+        with np.errstate(over="ignore"):
+            mean = np.mean(vectors, axis=0)
+        if not np.isfinite(mean).all():
+            raise errors.InvalidValueError("the mean of its utterance x-vectors is not finite")
+        source = SpeakerEmbedding(speaker_id, gender, mean)
+        pseudo = loop_derive_pseudo_speaker(pool, source, cfg)
+        return pseudo, [
+            transform_contour(c, compute_log_f0_stats(c), pseudo.f0_stats)
+            if f0_mode is F0Mode.MODIFIED and c.voiced_mask.any() else c
+            for c in contours
+        ]
+    except (errors.PoolTooSmallError, errors.InvalidValueError, errors.ZeroVectorError,
+            errors.DimensionMismatchError) as exc:
+        exc.args = (f"speaker {speaker_id!r}: {exc}",)
+        raise
 
 
 def loop_pseudonymize_speakers(pool, speakers, cfg, f0_mode):
     """``loop_pseudonymize_speaker`` of each ``(speaker_id, gender, vectors,
-    contours)``, in order; it raises the first speaker's error."""
+    contours)``, in order; it raises the first speaker's error, which names
+    that speaker."""
     return [loop_pseudonymize_speaker(pool, *speaker, cfg, f0_mode) for speaker in speakers]
 
 

@@ -4,7 +4,10 @@ import hashlib
 import itertools
 import math
 import os
+import select
 import signal
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -472,7 +475,7 @@ def test_anonymize_failing_at_a_later_speaker_writes_the_per_speaker_loops_stder
             oracles.loop_pseudonymize_speaker(pool, speaker_id, embs[0].gender, [e.vector for e in embs],
                                               utterances, cfg, F0Mode.MODIFIED)
         except PseudovoxError as exc:
-            expected += f"error: speaker {speaker_id!r}: {exc}\n"
+            expected += f"error: {exc}\n"
             break
         expected += "".join(f"warning: {c.utterance_id} has no voiced frames, copied unchanged\n"
                             for c in utterances if not c.voiced_mask.any())
@@ -1030,9 +1033,9 @@ def test_simulate_writes_scores_and_trials_from_the_grid(tmp_path, runner, monke
 OUTPUT_WRITERS = {
     "anonymize": [("serialize_mapping", "mapping.txt"), ("serialize_embeddings", "pseudo_xvectors.txt"),
                   ("serialize_stats", "pseudo_f0_stats.txt"), ("serialize_contours", "contours_anon.txt")],
-    "simulate": [("serialize_pool", "pool.txt"), ("serialize_embeddings", "user_embeddings.txt"),
-                 ("serialize_contours", "user_contours.txt"), ("serialize_plda", "plda.txt"),
-                 ("_score_grid_rows", "scores.txt"), ("_trial_grid_rows", "trials.txt"),
+    "simulate": [("serialize_pool", "pool.txt"), ("_score_grid_rows", "scores.txt"),
+                 ("serialize_embeddings", "user_embeddings.txt"), ("serialize_contours", "user_contours.txt"),
+                 ("serialize_plda", "plda.txt"), ("_trial_grid_rows", "trials.txt"),
                  ("serialize_report", "report.txt")],
 }
 
@@ -1103,29 +1106,28 @@ def test_simulate_failing_in_mid_stream_leaves_the_tree_as_it_was(tmp_path, runn
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-@pytest.mark.parametrize("failure", ["scenario-raises", "part-raises"])
-def test_simulate_failing_after_the_cohort_jobs_start_leaves_the_tree_as_it_was(tmp_path, runner, monkeypatch,
-                                                                                  threads, failure):
-    """Above one thread the cohort's outputs start building before the
-    scenario runs. A scenario that then raises, or a score grid that
-    raises after its first row, ends the run with one ``error:`` line and
-    exit 1, and leaves the tree, the open descriptors and the children as
-    they were: no temp file or new directory."""
+def test_simulate_whose_scenario_fails_forks_nothing_and_leaves_the_tree_as_it_was(tmp_path, runner, monkeypatch,
+                                                                                    threads):
+    """The scenario runs before any output is staged or built, so a scenario
+    that raises ends the run with one ``error:`` line and exit 1 at any
+    ``--threads``, with no child forked before it, and leaves the tree, the
+    open descriptors and the children as they were: an earlier run's
+    ``--out-dir`` holds no temp file and a fresh one is never made."""
     out = tmp_path / "sim"
     assert runner.invoke(main, ["simulate", "--out-dir", str(out)] + SIM_ARGS).exit_code == 0
     before = tree(tmp_path)
     count = counted_forks(monkeypatch)
     forked_before_the_scenario = []
-    if failure == "scenario-raises":
-        def run_scenario(*args):
-            forked_before_the_scenario.append(count.forks)
-            refuse_the_scenario()
+    fresh = tmp_path / "fresh" / "deeper"
 
-        monkeypatch.setattr(cli, "run_scenario", run_scenario)
-    else:
-        monkeypatch.setattr(formats, "_score_grid_rows", refused_after_the_first_row(formats._score_grid_rows))
+    def run_scenario(*args):
+        forked_before_the_scenario.append(count.forks)
+        assert tree(tmp_path) == before and not fresh.parent.exists()
+        refuse_the_scenario()
+
+    monkeypatch.setattr(cli, "run_scenario", run_scenario)
     fds = open_fds()
-    for target in (out, tmp_path / "fresh" / "deeper"):
+    for target in (out, fresh):
         count.forks = 0
         result = runner.invoke(main, ["--seed", "8", "--threads", str(threads), "simulate", "--out-dir",
                                       str(target)] + SIM_ARGS)
@@ -1133,28 +1135,109 @@ def test_simulate_failing_after_the_cohort_jobs_start_leaves_the_tree_as_it_was(
         assert open_fds() == fds
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr == f"error: {'scenario' if failure == 'scenario-raises' else 'grid'} refused\n"
+        assert result.stderr == "error: scenario refused\n"
         assert tree(tmp_path) == before
-    if failure == "scenario-raises":  # the cohort's four outputs, up to --threads of them
-        assert forked_before_the_scenario == [0 if threads == 1 else min(threads, 4)] * 2
+    assert forked_before_the_scenario == [0, 0]
+    assert count.forks == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("failure", ["part-raises"])  # a score grid that raises after its first row
+def test_simulate_failing_after_the_cohort_jobs_start_leaves_the_tree_as_it_was(tmp_path, runner, monkeypatch,
+                                                                                  threads, failure):
+    """``pool.txt``, a cohort output, comes before the score grid, so its job
+    has started when a score grid raises after its first row. That ends the
+    run with one ``error:`` line and exit 1, and leaves the tree, the open
+    descriptors and the children as they were: no temp file or new
+    directory."""
+    out = tmp_path / "sim"
+    assert runner.invoke(main, ["simulate", "--out-dir", str(out)] + SIM_ARGS).exit_code == 0
+    before = tree(tmp_path)
+    monkeypatch.setattr(formats, "_score_grid_rows", refused_after_the_first_row(formats._score_grid_rows))
+    fds = open_fds()
+    for target in (out, tmp_path / "fresh" / "deeper"):
+        result = runner.invoke(main, ["--seed", "8", "--threads", str(threads), "simulate", "--out-dir",
+                                      str(target)] + SIM_ARGS)
+        assert_no_child_left()
+        assert open_fds() == fds
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: grid refused\n"
+        assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_a_path_error_is_reported_before_a_scenario_error(tmp_path, runner, threads):
-    """Every path is checked before the scenario runs, so a run with an
-    unwritable output and a scenario that fails reports the path."""
+def test_a_scenario_error_is_reported_before_a_path_error(tmp_path, runner, threads):
+    """``simulate`` runs its scenario before it checks its paths, as every
+    command computes before it writes: a run with an unwritable output and a
+    scenario that fails reports the scenario's error, and one with a good
+    scenario reports the path. Neither changes the tree."""
     (tmp_path / "sim").write_text("a file, not a directory\n")
     before = tree(tmp_path)
     result = runner.invoke(main, ["--threads", threads, "simulate", "--out-dir", str(tmp_path / "sim")]
                            + SIM_ARGS + ["--f0-weight", "-1e308"])
     assert result.exit_code == 1
-    assert result.stderr.startswith(f"error: cannot write {tmp_path / 'sim' / 'pool.txt'}: ")
-    assert tree(tmp_path) == before
-    result = runner.invoke(main, ["--threads", threads, "simulate", "--out-dir", str(tmp_path / "fresh")]
-                           + SIM_ARGS + ["--f0-weight", "-1e308"])
-    assert result.exit_code == 1
+    assert result.stdout == ""
     assert result.stderr == "error: Cllr overflows float64\n"  # the scenario's error
     assert tree(tmp_path) == before
+    result = runner.invoke(main, ["--threads", threads, "simulate", "--out-dir", str(tmp_path / "sim")] + SIM_ARGS)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot write {tmp_path / 'sim' / 'pool.txt'}: ")
+    assert result.stderr.count("\n") == 1
+    assert tree(tmp_path) == before
+
+
+# ``simulate`` in a process of its own, whose scenario reports on an inherited
+# pipe that it has begun and then waits to be ended
+SCENARIO_HOLDS = """
+import os, sys, time
+from pseudovox import cli
+
+def run_scenario(*args):
+    os.write(int(sys.argv[1]), b"s")
+    time.sleep(600)
+
+cli.run_scenario = run_scenario
+cli.main(sys.argv[2:], prog_name="pseudovox")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_sigterm_during_the_scenario_of_simulate_leaves_nothing_behind(tmp_path, runner, threads):
+    """``simulate`` stages no file, makes no directory and forks no child
+    before its scenario ends, so a SIGTERM during the scenario leaves an
+    earlier run's ``--out-dir`` as it was, makes no fresh one, and leaves no
+    process of the run's session."""
+    out = tmp_path / "sim"
+    assert runner.invoke(main, ["simulate", "--out-dir", str(out)] + SIM_ARGS).exit_code == 0
+    before = tree(tmp_path)
+    src = str(Path(pseudovox.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for target in (out, tmp_path / "fresh" / "deeper"):
+        read, write = os.pipe()
+        try:
+            process = subprocess.Popen(
+                [sys.executable, "-c", SCENARIO_HOLDS, str(write), "--threads", threads, "simulate", "--out-dir",
+                 str(target)] + SIM_ARGS,
+                env=env, pass_fds=(write,), start_new_session=True, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
+        finally:
+            os.close(write)
+        try:
+            assert select.select([read], [], [], 120)[0] and os.read(read, 1) == b"s"  # the scenario has begun
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == -signal.SIGTERM
+            assert tree(tmp_path) == before
+            with pytest.raises(ProcessLookupError):
+                os.killpg(process.pid, 0)
+        finally:
+            os.close(read)
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait()
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_WRITERS))
@@ -1165,8 +1248,7 @@ def test_a_failed_output_job_ends_the_run_in_any_process(tmp_path, runner, monke
     or child process left. A raising serializer gives the same error under
     one and two processes, and one process builds no output after it; when
     every serializer raises, both report the first output, although two
-    processes start the cohort's outputs of ``simulate`` before it; a
-    worker that exits or is killed without a report fails the output it
+    processes build the outputs after it as well; a worker that exits or is killed without a report fails the output it
     took with its exit status, and with no worker the run succeeds."""
     if command == "anonymize":
         paths = build_anonymize_inputs(tmp_path)
@@ -1324,14 +1406,13 @@ def test_a_job_whose_report_pipe_fails_is_built_in_this_process(tmp_path, runner
 @given(data=st.data())
 def test_the_output_runner_reports_the_same_first_failure_at_any_thread_count(data):
     """``cli._run`` alone, on synthetic jobs: 1 to 5 outputs, each writing
-    known chunks, some raising before or after their first chunk; the jobs of
-    a random ordered subset of the outputs start early, and ``meanwhile`` may
-    raise. At 1, 2 and 3 threads the first outcome that is not a digest is
-    the same exception, every output before it holds its bytes and their
-    SHA-256 digest, and no more than ``threads`` children are alive at once.
-    Before ``meanwhile`` runs, only early jobs have been forked, up to
-    ``threads`` of them, and none built in this process; its error is raised
-    once every child is reaped. No child or descriptor is left."""
+    known chunks, some raising before or after their first chunk. At 1, 2
+    and 3 threads the first outcome that is not a digest is the same
+    exception, every output before it holds its bytes and their SHA-256
+    digest, and no more than ``threads`` children are alive at once. Above
+    one thread each job is forked once and none is built in this process; at
+    one, this process builds the jobs in order up to the first failure. No
+    child or descriptor is left."""
     n_outputs = data.draw(st.integers(1, 5), label="outputs")
     jobs = []  # output, fate, chunks; in output order
     for output in range(n_outputs):
@@ -1339,8 +1420,6 @@ def test_the_output_runner_reports_the_same_first_failure_at_any_thread_count(da
         chunks = [f"o{output} c{i} " * size + "\n"
                   for i, size in enumerate(data.draw(st.lists(st.integers(1, 2000), min_size=1, max_size=3)))]
         jobs.append((output, fate, chunks))
-    early = data.draw(st.permutations(range(n_outputs)))[:data.draw(st.integers(0, n_outputs))]
-    meanwhile_raises = data.draw(st.booleans(), label="meanwhile raises")
     failed = [job for job in jobs if job[1] != "builds"]
     expected_failure = None if not failed else (failed[0][0], f"job {failed[0][0]} refused")
     written = [b"".join(chunk.encode() for chunk in job[2]) for job in jobs]
@@ -1366,34 +1445,23 @@ def test_the_output_runner_reports_the_same_first_failure_at_any_thread_count(da
             count = counted_forks(patch)
             built = []
             forking = threads > 1 and len(jobs) > 1
-
-            def meanwhile():
-                assert count.forks == (min(threads, len(early)) if forking else 0)
-                assert built == []
-                if meanwhile_raises:
-                    raise InvalidValueError("meanwhile refused")
-
             fds = [os.open(Path(tmp) / f"out{output}", os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
                    for output in range(n_outputs)]
             run_jobs = [(builder(*job, built), fd) for job, fd in zip(jobs, fds)]
             try:
-                if meanwhile_raises:
-                    with pytest.raises(InvalidValueError, match="meanwhile refused"):
-                        cli._run(run_jobs, threads, early, meanwhile)
-                    assert count.alive == set()
+                outcomes = cli._run(run_jobs, threads)
+                first = next((i for i, outcome in enumerate(outcomes) if not isinstance(outcome, str)), None)
+                if first is None:
+                    assert expected_failure is None
                 else:
-                    outcomes = cli._run(run_jobs, threads, early, meanwhile)
-                    first = next((i for i, outcome in enumerate(outcomes) if not isinstance(outcome, str)), None)
-                    if first is None:
-                        assert expected_failure is None
-                    else:
-                        assert isinstance(outcomes[first], InvalidValueError)
-                        assert (first, str(outcomes[first])) == expected_failure
-                    for output in range(n_outputs if first is None else first):
-                        assert outcomes[output] == hashlib.sha256(written[output]).hexdigest()
-                        assert os.pread(fds[output], len(written[output]) + 1, 0) == written[output]
+                    assert isinstance(outcomes[first], InvalidValueError)
+                    assert (first, str(outcomes[first])) == expected_failure
+                for output in range(n_outputs if first is None else first):
+                    assert outcomes[output] == hashlib.sha256(written[output]).hexdigest()
+                    assert os.pread(fds[output], len(written[output]) + 1, 0) == written[output]
                 assert count.most <= threads
-                assert count.forks == 0 or forking
+                assert count.forks == (n_outputs if forking else 0)
+                assert built == ([] if forking else list(range(n_outputs if first is None else first + 1)))
             finally:
                 for fd in fds:
                     os.close(fd)
@@ -1566,6 +1634,19 @@ def test_simulate_float_setting_that_overflows_is_refused(tmp_path, runner, extr
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], result.stderr
     assert "RuntimeWarning" not in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--between-var", "1e306"], "speaker 'user-f003': its PLDA score against pool speaker 'pool-f002' is not finite"),
+    (["--k-far", "20"], "speaker 'user-m000': k_far=20 exceeds filtered pool size 6"),
+])
+def test_simulate_names_the_speaker_whose_selection_fails(tmp_path, runner, extra, message):
+    """A selection error about one user speaker names it, as in ``anonymize``."""
+    result = runner.invoke(main, ["simulate", "--out-dir", str(tmp_path / "sim")] + SIM_ARGS + extra)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -2194,8 +2275,8 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
     """Small valid inputs, changed: edited bytes, swapped files, outputs that
     collide with an input, with each other or with existing files, one-file
     outputs that name no file (``.``, ``""``), ``simulate`` float settings at
-    the ends of float64, and a ``simulate`` scenario or score grid that
-    raises once the cohort's outputs have started, written by 1 to 3
+    the ends of float64, and a ``simulate`` scenario that raises or a score
+    grid that raises once the cohort's outputs have started, written by 1 to 3
     processes. Either the
     run exits 0 and every output parses and its manifest hashes hold, or it
     exits 1 with one ``error:`` line, no traceback, and the tree as it was;
@@ -2223,7 +2304,7 @@ def test_every_run_succeeds_whole_or_fails_with_one_error_line(contract_inputs, 
         file_slots = sorted(slot for slot, parse in CONTRACT_OUTPUTS[command].items() if parse is not None)
         if file_slots:
             kinds.append("no-name")
-        if command == "simulate":  # failures after the cohort's outputs start building
+        if command == "simulate":  # failures in the scenario, and after the cohort's outputs start building
             kinds += ["scenario-raises", "part-raises"]
         for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2, unique=True)):
             if kind == "edit":

@@ -243,14 +243,14 @@ def test_a_speaker_without_x_vectors_is_refused_before_the_mean(pseudonymize):
     cfg = SelectionConfig(k_far=2, k_sel=1, scorer=Scorer.COSINE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no "Mean of empty slice"
-        with pytest.raises(InvalidValueError, match=r"^it has no utterance x-vectors$"):
+        with pytest.raises(InvalidValueError, match=r"^speaker 's': it has no utterance x-vectors$"):
             pseudonymize(small_pool(), "s", Gender.MALE, [], [], cfg, F0Mode.ORIGINAL)
 
 
 @MALFORMED
 def test_a_speaker_with_x_vectors_of_two_dimensions_is_refused_before_the_mean(pseudonymize):
     cfg = SelectionConfig(k_far=2, k_sel=1, scorer=Scorer.COSINE)
-    with pytest.raises(DimensionMismatchError, match=r"^its utterance x-vectors differ in dimension$"):
+    with pytest.raises(DimensionMismatchError, match=r"^speaker 's': its utterance x-vectors differ in dimension$"):
         pseudonymize(small_pool(), "s", Gender.MALE, [np.ones(2), np.ones(3)], [], cfg, F0Mode.ORIGINAL)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pseudovox import formats
-from pseudovox.errors import InvalidValueError, LineSyntaxError, PseudovoxError
+from pseudovox.errors import DimensionMismatchError, InvalidValueError, LineSyntaxError, PseudovoxError
 from pseudovox.f0 import F0Contour, LogF0Stats
 from pseudovox.metrics import EvalReport
 from pseudovox.plda import Gender, PldaModel, SpeakerEmbedding
@@ -649,6 +649,15 @@ def test_grid_writers_check_each_distinct_id_once(monkeypatch, write):
     write(["spk3", "spk1", "utt1", "spk2"], ["utt2", "utt0", "utt1"], np.zeros((4, 3)))
     # in the order the rows write them: the first row, then the other rows
     assert checked == ["spk1", "utt0", "utt1", "utt2", "spk2", "spk3"]
+
+
+@pytest.mark.parametrize("write", [formats.serialize_score_grid, formats.serialize_trial_grid])
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (0, 2), (2,), (1, 2, 1)])
+def test_grid_writers_refuse_a_matrix_of_another_shape(write, shape):
+    """A matrix that is not one row per enroll id and one column per
+    utterance id is refused with the package's dimension error."""
+    with pytest.raises(DimensionMismatchError, match=r"^matrix shape \(.*\) does not match 1 x 2 ids$"):
+        write(["a"], ["b", "c"], np.zeros(shape))
 
 
 # --- the writer of reals --------------------------------------------------------
